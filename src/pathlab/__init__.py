@@ -14,7 +14,6 @@ from .adr import (
     euler_specialization,
     is_adr,
     is_flat_adr,
-    parity_dec,
     parity_decorate,
     phi,
 )
@@ -68,7 +67,7 @@ from .paths import (
     shift,
     validate,
 )
-from .poly import QTPoly, TPoly, euler_t, eval_q, q_analog, t_analog, t_factorial
+from .poly import QTPoly, TPoly, euler_t, q_analog, t_analog, t_factorial
 from .schedule import (
     DecoratedPermutation,
     ShiftedDiagonalWord,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import AbstractSet
 
 from .poly import TPoly, t_analog, t_factorial, euler_t
 from .schedule import (
@@ -71,6 +72,12 @@ def _chain_decorations(values: tuple[int, ...]) -> set[int]:
     return decorated
 
 
+def _first_run_undecorated(values: tuple[int, ...], decorated: AbstractSet[int]) -> int:
+    """Undecorated letters in the first decreasing run; decorations are positions."""
+    first_run = decreasing_runs(values)[0]
+    return sum(1 for p in range(1, len(first_run) + 1) if p not in decorated)
+
+
 def dyck_decorate(values: tuple[int, ...] | list[int]) -> DecoratedPermutation:
     """Canonical decoration making the word all-ones realizable at shift zero.
 
@@ -79,10 +86,7 @@ def dyck_decorate(values: tuple[int, ...] | list[int]) -> DecoratedPermutation:
     """
     perm = make_perm(values)
     decorated = _chain_decorations(perm.values)
-    first_run = decreasing_runs(perm)[0]
-    first_run_positions = range(1, len(first_run) + 1)
-    undec_first = sum(1 for p in first_run_positions if p not in decorated)
-    if undec_first == 2:
+    if _first_run_undecorated(perm.values, decorated) == 2:
         decorated.add(1)
     return DecoratedPermutation(perm.values, frozenset(decorated))
 
@@ -99,11 +103,6 @@ def parity_decorate(values: tuple[int, ...] | list[int]) -> DecoratedPermutation
     return DecoratedPermutation(perm.values, frozenset(decorated))
 
 
-def parity_dec(values: tuple[int, ...] | list[int]) -> int:
-    """Number of decorations placed by :func:`parity_decorate`."""
-    return len(parity_decorate(values).decorated)
-
-
 def phi(word: DecoratedPermutation) -> DecoratedPermutation:
     """Toggle the first letter's decoration according to the first run.
 
@@ -116,10 +115,7 @@ def phi(word: DecoratedPermutation) -> DecoratedPermutation:
         raise NotAnADR(f"{word} has an even number of undecorated letters")
     if not is_adr(word):
         raise NotAnADR(f"{word} admits no all-ones shift")
-    first_run = decreasing_runs(word)[0]
-    undec_first = sum(
-        1 for p in range(1, len(first_run) + 1) if p not in word.decorated
-    )
+    undec_first = _first_run_undecorated(word.values, word.decorated)
     if undec_first == 0:
         return DecoratedPermutation(word.values, word.decorated - {1})
     if undec_first == 1:
@@ -159,13 +155,7 @@ def _fast_sums(n: int, flat: bool) -> tuple[TPoly, ...]:
         k = len(word.decorated)
         d = revmaj(word)
         acc[k][d] = acc[k].get(d, 0) + 1
-    polys = []
-    for bucket in acc:
-        coeffs = [0] * (max(bucket) + 1 if bucket else 0)
-        for d, c in bucket.items():
-            coeffs[d] = c
-        polys.append(TPoly(coeffs))
-    return tuple(polys)
+    return tuple(TPoly.from_counts(bucket) for bucket in acc)
 
 
 def S_fast(n: int, k: int) -> TPoly:

@@ -13,6 +13,7 @@ descending, labels ascending).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .adr import ADRWitness, all_adrs
@@ -29,8 +30,8 @@ from .poly import TPoly
 from .schedule import (
     DecoratedPermutation,
     ShiftedDiagonalWord,
-    decreasing_runs,
     diagonal_word,
+    letter_diagonals,
     revmaj,
     schedule_numbers,
 )
@@ -41,18 +42,25 @@ class ScheduleNotOne(ValueError):
     schedule word."""
 
 
+def _steps_from_diagonals(diagonals: list[int]) -> str | None:
+    """The step word whose i-th north step starts on ``diagonals[i]``, or
+    None when no path has north steps there."""
+    n = len(diagonals)
+    xs = [i - d for i, d in enumerate(diagonals)]  # x of the i-th north step
+    if xs[0] < 0 or xs[-1] > n - 1 or any(b < a for a, b in zip(xs, xs[1:])):
+        return None
+    steps = "".join("E" * (b - a) + "N" for a, b in zip([0] + xs, xs))
+    return steps + "E" * (n - xs[-1])
+
+
 def path_from_sdw(word: DecoratedPermutation, shift: int) -> DecoratedLabeledPath:
     """The unique path whose shifted diagonal word is (word, shift), for
     words with all-ones schedule word at that shift."""
     sdw = ShiftedDiagonalWord(word, shift)
     if schedule_numbers(sdw) != (1,) * word.n:
         raise ScheduleNotOne(f"({word}, {shift}) does not have all-ones schedules")
-    runs = decreasing_runs(word)
-    diag_of: dict[int, int] = {}
-    for r, run in enumerate(runs):
-        for v in run:
-            diag_of[v] = r - shift
-    decorated_values = {v for v in word.values if word.is_decorated_value(v)}
+    diag_of = letter_diagonals(sdw)
+    decorated_values = word.decorated_values
     head = sorted(
         ((d, v) for v, d in diag_of.items() if v in decorated_values and d < 0),
         key=lambda pair: (-pair[0], pair[1]),
@@ -70,24 +78,15 @@ def path_from_sdw(word: DecoratedPermutation, shift: int) -> DecoratedLabeledPat
     decorations = frozenset(
         i for i, (_, v) in enumerate(order, start=1) if v in decorated_values
     )
-    # rebuild the step word from the diagonal of each north step
-    n = word.n
-    xs = [i - d for i, (d, _) in enumerate(order)]  # x of the i-th north step
-    if any(x < 0 for x in xs) or any(b < a for a, b in zip(xs, xs[1:])) or xs[-1] > n - 1:
+    steps = _steps_from_diagonals([d for d, _ in order])
+    if steps is None:
         raise ScheduleNotOne(f"({word}, {shift}) admits no path-shaped layout")
-    steps = []
-    x = 0
-    for target in xs:
-        steps.append("E" * (target - x))
-        steps.append("N")
-        x = target
-    steps.append("E" * (n - x))
     try:
-        path = validate("".join(steps), labels, decorations)
+        path = validate(steps, labels, decorations)
     except PathError as exc:
         raise ScheduleNotOne(f"({word}, {shift}) reconstruction invalid: {exc}") from exc
     rebuilt = diagonal_word(path)
-    if rebuilt.word != word or rebuilt.shift != shift:
+    if rebuilt != sdw:
         raise ScheduleNotOne(
             f"reconstruction of ({word}, {shift}) round-tripped to "
             f"({rebuilt.word}, {rebuilt.shift})"
@@ -100,33 +99,22 @@ def fiber_paths(
 ) -> tuple[DecoratedLabeledPath, ...]:
     """Every path with the given shifted diagonal word, by trying all
     orderings of the letters as north steps (a test oracle, O(n!))."""
-    diag_of: dict[int, int] = {}
-    for r, run in enumerate(decreasing_runs(word)):
-        for v in run:
-            diag_of[v] = r - shift
-    decorated_values = {v for v in word.values if word.is_decorated_value(v)}
-    n = word.n
+    sdw = ShiftedDiagonalWord(word, shift)
+    diag_of = letter_diagonals(sdw)
+    decorated_values = word.decorated_values
     out = []
     for perm in itertools.permutations(word.values):
-        xs = [i - diag_of[v] for i, v in enumerate(perm)]
-        if any(x < 0 for x in xs) or any(b < a for a, b in zip(xs, xs[1:])) or xs[-1] > n - 1:
+        steps = _steps_from_diagonals([diag_of[v] for v in perm])
+        if steps is None:
             continue
-        steps = []
-        x = 0
-        for target in xs:
-            steps.append("E" * (target - x))
-            steps.append("N")
-            x = target
-        steps.append("E" * (n - x))
         decorations = frozenset(
             i for i, v in enumerate(perm, start=1) if v in decorated_values
         )
         try:
-            path = validate("".join(steps), perm, decorations)
+            path = validate(steps, perm, decorations)
         except PathError:
             continue
-        sdw = diagonal_word(path)
-        if sdw.word == word and sdw.shift == shift:
+        if diagonal_word(path) == sdw:
             out.append(path)
     return tuple(out)
 
@@ -169,13 +157,7 @@ def classes(n: int, k: int) -> tuple[ClassSummary, ...]:
 
 def classes_polynomial(n: int, k: int) -> TPoly:
     """Sum of t^area over the schedule-one classes."""
-    acc: dict[int, int] = {}
-    for summary in classes(n, k):
-        acc[summary.area] = acc.get(summary.area, 0) + 1
-    coeffs = [0] * (max(acc) + 1 if acc else 0)
-    for d, c in acc.items():
-        coeffs[d] = c
-    return TPoly(coeffs)
+    return TPoly.from_counts(Counter(summary.area for summary in classes(n, k)))
 
 
 def theorem_equivalence_check(n: int, k: int) -> bool:

@@ -13,11 +13,10 @@ import sys
 
 from . import __version__
 from .adr import D_fast, S_fast, S_recursive, dyck_decorate, is_adr, parity_decorate
-from .bridge import ScheduleNotOne, path_from_sdw
+from .bridge import path_from_sdw
 from .cutting import cutting_cycle, ordered_cycle, sched_one_members
 from .enumeration import D_brute, PathFamily, S_brute, generate
 from .paths import (
-    PathError,
     area,
     area_word,
     attack_pairs,
@@ -38,16 +37,14 @@ from .schedule import (
     schedule_numbers,
     u_statistic,
 )
-from .verify import CHECKS, default_jobs, run_suite
+from .verify import CHECKS, run_suite
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = USAGE_ERROR):
-        super().__init__(message)
-        self.code = code
+    """Bad input that the library itself accepts; exits with USAGE_ERROR."""
 
 
 def cmd_table(args) -> int:
@@ -61,6 +58,8 @@ def cmd_table(args) -> int:
     fn = methods.get((args.stat, args.method))
     if fn is None:
         raise CliError(f"method {args.method!r} is not available for stat {args.stat!r}")
+    if args.n < 1:
+        raise CliError(f"--n must be at least 1, got {args.n}")
     rows = [(k, fn(args.n, k)) for k in range(args.n)]
     if args.format == "json":
         payload = {
@@ -79,6 +78,8 @@ def cmd_table(args) -> int:
 def cmd_verify(args) -> int:
     if args.check not in CHECKS:
         raise CliError(f"unknown check {args.check!r}; known: {', '.join(sorted(CHECKS))}")
+    if args.max_n is not None and args.max_n < 1:
+        raise CliError(f"--max-n must be at least 1, got {args.max_n}")
     failed = False
     for report in run_suite(args.check, args.max_n, args.jobs):
         print(report.line())
@@ -94,10 +95,7 @@ def _parse_object(text: str):
 
 
 def cmd_inspect(args) -> int:
-    try:
-        obj = _parse_object(args.object)
-    except (PathError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+    obj = _parse_object(args.object)
     if hasattr(obj, "steps"):
         path = obj
         sdw = diagonal_word(path)
@@ -177,12 +175,7 @@ def cmd_cycle(args) -> int:
 
 
 def cmd_build(args) -> int:
-    word = parse_perm(args.word)
-    try:
-        path = path_from_sdw(word, args.shift)
-    except ScheduleNotOne as exc:
-        raise CliError(str(exc)) from exc
-    print(format_path(path))
+    print(format_path(path_from_sdw(parse_perm(args.word), args.shift)))
     return 0
 
 
@@ -278,16 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "jobs", None) is None and hasattr(args, "jobs"):
-        args.jobs = default_jobs()
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (PathError, ValueError, KeyError) as exc:
+    except (CliError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

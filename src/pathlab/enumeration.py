@@ -16,11 +16,15 @@ from typing import Iterator
 
 from .paths import (
     DecoratedLabeledPath,
+    area,
     area_word,
     attack_pairs,
     contractible_valleys,
+    dinv,
+    word_shift,
 )
 from .poly import QTPoly, TPoly
+from .schedule import diagonal_word, schedule_numbers
 
 KINDS = ("square", "dyck")
 
@@ -86,23 +90,20 @@ def standard_labelings(steps: str) -> Iterator[tuple[int, ...]]:
     yield from rec(tuple(range(1, n + 1)), 0)
 
 
+def bare_paths(n: int, kind: str = "square") -> Iterator[DecoratedLabeledPath]:
+    """Every undecorated standard path of size n: step words in order, then
+    label words in order."""
+    for steps in step_words(n, kind):
+        for labels in standard_labelings(steps):
+            yield DecoratedLabeledPath(steps, labels)
+
+
 def generate(family: PathFamily) -> Iterator[DecoratedLabeledPath]:
     """Every path in the family, in the canonical deterministic order."""
-    for steps in step_words(family.n, family.kind):
-        for labels in standard_labelings(steps):
-            base = DecoratedLabeledPath(steps, labels)
-            valleys = sorted(contractible_valleys(base))
-            for combo in itertools.combinations(valleys, family.k):
-                yield DecoratedLabeledPath(steps, labels, frozenset(combo))
-
-
-def _attack_left_counts(path: DecoratedLabeledPath) -> dict[int, int]:
-    """Number of attack pairs per left index, on the undecorated path."""
-    bare = DecoratedLabeledPath(path.steps, path.labels)
-    counts: dict[int, int] = {}
-    for pair in attack_pairs(bare):
-        counts[pair.i] = counts.get(pair.i, 0) + 1
-    return counts
+    for base in bare_paths(family.n, family.kind):
+        valleys = sorted(contractible_valleys(base))
+        for combo in itertools.combinations(valleys, family.k):
+            yield DecoratedLabeledPath(base.steps, base.labels, frozenset(combo))
 
 
 @lru_cache(maxsize=None)
@@ -116,37 +117,29 @@ def _signed_sums(n: int, kind: str) -> tuple[TPoly, ...]:
     is therefore the degree-k elementary symmetric function of those flips.
     """
     acc: list[dict[int, int]] = [dict() for _ in range(n)]
-    for steps in step_words(n, kind):
-        for labels in standard_labelings(steps):
-            base = DecoratedLabeledPath(steps, labels)
-            a = area_word(base)
-            s = max(0, -min(a))
-            ar = sum(v + s for v in a)
-            counts = _attack_left_counts(base)
-            bonus = sum(1 for v in a if v < 0)
-            base_sign = -1 if (sum(counts.values()) + bonus) % 2 else 1
-            # elementary symmetric functions of the sign flips, by k
-            esym = [1] + [0] * (n - 1)
-            top = 0
-            for i in sorted(contractible_valleys(base)):
-                flip = 1 if (counts.get(i, 0) + 1) % 2 == 0 else -1
-                top += 1
-                for k in range(min(top, n - 1), 0, -1):
-                    esym[k] += esym[k - 1] * flip
-            for k in range(n):
-                contrib = base_sign * esym[k]
-                if contrib:
-                    acc[k][ar] = acc[k].get(ar, 0) + contrib
-    polys = []
-    for k in range(n):
-        if acc[k]:
-            coeffs = [0] * (max(acc[k]) + 1)
-            for d, c in acc[k].items():
-                coeffs[d] = c
-            polys.append(TPoly(coeffs))
-        else:
-            polys.append(TPoly())
-    return tuple(polys)
+    for base in bare_paths(n, kind):
+        a = area_word(base)
+        s = word_shift(a)
+        ar = sum(v + s for v in a)
+        pairs = attack_pairs(base)
+        counts: dict[int, int] = {}  # attack pairs per left index
+        for pair in pairs:
+            counts[pair.i] = counts.get(pair.i, 0) + 1
+        bonus = sum(1 for v in a if v < 0)
+        base_sign = -1 if (len(pairs) + bonus) % 2 else 1
+        # elementary symmetric functions of the sign flips, by k
+        esym = [1] + [0] * (n - 1)
+        top = 0
+        for i in sorted(contractible_valleys(base)):
+            flip = 1 if (counts.get(i, 0) + 1) % 2 == 0 else -1
+            top += 1
+            for k in range(min(top, n - 1), 0, -1):
+                esym[k] += esym[k - 1] * flip
+        for k in range(n):
+            contrib = base_sign * esym[k]
+            if contrib:
+                acc[k][ar] = acc[k].get(ar, 0) + contrib
+    return tuple(TPoly.from_counts(bucket) for bucket in acc)
 
 
 def S_brute(n: int, k: int) -> TPoly:
@@ -165,8 +158,6 @@ def D_brute(n: int, k: int) -> TPoly:
 
 def qt_enumerator(family: PathFamily) -> QTPoly:
     """Unsigned (q, t)-enumerator: sum of q^dinv t^area over the family."""
-    from .paths import dinv, area
-
     acc: dict[tuple[int, int], int] = {}
     for path in generate(family):
         key = (dinv(path), area(path))
@@ -176,9 +167,6 @@ def qt_enumerator(family: PathFamily) -> QTPoly:
 
 def fibers_by_sdw(family: PathFamily) -> dict:
     """Group the family by shifted diagonal word; values are (count, QTPoly)."""
-    from .paths import dinv, area
-    from .schedule import diagonal_word
-
     out: dict = {}
     for path in generate(family):
         sdw = diagonal_word(path)
@@ -198,21 +186,17 @@ def schedule_one_paths(n: int) -> Iterator[DecoratedLabeledPath]:
     tried (checked against the naive filter in the tests); each surviving
     candidate still gets its schedule word computed and checked.
     """
-    from .schedule import diagonal_word, schedule_numbers
-
     ones = (1,) * n
-    for steps in step_words(n, "square"):
-        for labels in standard_labelings(steps):
-            base = DecoratedLabeledPath(steps, labels)
-            valleys = contractible_valleys(base)
-            pairs = [(p.i, p.j) for p in attack_pairs(base)]
-            if any(i not in valleys and j not in valleys for i, j in pairs):
-                continue
-            for r in range(min(len(valleys), n - 1) + 1):
-                for dv in itertools.combinations(sorted(valleys), r):
-                    cover = set(dv)
-                    if any(i not in cover and j not in cover for i, j in pairs):
-                        continue
-                    path = DecoratedLabeledPath(steps, labels, frozenset(dv))
-                    if schedule_numbers(diagonal_word(path)) == ones:
-                        yield path
+    for base in bare_paths(n):
+        valleys = contractible_valleys(base)
+        pairs = [(p.i, p.j) for p in attack_pairs(base)]
+        if any(i not in valleys and j not in valleys for i, j in pairs):
+            continue
+        for r in range(min(len(valleys), n - 1) + 1):
+            for dv in itertools.combinations(sorted(valleys), r):
+                cover = set(dv)
+                if any(i not in cover and j not in cover for i, j in pairs):
+                    continue
+                path = DecoratedLabeledPath(base.steps, base.labels, frozenset(dv))
+                if schedule_numbers(diagonal_word(path)) == ones:
+                    yield path

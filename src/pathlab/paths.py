@@ -15,7 +15,7 @@ corner (x, y) is y - x.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import NamedTuple, Sequence
 
 
 class PathError(ValueError):
@@ -77,17 +77,21 @@ def area_word(path: DecoratedLabeledPath) -> tuple[int, ...]:
     return tuple(word)
 
 
+def word_shift(word: Sequence[int]) -> int:
+    """How far an area word dips below the main diagonal (0 if it never does)."""
+    return max(0, -min(word, default=0))
+
+
 def shift(path: DecoratedLabeledPath) -> int:
     """How far the path dips below the main diagonal (0 for Dyck paths)."""
-    word = area_word(path)
-    return max(0, -min(word)) if word else 0
+    return word_shift(area_word(path))
 
 
 def area(path: DecoratedLabeledPath) -> int:
     """Sum of the shifted area word; counts whole squares above the path's
     lowest diagonal and below the path."""
     word = area_word(path)
-    s = max(0, -min(word)) if word else 0
+    s = word_shift(word)
     return sum(a + s for a in word)
 
 
@@ -207,9 +211,9 @@ def format_path(path: DecoratedLabeledPath) -> str:
 def parse_path(text: str) -> DecoratedLabeledPath:
     """Parse and validate the ``<steps>:<labels>:<decorations>`` format."""
     parts = text.strip().split(":")
-    if len(parts) != 3:
+    if len(parts) != 3 or not parts[0]:
         raise NotAPath(
-            "expected <steps>:<labels>:<decorations>, e.g. NNEENE:1,2,3:3"
+            "expected a non-empty <steps>:<labels>:<decorations>, e.g. NNEENE:1,2,3:3"
         )
     steps, label_part, dec_part = parts
     try:
@@ -221,27 +225,3 @@ def parse_path(text: str) -> DecoratedLabeledPath:
         raise NotAPath(f"malformed numeric field in {text!r}") from exc
     return validate(steps, labels, decorations)
 
-
-def north_positions(path: DecoratedLabeledPath) -> tuple[tuple[int, int], ...]:
-    """Lower-left corner (x, y) of each north step's square, in path order."""
-    x = y = 0
-    out = []
-    for step in path.steps:
-        if step == "N":
-            out.append((x, y))
-            y += 1
-        else:
-            x += 1
-    return tuple(out)
-
-
-def iter_step_indices(path: DecoratedLabeledPath) -> Iterator[tuple[str, int]]:
-    """Yield (kind, ordinal) per step, counting north and east steps separately."""
-    n_seen = e_seen = 0
-    for step in path.steps:
-        if step == "N":
-            n_seen += 1
-            yield "N", n_seen
-        else:
-            e_seen += 1
-            yield "E", e_seen

@@ -11,6 +11,7 @@ tolerance.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Iterable, Iterator, Mapping
 
 
@@ -19,6 +20,15 @@ def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+def _join_terms(parts: list[tuple[str, str]]) -> str:
+    """Join (sign, body) terms, leading term first, as ``a - b + c``."""
+    if not parts:
+        return "0"
+    (first_sign, first_body), rest = parts[0], parts[1:]
+    lead = ("-" if first_sign == "-" else "") + first_body
+    return lead + "".join(f" {sign} {body}" for sign, body in rest)
 
 
 class TPoly:
@@ -45,6 +55,15 @@ class TPoly:
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         return cls((0,) * degree + (coeff,))
+
+    @classmethod
+    def from_counts(cls, counts: Mapping[int, int]) -> "TPoly":
+        """The polynomial whose t^d coefficient is ``counts[d]`` (zero when
+        d is absent)."""
+        coeffs = [0] * (max(counts) + 1 if counts else 0)
+        for d, c in counts.items():
+            coeffs[d] = c
+        return cls(coeffs)
 
     @property
     def degree(self) -> int:
@@ -113,8 +132,6 @@ class TPoly:
         return 0
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
         parts = []
         for d in range(self.degree, -1, -1):
             c = self.coeffs[d]
@@ -128,11 +145,7 @@ class TPoly:
                 var = "t" if d == 1 else f"t^{d}"
                 body = var if mag == 1 else f"{mag}*{var}"
             parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return _join_terms(parts)
 
     def __repr__(self) -> str:
         return f"TPoly({list(self.coeffs)!r})"
@@ -233,12 +246,7 @@ class QTPoly:
         out: dict[int, int] = {}
         for (dq, dt), c in self.terms.items():
             out[dt] = out.get(dt, 0) + c * q**dq
-        if not out:
-            return TPoly()
-        coeffs = [0] * (max(out) + 1)
-        for dt, c in out.items():
-            coeffs[dt] = c
-        return TPoly(coeffs)
+        return TPoly.from_counts(out)
 
     def __call__(self, q: int, t: int) -> int:
         return sum(c * q**dq * t**dt for (dq, dt), c in self.terms.items())
@@ -248,8 +256,6 @@ class QTPoly:
             yield dq, dt, self.terms[(dq, dt)]
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         parts = []
         for dq, dt, c in self.sorted_terms():
             factors = []
@@ -260,11 +266,7 @@ class QTPoly:
             if dt:
                 factors.append("t" if dt == 1 else f"t^{dt}")
             parts.append(("-" if c < 0 else "+", "*".join(factors)))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return _join_terms(parts)
 
     def __repr__(self) -> str:
         return f"QTPoly({self.terms!r})"
@@ -303,10 +305,6 @@ def q_analog(n: int) -> QTPoly:
     return QTPoly({(d, 0): 1 for d in range(n)})
 
 
-def eval_q(p: QTPoly, q: int) -> TPoly:
-    return p.eval_q(q)
-
-
 def _is_alternating(perm: tuple[int, ...]) -> bool:
     # starts with a descent, then strictly alternates
     return all(
@@ -337,12 +335,10 @@ def euler_t(n: int) -> TPoly:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    acc: dict[int, int] = {}
-    for perm in itertools.permutations(range(1, n + 1)):
-        if _is_alternating(perm):
-            d = _pattern_count(perm)
-            acc[d] = acc.get(d, 0) + 1
-    coeffs = [0] * (max(acc) + 1)
-    for d, c in acc.items():
-        coeffs[d] = c
-    return TPoly(coeffs)
+    return TPoly.from_counts(
+        Counter(
+            _pattern_count(perm)
+            for perm in itertools.permutations(range(1, n + 1))
+            if _is_alternating(perm)
+        )
+    )

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .paths import DecoratedLabeledPath, NonStandardLabeling, area_word
+from .paths import DecoratedLabeledPath, NonStandardLabeling, area_word, word_shift
 from .poly import QTPoly, q_analog
 
 
@@ -28,12 +28,10 @@ class DecoratedPermutation:
     def n(self) -> int:
         return len(self.values)
 
-    def position(self, value: int) -> int:
-        """1-based position of a letter."""
-        return self.values.index(value) + 1
-
-    def is_decorated_value(self, value: int) -> bool:
-        return self.position(value) in self.decorated
+    @property
+    def decorated_values(self) -> frozenset[int]:
+        """The decorated letters (decorations are stored by position)."""
+        return frozenset(self.values[p - 1] for p in self.decorated)
 
     def undecorated_count(self) -> int:
         return self.n - len(self.decorated)
@@ -73,9 +71,15 @@ def format_perm(word: DecoratedPermutation) -> str:
 
 def parse_perm(text: str) -> DecoratedPermutation:
     """Parse the ``7* 8 4* 2 3 5 6 1`` format."""
+    tokens = text.split()
+    if not tokens:
+        raise ValueError(
+            "expected a non-empty word of space-separated letters, "
+            "* marking decorations, e.g. 7* 8 4* 2 3 5 6 1"
+        )
     values = []
     decorated = set()
-    for pos, token in enumerate(text.split(), start=1):
+    for pos, token in enumerate(tokens, start=1):
         if token.endswith("*"):
             decorated.add(pos)
             token = token[:-1]
@@ -92,7 +96,6 @@ def diagonal_word(path: DecoratedLabeledPath) -> ShiftedDiagonalWord:
     if sorted(labels) != list(range(1, n + 1)):
         raise NonStandardLabeling("diagonal words require standard labels 1..n")
     a = area_word(path)
-    s = max(0, -min(a)) if a else 0
     by_diag: dict[int, list[tuple[int, int]]] = {}
     for i, d in enumerate(a, start=1):
         by_diag.setdefault(d, []).append((labels[i - 1], i))
@@ -103,7 +106,9 @@ def diagonal_word(path: DecoratedLabeledPath) -> ShiftedDiagonalWord:
             if step in path.decorations:
                 decorated.add(len(values) + 1)
             values.append(label)
-    return ShiftedDiagonalWord(DecoratedPermutation(tuple(values), frozenset(decorated)), s)
+    return ShiftedDiagonalWord(
+        DecoratedPermutation(tuple(values), frozenset(decorated)), word_shift(a)
+    )
 
 
 def descents(seq: Sequence[int]) -> tuple[int, ...]:
@@ -136,12 +141,11 @@ def decreasing_runs(word: DecoratedPermutation | Sequence[int]) -> tuple[tuple[i
     return tuple(tuple(r) for r in runs)
 
 
-def _run_index_of_letter(word: DecoratedPermutation) -> dict[int, int]:
-    out = {}
-    for r, run in enumerate(decreasing_runs(word)):
-        for v in run:
-            out[v] = r
-    return out
+def letter_diagonals(sdw: ShiftedDiagonalWord) -> dict[int, int]:
+    """Diagonal of each letter: the index of its decreasing run minus the shift."""
+    return {
+        v: r - sdw.shift for r, run in enumerate(decreasing_runs(sdw.word)) for v in run
+    }
 
 
 def is_cyclic_run(values: Sequence[int], n: int) -> bool:
@@ -159,11 +163,7 @@ def is_cyclic_run(values: Sequence[int], n: int) -> bool:
 def lmcr(word: DecoratedPermutation | Sequence[int], j: int) -> tuple[int, ...]:
     """Leftmost maximal cyclic run ending at position j (1-based)."""
     values = word.values if isinstance(word, DecoratedPermutation) else tuple(word)
-    n = len(values)
-    i = j
-    while i > 1 and is_cyclic_run(values[i - 2 : j], n):
-        i -= 1
-    return values[i - 1 : j]
+    return values[lmcr_start(values, j) - 1 : j]
 
 
 def rmcr(word: DecoratedPermutation | Sequence[int], i: int) -> tuple[int, ...]:
@@ -204,14 +204,13 @@ def schedule_numbers(sdw: ShiftedDiagonalWord) -> tuple[int, ...]:
     runs = decreasing_runs(word)
     if s >= len(runs):
         return (0,) * word.n
-    undec = [
-        tuple(v for v in run if not word.is_decorated_value(v)) for run in runs
-    ]
-    run_of = _run_index_of_letter(word)
+    decorated = word.decorated_values
+    undec = [tuple(v for v in run if v not in decorated) for run in runs]
+    diag_of = letter_diagonals(sdw)
     out = []
     for pos, c in enumerate(word.values, start=1):
-        i = run_of[c]
-        diag = i - s
+        diag = diag_of[c]
+        i = diag + s
         dec = pos in word.decorated
         if diag < 0 or dec:
             above = undec[i + 1] if i + 1 < len(runs) else ()
@@ -238,24 +237,20 @@ def schedule_numbers_cyclic(sdw: ShiftedDiagonalWord) -> tuple[int, ...]:
     runs = decreasing_runs(word)
     if s >= len(runs):
         return (0,) * word.n
-    run_of = _run_index_of_letter(word)
-    undecorated_values = {
-        v for pos, v in enumerate(word.values, start=1) if pos not in word.decorated
-    }
+    diag_of = letter_diagonals(sdw)
+    decorated = word.decorated_values
     out = []
     for pos, c in enumerate(word.values, start=1):
-        i = run_of[c]
-        diag = i - s
+        diag = diag_of[c]
         dec = pos in word.decorated
         if diag < 0 or dec:
             window = rmcr(word, pos)
-            w = sum(1 for d in window if d != c and d in undecorated_values)
+            w = sum(1 for d in window if d != c and d not in decorated)
         elif diag == 0:
-            run = runs[i]
-            w = sum(1 for d in run if d > c and d in undecorated_values) + 1
+            w = sum(1 for d in runs[s] if d > c and d not in decorated) + 1
         else:
             window = lmcr(word, pos)
-            w = sum(1 for d in window if d != c and d in undecorated_values)
+            w = sum(1 for d in window if d != c and d not in decorated)
         out.append(w)
     return tuple(out)
 
@@ -263,12 +258,10 @@ def schedule_numbers_cyclic(sdw: ShiftedDiagonalWord) -> tuple[int, ...]:
 def u_statistic(sdw: ShiftedDiagonalWord) -> int:
     """Number of undecorated letters strictly below the zero diagonal, i.e.
     in the first `shift` runs."""
-    word, s = sdw.word, sdw.shift
-    runs = decreasing_runs(word)
-    count = 0
-    for i, run in enumerate(runs[: min(s, len(runs))]):
-        count += sum(1 for v in run if not word.is_decorated_value(v))
-    return count
+    decorated = sdw.word.decorated_values
+    return sum(
+        1 for run in decreasing_runs(sdw.word)[: sdw.shift] for v in run if v not in decorated
+    )
 
 
 def count_by_sdw(sdw: ShiftedDiagonalWord) -> int:

@@ -1,9 +1,10 @@
 """Named verification suites over exhaustive ranges.
 
-Each check sweeps every instance up to a size bound and reports pass/fail
-with a witness for the first failure.  The suites back both the test suite
-and the ``pathlab verify`` command; sizes can be distributed over worker
-processes since every (check, n) cell is independent and deterministic.
+Each check sweeps every instance of one size n and returns a witness for
+the first failure, or None when all pass; :func:`run_suite` reports each size
+as a :class:`Report`.  The suites back both the test suite and the
+``pathlab verify`` command; sizes can be distributed over worker processes
+since every (check, n) cell is independent and deterministic.
 """
 
 from __future__ import annotations
@@ -34,36 +35,26 @@ class Report:
         return f"{self.check_id}[{params}] {status}{extra}"
 
 
-def _fail(check_id, params, witness):
-    return Report(check_id, params, ok=False, witness=str(witness))
-
-
-def _ok(check_id, params):
-    return Report(check_id, params, ok=True)
-
-
 # ---------------------------------------------------------------- checks
 
 
-def check_schedule_formula(n: int) -> Report:
+def check_schedule_formula(n: int) -> str | None:
     """Fiberwise: for every realized shifted diagonal word, the (q, t) sum of
     q^dinv t^area over its fiber equals the closed form, and the fiber size
     equals the product of the schedule numbers."""
-    params = {"n": n}
     for k in range(n):
         fibers = enumeration.fibers_by_sdw(enumeration.PathFamily(n, k, "square"))
         for sdw, (count, qt) in fibers.items():
             if qt != schedule.schedule_rhs(sdw):
-                return _fail("schedule-formula", params, f"{sdw} qt mismatch")
+                return f"{sdw} qt mismatch"
             if count != schedule.count_by_sdw(sdw):
-                return _fail("schedule-formula", params, f"{sdw} count mismatch")
-    return _ok("schedule-formula", params)
+                return f"{sdw} count mismatch"
+    return None
 
 
-def check_interval(n: int) -> Report:
+def check_interval(n: int) -> str | None:
     """For plain permutations: whenever every schedule number is positive,
     the set of schedule values is an initial segment {1, ..., j}."""
-    params = {"n": n}
     for values in itertools.permutations(range(1, n + 1)):
         word = schedule.DecoratedPermutation(values, frozenset())
         for s in range(len(schedule.decreasing_runs(word))):
@@ -71,64 +62,61 @@ def check_interval(n: int) -> Report:
             if all(w > 0 for w in sched):
                 wanted = set(range(1, max(sched) + 1))
                 if set(sched) != wanted:
-                    return _fail("interval", params, f"{values} shift {s}: {sched}")
-    return _ok("interval", params)
+                    return f"{values} shift {s}: {sched}"
+    return None
 
 
-def check_cancellation_word(n: int) -> Report:
+def check_cancellation_word(n: int) -> str | None:
     """Brute signed square sums match the word-level fast sums for every k,
     and vanish when n - k is even."""
-    params = {"n": n}
     for k in range(n):
         brute = enumeration.S_brute(n, k)
         if (n - k) % 2 == 0 and brute != poly.TPoly():
-            return _fail("cancellation-word", params, f"S({n},{k}) nonzero")
+            return f"S({n},{k}) nonzero"
         if brute != adr.S_fast(n, k):
-            return _fail("cancellation-word", params, f"S({n},{k}) mismatch")
+            return f"S({n},{k}) mismatch"
         dyck_brute = enumeration.D_brute(n, k)
         if dyck_brute != adr.D_fast(n, k):
-            return _fail("cancellation-word", params, f"D({n},{k}) mismatch")
-    return _ok("cancellation-word", params)
+            return f"D({n},{k}) mismatch"
+    return None
 
 
-def check_cancellation_path(n: int) -> Report:
+def check_cancellation_path(n: int) -> str | None:
     """Brute signed square sums match the path-side class polynomials: one
     t^area per cutting-cycle class of schedule-one paths (n - k odd)."""
-    params = {"n": n}
     for k in range(n):
         if (n - k) % 2 == 0:
             continue
         if enumeration.S_brute(n, k) != bridge.classes_polynomial(n, k):
-            return _fail("cancellation-path", params, f"k={k}")
-    return _ok("cancellation-path", params)
+            return f"k={k}"
+    return None
 
 
-def check_dinv_ladder(n: int) -> Report:
+def check_dinv_ladder(n: int) -> str | None:
     """Every schedule-one path's cycle has size n - k, a zero-dinv canonical
     member, dinv values laddering 0..size-1, constant area and diagonal word,
     and the geometric ordering reproduces the ladder."""
-    params = {"n": n}
     for seed in enumeration.schedule_one_paths(n):
         k = len(seed.decorations)
         cycle = cutting.cutting_cycle(seed)
         if len(cycle.members) != n - k:
-            return _fail("dinv-ladder", params, f"{seed} size {len(cycle.members)}")
+            return f"{seed} size {len(cycle.members)}"
         if paths.dinv(cycle.canonical) != 0:
-            return _fail("dinv-ladder", params, f"{seed} canonical dinv != 0")
+            return f"{seed} canonical dinv != 0"
         try:
             ladder = cutting.ordered_cycle(seed)
         except cutting.LadderViolation as exc:
-            return _fail("dinv-ladder", params, exc)
+            return str(exc)
         word = schedule.diagonal_word(seed)
         for member in ladder:
             if schedule.diagonal_word(member).word != word.word:
-                return _fail("dinv-ladder", params, f"{seed} word not constant")
+                return f"{seed} word not constant"
             if paths.area(member) != paths.area(seed):
-                return _fail("dinv-ladder", params, f"{seed} area not constant")
+                return f"{seed} area not constant"
         order = cutting.geometric_order(cycle.canonical)
         geometric = [cutting.psi(cycle.canonical, i) for i in order]
         if geometric != list(ladder):
-            return _fail("dinv-ladder", params, f"{seed} geometric order differs")
+            return f"{seed} geometric order differs"
         listed = cutting.sched_one_members(cycle)
         criterion = [
             q
@@ -141,27 +129,25 @@ def check_dinv_ladder(n: int) -> Report:
             == 1
         ]
         if sorted(map(str, listed)) != sorted(map(str, criterion)):
-            return _fail("dinv-ladder", params, f"{seed} schedule-one members differ")
-    return _ok("dinv-ladder", params)
+            return f"{seed} schedule-one members differ"
+    return None
 
 
-def check_shape(n: int) -> Report:
+def check_shape(n: int) -> str | None:
     """Every schedule-one path splits into the three stretches."""
-    params = {"n": n}
     for seed in enumeration.schedule_one_paths(n):
         try:
             stretch = cutting.shape_stretches(seed)
         except cutting.ShapeViolation as exc:
-            return _fail("shape", params, f"{seed}: {exc}")
+            return f"{seed}: {exc}"
         if stretch.head + stretch.body + stretch.tail != seed.steps:
-            return _fail("shape", params, f"{seed}: stretches do not tile")
-    return _ok("shape", params)
+            return f"{seed}: stretches do not tile"
+    return None
 
 
-def check_partition(n: int) -> Report:
+def check_partition(n: int) -> str | None:
     """Cutting cycles partition every family: members of a cycle have cycles
     with the same member set, and distinct cycle member sets are disjoint."""
-    params = {"n": n}
     for k in range(n):
         seen: dict[paths.DecoratedLabeledPath, frozenset] = {}
         for path in enumeration.generate(enumeration.PathFamily(n, k, "square")):
@@ -171,20 +157,19 @@ def check_partition(n: int) -> Report:
                 if (image := cutting.psi(path, i)) is not None
             )
             if path not in members:
-                return _fail("partition", params, f"{path} not in own cycle")
+                return f"{path} not in own cycle"
             for member in members:
                 prior = seen.get(member)
                 if prior is not None and prior != members:
-                    return _fail("partition", params, f"{path} overlaps {member}")
+                    return f"{path} overlaps {member}"
                 seen[member] = members
-    return _ok("partition", params)
+    return None
 
 
-def check_decorate_unique(n: int) -> Report:
+def check_decorate_unique(n: int) -> str | None:
     """Exactly one decoration set per permutation yields an ADR word with an
     odd number of undecorated letters, and it is the parity-algorithm output;
     exactly one yields a flat ADR word, the shift-zero-algorithm output."""
-    params = {"n": n}
     positions = list(range(1, n + 1))
     for values in itertools.permutations(range(1, n + 1)):
         odd, flat = [], []
@@ -197,41 +182,39 @@ def check_decorate_unique(n: int) -> Report:
                 if adr.is_flat_adr(word):
                     flat.append(word)
         if odd != [adr.parity_decorate(values)]:
-            return _fail("decorate-unique", params, f"{values}: odd {odd}")
+            return f"{values}: odd {odd}"
         if flat != [adr.dyck_decorate(values)]:
-            return _fail("decorate-unique", params, f"{values}: flat {flat}")
-    return _ok("decorate-unique", params)
+            return f"{values}: flat {flat}"
+    return None
 
 
-def check_phi_bijection(n: int) -> Report:
+def check_phi_bijection(n: int) -> str | None:
     """phi maps the odd-undecorated ADR words bijectively onto the flat ADR
     words of the same size, preserving letters, revmaj, and shifting the
     decoration count by at most one."""
-    params = {"n": n}
     images = {}
     for values in itertools.permutations(range(1, n + 1)):
         word = adr.parity_decorate(values)
         image = adr.phi(word)
         if image.values != word.values:
-            return _fail("phi-bijection", params, f"{word} letters changed")
+            return f"{word} letters changed"
         if schedule.revmaj(image) != schedule.revmaj(word):
-            return _fail("phi-bijection", params, f"{word} revmaj changed")
+            return f"{word} revmaj changed"
         if not adr.is_flat_adr(image):
-            return _fail("phi-bijection", params, f"{word} image not flat")
+            return f"{word} image not flat"
         if abs(len(image.decorated) - len(word.decorated)) > 1:
-            return _fail("phi-bijection", params, f"{word} decoration jump")
+            return f"{word} decoration jump"
         if image in images:
-            return _fail("phi-bijection", params, f"{image} hit twice")
+            return f"{image} hit twice"
         images[image] = word
         if adr.dyck_decorate(values) != image:
-            return _fail("phi-bijection", params, f"{word} not algorithm output")
-    return _ok("phi-bijection", params)
+            return f"{word} not algorithm output"
+    return None
 
 
-def check_delta_bijection(n: int) -> Report:
+def check_delta_bijection(n: int) -> str | None:
     """delta over all m and all flat ADR words of size n - 1 produces each
     odd-undecorated ADR word of size n exactly once, raising revmaj by n - m."""
-    params = {"n": n}
     produced = {}
     for values in itertools.permutations(range(1, n)):
         word = adr.dyck_decorate(values) if n > 1 else None
@@ -243,66 +226,60 @@ def check_delta_bijection(n: int) -> Report:
             for m in range(1, n + 1):
                 image = adr.delta(m, source)
                 if schedule.revmaj(image) != base + n - m:
-                    return _fail(
-                        "delta-bijection", params, f"delta({m}, {source}) revmaj"
-                    )
+                    return f"delta({m}, {source}) revmaj"
                 if image in produced:
-                    return _fail("delta-bijection", params, f"{image} hit twice")
+                    return f"{image} hit twice"
                 produced[image] = (m, source)
     expected = {
         adr.parity_decorate(values)
         for values in itertools.permutations(range(1, n + 1))
     }
     if set(produced) != expected:
-        return _fail("delta-bijection", params, "image set differs")
-    return _ok("delta-bijection", params)
+        return "image set differs"
+    return None
 
 
-def check_recursion(n: int) -> Report:
+def check_recursion(n: int) -> str | None:
     """S(n, k) = [n]_t (D(n-1, k) + D(n-1, k-1)) for n - k odd via the fast
     word-level sums."""
-    params = {"n": n}
     for k in range(n):
         if adr.S_fast(n, k) != adr.S_recursive(n, k):
-            return _fail("recursion", params, f"k={k}")
-    return _ok("recursion", params)
+            return f"k={k}"
+    return None
 
 
-def check_sum_factorial(n: int) -> Report:
+def check_sum_factorial(n: int) -> str | None:
     """Summing either fast enumerator over all k gives [n]_t!."""
-    params = {"n": n}
     total_s = poly.TPoly()
     total_d = poly.TPoly()
     for k in range(n):
         total_s = total_s + adr.S_fast(n, k)
         total_d = total_d + adr.D_fast(n, k)
     if total_s != poly.t_factorial(n):
-        return _fail("sum-factorial", params, f"sum S = {total_s}")
+        return f"sum S = {total_s}"
     if total_d != poly.t_factorial(n):
-        return _fail("sum-factorial", params, f"sum D = {total_d}")
-    return _ok("sum-factorial", params)
+        return f"sum D = {total_d}"
+    return None
 
 
-def check_euler(n: int) -> Report:
+def check_euler(n: int) -> str | None:
     """For odd n the undecorated signed square sum has the alternating-
     permutation closed form."""
-    params = {"n": n}
     if n % 2 == 1 and adr.S_fast(n, 0) != adr.euler_specialization(n):
-        return _fail("euler", params, f"S({n},0) != closed form")
-    return _ok("euler", params)
+        return f"S({n},0) != closed form"
+    return None
 
 
-def check_sdw_area(n: int) -> Report:
+def check_sdw_area(n: int) -> str | None:
     """area equals revmaj of the diagonal word for every path."""
-    params = {"n": n}
     for k in range(n):
         for path in enumeration.generate(enumeration.PathFamily(n, k, "square")):
             if paths.area(path) != schedule.revmaj(schedule.diagonal_word(path).word):
-                return _fail("sdw-area", params, str(path))
-    return _ok("sdw-area", params)
+                return str(path)
+    return None
 
 
-CHECKS: dict[str, tuple[Callable[[int], Report], int]] = {
+CHECKS: dict[str, tuple[Callable[[int], str | None], int]] = {
     # check_id -> (function of n, default max_n)
     "schedule-formula": (check_schedule_formula, 5),
     "interval": (check_interval, 7),
@@ -323,16 +300,10 @@ CHECKS: dict[str, tuple[Callable[[int], Report], int]] = {
 
 def _run_cell(args: tuple[str, int]) -> Report:
     check_id, n = args
-    fn = CHECKS[check_id][0]
     start = time.perf_counter()
-    report = fn(n)
-    return Report(
-        report.check_id,
-        report.params,
-        report.ok,
-        report.witness,
-        time.perf_counter() - start,
-    )
+    witness = CHECKS[check_id][0](n)
+    elapsed = time.perf_counter() - start
+    return Report(check_id, {"n": n}, witness is None, witness or "", elapsed)
 
 
 def default_jobs() -> int:

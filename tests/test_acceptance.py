@@ -21,7 +21,6 @@ from pathlab.adr import (
     delta,
     dyck_decorate,
     is_adr,
-    parity_dec,
     parity_decorate,
     phi,
 )
@@ -252,7 +251,7 @@ def test_criterion_10_bivariate_refinement():
             lhs = {k: S_fast(n, k) for k in range(n)}
             rhs: dict[int, TPoly] = {}
             for values in itertools.permutations(range(1, n + 1)):
-                k = parity_dec(values)
+                k = len(parity_decorate(values).decorated)
                 rhs[k] = rhs.get(k, TPoly.zero()) + TPoly.monomial(
                     revmaj(make_perm(values))
                 )

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathlab.cli import main
 
@@ -150,3 +154,37 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--n", "3", "--k", "2", "--kind", "dyck")
         assert code == 0
         assert all(":" in line for line in out.splitlines())
+
+
+class TestDomain:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("inspect", ""), "expected a non-empty"),
+            (("inspect", "::"), "expected a non-empty"),
+            (("build", "", "--shift", "0"), "expected a non-empty"),
+            (("sched", ""), "expected a non-empty"),
+            (("decorate", ""), "expected a non-empty"),
+            (("table", "--n", "0"), "at least 1"),
+            (("table", "--n", "-2"), "at least 1"),
+            (("verify", "euler", "--max-n", "0"), "at least 1"),
+        ],
+    )
+    def test_out_of_domain_input_exits_two(self, capsys, argv, message):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "error:" in err and message in err
+        assert "Traceback" not in err
+
+    @settings(deadline=None)
+    @given(
+        st.sampled_from(("inspect", "cycle", "decorate", "sched", "build")),
+        st.one_of(st.text(alphabet="NE:,* 0123456789", max_size=24), st.text(max_size=24)),
+        st.integers(-2, 6),
+    )
+    def test_arbitrary_text_never_raises(self, command, text, shift):
+        # "--" keeps text that starts with "-" an operand, as on a shell
+        argv = [command, "--", text]
+        if command == "build":
+            argv[1:1] = ["--shift", str(shift)]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2)

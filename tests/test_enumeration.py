@@ -19,7 +19,7 @@ from pathlab.enumeration import (
     step_words,
 )
 from pathlab.paths import area, dinv, validate
-from pathlab.poly import QTPoly, TPoly, eval_q
+from pathlab.poly import QTPoly, TPoly
 from pathlab.schedule import diagonal_word, schedule_numbers
 
 
@@ -109,8 +109,8 @@ class TestSignedSums:
     def test_qt_enumerator_specializes_to_brute(self):
         for n in range(1, 5):
             for k in range(n):
-                assert eval_q(qt_enumerator(PathFamily(n, k, "square")), -1) == S_brute(n, k)
-                assert eval_q(qt_enumerator(PathFamily(n, k, "dyck")), -1) == D_brute(n, k)
+                assert qt_enumerator(PathFamily(n, k, "square")).eval_q(-1) == S_brute(n, k)
+                assert qt_enumerator(PathFamily(n, k, "dyck")).eval_q(-1) == D_brute(n, k)
 
 
 class TestFibers:

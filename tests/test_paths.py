@@ -20,7 +20,6 @@ from pathlab.paths import (
     format_path,
     is_dyck,
     monomial,
-    north_positions,
     parse_path,
     shift,
     validate,
@@ -66,9 +65,6 @@ class TestSmallPathStatistics:
 
     def test_monomial(self, small_path):
         assert monomial(small_path) == {1: 1, 2: 1, 3: 1}
-
-    def test_north_positions(self, small_path):
-        assert north_positions(small_path) == ((0, 0), (0, 1), (2, 2))
 
 
 class TestValidation:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pathlab.poly import QTPoly, TPoly, euler_t, eval_q, q_analog, t_analog, t_factorial
+from pathlab.poly import QTPoly, TPoly, euler_t, q_analog, t_analog, t_factorial
 
 tpolys = st.lists(st.integers(-9, 9), max_size=6).map(TPoly)
 qtpolys = st.dictionaries(
@@ -50,6 +50,13 @@ class TestTPoly:
         assert TPoly.monomial(3) == TPoly([0, 0, 0, 1])
         assert TPoly.monomial(0, 5) == TPoly([5])
 
+    def test_from_counts(self):
+        assert TPoly.from_counts({}) == TPoly.zero()
+        assert TPoly.from_counts({2: 1, 0: 3}) == TPoly([3, 0, 1])
+        # zero counts at the top degree are trimmed
+        assert TPoly.from_counts({0: 1, 3: 0}).coeffs == (1,)
+        assert TPoly.from_counts({1: -2, 2: 1}) == TPoly([0, -2, 1])
+
 
 class TestQTPoly:
     def test_zero_terms_dropped(self):
@@ -65,8 +72,8 @@ class TestQTPoly:
 
     @given(qtpolys, qtpolys, st.integers(-3, 3))
     def test_eval_q_is_homomorphism(self, a, b, q):
-        assert eval_q(a * b, q) == eval_q(a, q) * eval_q(b, q)
-        assert eval_q(a + b, q) == eval_q(a, q) + eval_q(b, q)
+        assert (a * b).eval_q(q) == a.eval_q(q) * b.eval_q(q)
+        assert (a + b).eval_q(q) == a.eval_q(q) + b.eval_q(q)
 
     def test_json_sorted(self):
         p = QTPoly({(1, 0): 2, (0, 1): 3})
@@ -84,9 +91,9 @@ class TestSpecialPolynomials:
         assert t_factorial(4)(1) == 24
 
     def test_q_analog(self):
-        assert eval_q(q_analog(3), 1) == TPoly([3])
-        assert eval_q(q_analog(3), -1) == TPoly([1])
-        assert eval_q(q_analog(4), -1) == TPoly.zero()
+        assert q_analog(3).eval_q(1) == TPoly([3])
+        assert q_analog(3).eval_q(-1) == TPoly([1])
+        assert q_analog(4).eval_q(-1) == TPoly.zero()
 
     def test_euler_t_counts_alternating_permutations(self):
         # at t = 1 these are the zigzag numbers 1, 1, 2, 5, 16, 61, 272
