@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import AbstractSet
 
-from .poly import TPoly, t_analog, t_factorial, euler_t
+from .poly import TPoly, t_analog, euler_t
 from .schedule import (
     DecoratedPermutation,
     ShiftedDiagonalWord,

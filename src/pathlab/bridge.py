@@ -16,7 +16,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .adr import ADRWitness, all_adrs
+from .adr import all_adrs
 from .cutting import canonical_rep, cutting_cycle
 from .enumeration import schedule_one_paths
 from .paths import (

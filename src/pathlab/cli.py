@@ -14,7 +14,7 @@ import sys
 from . import __version__
 from .adr import D_fast, S_fast, S_recursive, dyck_decorate, is_adr, parity_decorate
 from .bridge import path_from_sdw
-from .cutting import cutting_cycle, ordered_cycle, sched_one_members
+from .cutting import cutting_cycle, sched_one_members
 from .enumeration import D_brute, PathFamily, S_brute, generate
 from .paths import (
     area,
@@ -145,7 +145,7 @@ def cmd_inspect(args) -> int:
 def cmd_cycle(args) -> int:
     path = parse_path(args.path)
     cycle = cutting_cycle(path)
-    members = ordered_cycle(path)
+    members = sorted(cycle.members, key=lambda q: (dinv(q), format_path(q)))
     marked = set(sched_one_members(cycle))
     if args.format == "json":
         payload = {

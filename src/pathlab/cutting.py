@@ -37,6 +37,12 @@ class ShapeViolation(CycleError):
 
 @dataclass(frozen=True)
 class CuttingCycle:
+    """The members of a path's cycle and the path's :func:`canonical_rep`.
+
+    ``canonical`` depends on the path the cycle was built from: members of
+    one cycle can name different canonical members, and only a path whose
+    schedule word is all ones is guaranteed a canonical member of dinv 0."""
+
     members: frozenset[DecoratedLabeledPath]
     canonical: DecoratedLabeledPath
 
@@ -78,7 +84,7 @@ def psi(path: DecoratedLabeledPath, i: int) -> DecoratedLabeledPath | None:
 
 def cutting_cycle(path: DecoratedLabeledPath) -> CuttingCycle:
     """All admitted cut-and-paste images of the path (the path included, via
-    the full cut), with the zero-dinv representative attached."""
+    the full cut), with the path's breaking-step image attached."""
     members = set()
     for i in range(1, path.n + 1):
         image = psi(path, i)
@@ -88,7 +94,8 @@ def cutting_cycle(path: DecoratedLabeledPath) -> CuttingCycle:
 
 
 def breaking_step(path: DecoratedLabeledPath) -> int:
-    """East-step ordinal whose cut produces the zero-dinv representative.
+    """East-step ordinal whose cut produces the canonical representative,
+    which has dinv 0 when the path's schedule word is all ones.
 
     The breaking point is the start of the leftmost undecorated north step on
     the bottom diagonal if one exists, else the start of the leftmost
@@ -123,7 +130,11 @@ def breaking_step(path: DecoratedLabeledPath) -> int:
 
 
 def canonical_rep(path: DecoratedLabeledPath) -> DecoratedLabeledPath:
-    """The cycle member produced by cutting at the breaking step."""
+    """The cycle member produced by cutting at the breaking step.
+
+    It has dinv 0 when the path's schedule word is all ones (the
+    ``dinv-ladder`` verify suite checks this); otherwise its dinv can be
+    positive, and other members of the same cycle can break elsewhere."""
     image = psi(path, breaking_step(path))
     if image is None:
         raise CycleError(f"cut at the breaking step of {path} is not admitted")
@@ -204,14 +215,14 @@ def shape_stretches(path: DecoratedLabeledPath) -> Stretches:
     n = path.n
     undecorated = [i for i in range(1, n + 1) if i not in path.decorations]
     if not undecorated:
-        raise ShapeViolation("no undecorated north step")
+        raise ShapeViolation(f"{path}: no undecorated north step")
     first_u, last_u = undecorated[0], undecorated[-1]
     # word positions (0-based) of the relevant north steps
     norths = [pos for pos, step in enumerate(path.steps) if step == "N"]
     body_start = norths[first_u - 1]
     after_last = norths[last_u - 1] + 1
     if after_last >= len(path.steps) or path.steps[after_last] != "E":
-        raise ShapeViolation("last undecorated north step not followed by east")
+        raise ShapeViolation(f"{path}: last undecorated north step not followed by east")
     body_end = after_last + 1
     head, body, tail = (
         path.steps[:body_start],
@@ -219,11 +230,11 @@ def shape_stretches(path: DecoratedLabeledPath) -> Stretches:
         path.steps[body_end:],
     )
     if any(first_u <= i <= last_u for i in path.decorations):
-        raise ShapeViolation("decorated step inside the middle stretch")
+        raise ShapeViolation(f"{path}: decorated step inside the middle stretch")
     if any(a[i - 1] >= 0 for i in path.decorations if i < first_u):
-        raise ShapeViolation("head decoration on a nonnegative diagonal")
+        raise ShapeViolation(f"{path}: head decoration on a nonnegative diagonal")
     if any(a[i - 1] < 0 for i in path.decorations if i > last_u):
-        raise ShapeViolation("tail decoration on a negative diagonal")
+        raise ShapeViolation(f"{path}: tail decoration on a negative diagonal")
     if "EE" in body:
-        raise ShapeViolation("two consecutive east steps inside the middle stretch")
+        raise ShapeViolation(f"{path}: two consecutive east steps inside the middle stretch")
     return Stretches(head, body, tail)

@@ -14,10 +14,9 @@ from pathlab.bridge import (
     theorem_equivalence_check,
 )
 from pathlab.cutting import canonical_rep
-from pathlab.paths import dinv, format_path, parse_path
+from pathlab.paths import dinv, format_path
 from pathlab.poly import TPoly
 from pathlab.schedule import (
-    ShiftedDiagonalWord,
     diagonal_word,
     make_perm,
     parse_perm,

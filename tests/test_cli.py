@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathlab import verify
 from pathlab.cli import main
+from pathlab.cutting import LadderViolation
 
 from conftest import BIG_CYCLE, BIG_WORD, SMALL_PATH
 
@@ -68,6 +70,15 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "euler", "--max-n", "3")
         assert code == 0 and out.count("PASS") == 3
 
+    def test_raising_check_is_a_failure(self, capsys, monkeypatch):
+        def broken(n):
+            raise LadderViolation(f"no ladder at n={n}")
+
+        monkeypatch.setitem(verify.CHECKS, "euler", (broken, 7))
+        code, out, _ = run(capsys, "verify", "euler", "--max-n", "1", "--jobs", "1")
+        assert code == 1
+        assert out == "euler[n=1] FAIL witness: LadderViolation: no ladder at n=1\n"
+
 
 class TestInspect:
     def test_path_report(self, capsys):
@@ -109,6 +120,20 @@ class TestCycle:
         assert [m["schedule_one"] for m in payload["members"]] == [
             False, False, True, True, False, False,
         ]
+
+    def test_cycle_without_ladder(self, capsys):
+        # dinv values 0, 2, 2 form no ladder; the path's canonical has dinv 2
+        code, out, _ = run(capsys, "cycle", "NNEENE:1,3,2:")
+        assert code == 0
+        assert out.splitlines() == [
+            "dinv=0 area=1 NENNEE:2,1,3:",
+            "dinv=2 area=1 ENENNE:2,1,3:",
+            "dinv=2 area=1 NNEENE:1,3,2:  [canonical]",
+        ]
+        code, out, _ = run(capsys, "cycle", "NNEENE:1,3,2:", "--format", "json")
+        payload = json.loads(out)
+        assert code == 0 and payload["size"] == 3
+        assert [m["dinv"] for m in payload["members"]] == [0, 2, 2]
 
 
 class TestBuild:

@@ -20,7 +20,7 @@ from pathlab.enumeration import PathFamily, generate, schedule_one_paths
 from pathlab.paths import area, dinv, format_path, parse_path
 from pathlab.schedule import diagonal_word
 
-from conftest import BIG_CYCLE, BIG_SCHED_ONE
+from conftest import BIG_SCHED_ONE
 
 
 class TestPsi:
@@ -113,10 +113,3 @@ class TestCycleInvariants:
             assert canonical_rep(c) == c
             by_cycle.setdefault(cutting_cycle(p).members, set()).add(c)
         assert all(len(canons) == 1 for canons in by_cycle.values())
-
-    def test_schedule_one_ladder_small(self):
-        for p in schedule_one_paths(4):
-            ordered = ordered_cycle(p)
-            size = p.n - len(p.decorations)
-            assert [dinv(q) for q in ordered] == list(range(size))
-            assert len({area(q) for q in ordered}) == 1
