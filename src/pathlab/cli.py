@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: table, verify, inspect, cycle, build, decorate, sched, enumerate.
-Exit codes: 0 success, 1 a verification or validation failed, 2 usage error
-(argparse's own convention for bad arguments is also 2).
+Exit codes: 0 success, 1 a verification failed or a library guarantee broke
+(a :class:`~pathlab.cutting.CycleError`), 2 usage error (argparse's own
+convention for bad arguments is also 2).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 from . import __version__
 from .adr import D_fast, S_fast, S_recursive, dyck_decorate, is_adr, parity_decorate
 from .bridge import path_from_sdw
-from .cutting import cutting_cycle, sched_one_members
+from .cutting import CycleError, canonical_rep, cutting_cycle, sched_one_members
 from .enumeration import D_brute, PathFamily, S_brute, generate
 from .paths import (
     area,
@@ -117,7 +118,7 @@ def cmd_inspect(args) -> int:
             "diagonal_word": format_perm(sdw.word),
             "schedule_word": list(schedule_numbers(sdw)),
             "cycle_size": len(cycle.members),
-            "cycle_canonical": format_path(cycle.canonical),
+            "cycle_canonical": format_path(canonical_rep(path)),
         }
     else:
         word = obj
@@ -145,12 +146,13 @@ def cmd_inspect(args) -> int:
 def cmd_cycle(args) -> int:
     path = parse_path(args.path)
     cycle = cutting_cycle(path)
+    canonical = canonical_rep(path)
     members = sorted(cycle.members, key=lambda q: (dinv(q), format_path(q)))
     marked = set(sched_one_members(cycle))
     if args.format == "json":
         payload = {
             "size": len(members),
-            "canonical": format_path(cycle.canonical),
+            "canonical": format_path(canonical),
             "members": [
                 {
                     "path": format_path(q),
@@ -165,7 +167,7 @@ def cmd_cycle(args) -> int:
     else:
         for q in members:
             flags = []
-            if q == cycle.canonical:
+            if q == canonical:
                 flags.append("canonical")
             if q in marked:
                 flags.append("schedule-one")
@@ -232,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("check", help=f"one of: {', '.join(sorted(CHECKS))}")
     p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: PATHLAB_JOBS or 1)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most one per size (default: 1)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("inspect", help="statistics of a path or decorated permutation")
@@ -276,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (CliError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return CHECK_FAILED if isinstance(exc, CycleError) else USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -37,14 +37,23 @@ class ShapeViolation(CycleError):
 
 @dataclass(frozen=True)
 class CuttingCycle:
-    """The members of a path's cycle and the path's :func:`canonical_rep`.
-
-    ``canonical`` depends on the path the cycle was built from: members of
-    one cycle can name different canonical members, and only a path whose
-    schedule word is all ones is guaranteed a canonical member of dinv 0."""
+    """The admitted cut-and-paste images of a path: one class of the
+    partition of a path family, the same set whichever member it is built
+    from (the ``partition`` verify suite checks this)."""
 
     members: frozenset[DecoratedLabeledPath]
-    canonical: DecoratedLabeledPath
+
+    def ladder(self) -> tuple[DecoratedLabeledPath, ...]:
+        """Members sorted by dinv, checked to ladder from 0 upward.
+
+        Raises :class:`LadderViolation` when the dinv values are not exactly
+        0, 1, ..., size - 1 (they always are for cycles of paths whose
+        schedule word is all ones)."""
+        members = sorted(self.members, key=dinv)
+        values = [dinv(q) for q in members]
+        if values != list(range(len(members))):
+            raise LadderViolation(f"cycle of {members[0]} has dinv values {values}")
+        return tuple(members)
 
 
 def psi(path: DecoratedLabeledPath, i: int) -> DecoratedLabeledPath | None:
@@ -83,14 +92,14 @@ def psi(path: DecoratedLabeledPath, i: int) -> DecoratedLabeledPath | None:
 
 
 def cutting_cycle(path: DecoratedLabeledPath) -> CuttingCycle:
-    """All admitted cut-and-paste images of the path (the path included, via
-    the full cut), with the path's breaking-step image attached."""
-    members = set()
-    for i in range(1, path.n + 1):
-        image = psi(path, i)
-        if image is not None:
-            members.add(image)
-    return CuttingCycle(frozenset(members), canonical_rep(path))
+    """All admitted cut-and-paste images of the path, the path included via
+    the full cut: ``path.n`` cuts.  The member a path breaks to is
+    :func:`canonical_rep`."""
+    return CuttingCycle(
+        frozenset(
+            image for i in range(1, path.n + 1) if (image := psi(path, i)) is not None
+        )
+    )
 
 
 def breaking_step(path: DecoratedLabeledPath) -> int:
@@ -171,18 +180,8 @@ def geometric_order(path: DecoratedLabeledPath) -> tuple[int, ...]:
 
 
 def ordered_cycle(path: DecoratedLabeledPath) -> tuple[DecoratedLabeledPath, ...]:
-    """Cycle members sorted by dinv, checked to ladder from 0 upward.
-
-    Raises :class:`LadderViolation` when the dinv values are not exactly
-    0, 1, ..., size - 1 (they always are for cycles of paths whose schedule
-    word is all ones).
-    """
-    members = sorted(cutting_cycle(path).members, key=dinv)
-    if [dinv(q) for q in members] != list(range(len(members))):
-        raise LadderViolation(
-            f"cycle of {path} has dinv values {[dinv(q) for q in members]}"
-        )
-    return tuple(members)
+    """The path's cycle members in dinv order; see :meth:`CuttingCycle.ladder`."""
+    return cutting_cycle(path).ladder()
 
 
 def sched_one_members(

@@ -3,9 +3,9 @@
 Two small immutable wrappers: :class:`TPoly` is a dense univariate polynomial
 in t with integer coefficients (ascending order, trailing zeros trimmed), and
 :class:`QTPoly` is a sparse bivariate polynomial in q and t keyed by exponent
-pairs.  Both are hashable and support exact arithmetic with Python ints, so
-they can be used as dictionary keys and compared for equality without any
-tolerance.
+pairs.  Both are hashable and support exact arithmetic with integer
+coefficients between polynomials of the same kind, so they can be used as
+dictionary keys and compared for equality without any tolerance.
 """
 
 from __future__ import annotations
@@ -74,8 +74,6 @@ class TPoly:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = TPoly((other,))
         if not isinstance(other, TPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
@@ -84,8 +82,6 @@ class TPoly:
         return hash(("TPoly", self.coeffs))
 
     def __add__(self, other) -> "TPoly":
-        if isinstance(other, int):
-            other = TPoly((other,))
         if not isinstance(other, TPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -93,20 +89,13 @@ class TPoly:
             x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)
         )
 
-    __radd__ = __add__
-
     def __neg__(self) -> "TPoly":
         return TPoly(-c for c in self.coeffs)
 
     def __sub__(self, other) -> "TPoly":
-        return self + (-other if isinstance(other, TPoly) else -other)
-
-    def __rsub__(self, other) -> "TPoly":
-        return (-self) + other
+        return self + (-other)
 
     def __mul__(self, other) -> "TPoly":
-        if isinstance(other, int):
-            return TPoly(c * other for c in self.coeffs)
         if not isinstance(other, TPoly):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
@@ -117,8 +106,6 @@ class TPoly:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return TPoly(out)
-
-    __rmul__ = __mul__
 
     def __call__(self, t: int) -> int:
         acc = 0
@@ -153,12 +140,6 @@ class TPoly:
     def to_json(self) -> dict:
         return {"var": "t", "coeffs": list(self.coeffs)}
 
-    @classmethod
-    def from_json(cls, data: Mapping) -> "TPoly":
-        if data.get("var") != "t":
-            raise ValueError("expected a univariate polynomial in t")
-        return cls(int(c) for c in data["coeffs"])
-
 
 class QTPoly:
     """Polynomial in q and t, stored sparsely as {(q_deg, t_deg): coeff}."""
@@ -179,27 +160,13 @@ class QTPoly:
         raise AttributeError("QTPoly is immutable")
 
     @classmethod
-    def zero(cls) -> "QTPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "QTPoly":
-        return cls({(0, 0): 1})
-
-    @classmethod
     def monomial(cls, q_deg: int, t_deg: int, coeff: int = 1) -> "QTPoly":
         return cls({(q_deg, t_deg): coeff})
-
-    @classmethod
-    def from_t(cls, p: TPoly) -> "QTPoly":
-        return cls({(0, d): c for d, c in enumerate(p.coeffs)})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = QTPoly({(0, 0): other})
         if not isinstance(other, QTPoly):
             return NotImplemented
         return self.terms == other.terms
@@ -208,8 +175,6 @@ class QTPoly:
         return hash(("QTPoly", frozenset(self.terms.items())))
 
     def __add__(self, other) -> "QTPoly":
-        if isinstance(other, int):
-            other = QTPoly({(0, 0): other})
         if not isinstance(other, QTPoly):
             return NotImplemented
         out = dict(self.terms)
@@ -217,19 +182,13 @@ class QTPoly:
             out[key] = out.get(key, 0) + c
         return QTPoly(out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "QTPoly":
         return QTPoly({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other) -> "QTPoly":
-        if isinstance(other, int):
-            other = QTPoly({(0, 0): other})
         return self + (-other)
 
     def __mul__(self, other) -> "QTPoly":
-        if isinstance(other, int):
-            return QTPoly({k: c * other for k, c in self.terms.items()})
         if not isinstance(other, QTPoly):
             return NotImplemented
         out: dict[tuple[int, int], int] = {}
@@ -239,17 +198,12 @@ class QTPoly:
                 out[key] = out.get(key, 0) + a * b
         return QTPoly(out)
 
-    __rmul__ = __mul__
-
     def eval_q(self, q: int) -> TPoly:
         """Substitute an integer for q, leaving a polynomial in t."""
         out: dict[int, int] = {}
         for (dq, dt), c in self.terms.items():
             out[dt] = out.get(dt, 0) + c * q**dq
         return TPoly.from_counts(out)
-
-    def __call__(self, q: int, t: int) -> int:
-        return sum(c * q**dq * t**dt for (dq, dt), c in self.terms.items())
 
     def sorted_terms(self) -> Iterator[tuple[int, int, int]]:
         for (dq, dt) in sorted(self.terms):
@@ -273,12 +227,6 @@ class QTPoly:
 
     def to_json(self) -> dict:
         return {"vars": ["q", "t"], "terms": [list(t) for t in self.sorted_terms()]}
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "QTPoly":
-        if list(data.get("vars", ())) != ["q", "t"]:
-            raise ValueError("expected a bivariate polynomial in q, t")
-        return cls({(int(dq), int(dt)): int(c) for dq, dt, c in data["terms"]})
 
 
 def t_analog(n: int) -> TPoly:

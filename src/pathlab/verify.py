@@ -11,7 +11,6 @@ since every (check, n) cell is independent and deterministic.
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -96,23 +95,25 @@ def check_cancellation_path(n: int) -> str | None:
 def check_dinv_ladder(n: int) -> str | None:
     """Every schedule-one path's cycle has size n - k, dinv values laddering
     0..size-1, constant area and diagonal word; the path's canonical member
-    has dinv 0, and the geometric ordering from it reproduces the ladder."""
+    is the dinv-0 member, and the geometric ordering from it reproduces the
+    ladder."""
     for seed in enumeration.schedule_one_paths(n):
         k = len(seed.decorations)
         cycle = cutting.cutting_cycle(seed)
         if len(cycle.members) != n - k:
             return f"{seed} size {len(cycle.members)}"
-        if paths.dinv(cycle.canonical) != 0:
-            return f"{seed} canonical dinv != 0"
-        ladder = cutting.ordered_cycle(seed)
+        ladder = cycle.ladder()
+        canonical = cutting.canonical_rep(seed)
+        if canonical != ladder[0]:
+            return f"{seed} canonical is not the dinv-0 member"
         word = schedule.diagonal_word(seed)
         for member in ladder:
             if schedule.diagonal_word(member).word != word.word:
                 return f"{seed} word not constant"
             if paths.area(member) != paths.area(seed):
                 return f"{seed} area not constant"
-        order = cutting.geometric_order(cycle.canonical)
-        geometric = [cutting.psi(cycle.canonical, i) for i in order]
+        order = cutting.geometric_order(canonical)
+        geometric = [cutting.psi(canonical, i) for i in order]
         if geometric != list(ladder):
             return f"{seed} geometric order differs"
         listed = cutting.sched_one_members(cycle)
@@ -146,11 +147,7 @@ def check_partition(n: int) -> str | None:
     for k in range(n):
         seen: dict[paths.DecoratedLabeledPath, frozenset] = {}
         for path in enumeration.generate(enumeration.PathFamily(n, k, "square")):
-            members = frozenset(
-                image
-                for i in range(1, n + 1)
-                if (image := cutting.psi(path, i)) is not None
-            )
+            members = cutting.cutting_cycle(path).members
             if path not in members:
                 return f"{path} not in own cycle"
             for member in members:
@@ -259,9 +256,15 @@ def check_sum_factorial(n: int) -> str | None:
 
 def check_euler(n: int) -> str | None:
     """For odd n the undecorated signed square sum has the alternating-
-    permutation closed form."""
-    if n % 2 == 1 and adr.S_fast(n, 0) != adr.euler_specialization(n):
-        return f"S({n},0) != closed form"
+    permutation closed form; for even n no parity-algorithm output is
+    undecorated, which is why S(n, 0) vanishes there."""
+    if n % 2 == 1:
+        if adr.S_fast(n, 0) != adr.euler_specialization(n):
+            return f"S({n},0) != closed form"
+        return None
+    for values in itertools.permutations(range(1, n + 1)):
+        if not adr.parity_decorate(values).decorated:
+            return f"{values}: parity output undecorated"
     return None
 
 
@@ -304,31 +307,20 @@ def _run_cell(args: tuple[str, int]) -> Report:
     return Report(check_id, {"n": n}, witness is None, witness or "", elapsed)
 
 
-def default_jobs() -> int:
-    env = os.environ.get("PATHLAB_JOBS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def run_suite(
-    check_id: str, max_n: int | None = None, jobs: int | None = None
+    check_id: str, max_n: int | None = None, jobs: int = 1
 ) -> Iterator[Report]:
-    """Run one named suite for n = 1..max_n, optionally across processes;
-    reports come back in order of n regardless of worker scheduling."""
+    """Run one named suite for n = 1..max_n, across at most ``jobs`` worker
+    processes and never more than one per size; reports come back in order
+    of n regardless of worker scheduling."""
     if check_id not in CHECKS:
         raise KeyError(f"unknown check {check_id!r}; known: {sorted(CHECKS)}")
     if max_n is None:
         max_n = CHECKS[check_id][1]
-    if jobs is None:
-        jobs = default_jobs()
     cells = [(check_id, n) for n in range(1, max_n + 1)]
     if jobs <= 1 or len(cells) <= 1:
         for cell in cells:
             yield _run_cell(cell)
         return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
         yield from pool.map(_run_cell, cells)

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathlab import verify
+from pathlab import cli, verify
 from pathlab.cli import main
-from pathlab.cutting import LadderViolation
+from pathlab.cutting import CycleError, LadderViolation
 
 from conftest import BIG_CYCLE, BIG_WORD, SMALL_PATH
 
@@ -65,11 +65,6 @@ class TestVerify:
         _, par, _ = run(capsys, "verify", "sdw-area", "--max-n", "3", "--jobs", "2")
         assert seq == par
 
-    def test_jobs_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("PATHLAB_JOBS", "2")
-        code, out, _ = run(capsys, "verify", "euler", "--max-n", "3")
-        assert code == 0 and out.count("PASS") == 3
-
     def test_raising_check_is_a_failure(self, capsys, monkeypatch):
         def broken(n):
             raise LadderViolation(f"no ladder at n={n}")
@@ -106,6 +101,16 @@ class TestInspect:
         for bad in ("NNEE:2,1:", "NXE:1:", "1 1 2"):
             code, _, err = run(capsys, "inspect", bad)
             assert code == 2 and "error" in err
+
+    def test_broken_cycle_guarantee_exits_one(self, capsys, monkeypatch):
+        # a CycleError is a library fault, not bad input
+        def broken(path):
+            raise CycleError(f"no cycle for {path}")
+
+        monkeypatch.setattr(cli, "cutting_cycle", broken)
+        code, out, err = run(capsys, "inspect", SMALL_PATH)
+        assert code == 1 and out == ""
+        assert err == f"error: no cycle for {SMALL_PATH}\n"
 
 
 class TestCycle:

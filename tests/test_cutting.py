@@ -5,6 +5,7 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pathlab import cutting
 from pathlab.cutting import (
     Stretches,
     breaking_step,
@@ -49,7 +50,7 @@ class TestBigCycle:
     def test_members_and_canonical(self, big_cycle_paths):
         cycle = cutting_cycle(big_cycle_paths[2])
         assert cycle.members == frozenset(big_cycle_paths)
-        assert cycle.canonical == big_cycle_paths[0]
+        assert canonical_rep(big_cycle_paths[2]) == big_cycle_paths[0]
 
     def test_dinv_ladder(self, big_cycle_paths):
         ordered = ordered_cycle(big_cycle_paths[0])
@@ -100,8 +101,23 @@ class TestCycleInvariants:
     @given(data=st.data())
     def test_canonical_is_a_member(self, all_paths_n_le_4, data):
         p = data.draw(st.sampled_from(all_paths_n_le_4))
-        cycle = cutting_cycle(p)
-        assert cycle.canonical in cycle.members
+        assert canonical_rep(p) in cutting_cycle(p).members
+
+    def test_cycle_makes_n_cuts_only(self, big_cycle_paths, monkeypatch):
+        cuts = []
+
+        def counting_psi(path, i):
+            cuts.append(i)
+            return psi(path, i)
+
+        def no_canonical(path):
+            raise AssertionError("cutting_cycle computed a canonical member")
+
+        monkeypatch.setattr(cutting, "psi", counting_psi)
+        monkeypatch.setattr(cutting, "canonical_rep", no_canonical)
+        p = big_cycle_paths[2]
+        assert cutting_cycle(p).members == frozenset(big_cycle_paths)
+        assert sorted(cuts) == list(range(1, p.n + 1))
 
     def test_schedule_one_canonical_shared_dinv_zero(self):
         # all schedule-one members of a cycle break to the same

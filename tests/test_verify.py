@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from pathlab import adr, cutting, verify
+from pathlab.schedule import DecoratedPermutation
 from pathlab.verify import CHECKS, run_suite
 
 
@@ -11,3 +13,46 @@ from pathlab.verify import CHECKS, run_suite
 def test_suite_passes_up_to_four(check_id):
     reports = list(run_suite(check_id, 4, jobs=1))
     assert [(r.params["n"], r.ok) for r in reports] == [(n, True) for n in range(1, 5)]
+
+
+def test_euler_checks_even_sizes(monkeypatch):
+    monkeypatch.setattr(
+        adr, "parity_decorate", lambda values: DecoratedPermutation(tuple(values), frozenset())
+    )
+    assert verify.check_euler(2) is not None
+
+
+def test_dinv_ladder_builds_each_cycle_once(monkeypatch):
+    calls = []
+    original = cutting.cutting_cycle
+
+    def counting_cycle(path):
+        calls.append(path)
+        return original(path)
+
+    monkeypatch.setattr(cutting, "cutting_cycle", counting_cycle)
+    assert verify.check_dinv_ladder(5) is None
+    assert len(calls) == 480
+
+
+def test_workers_capped_at_cell_count(monkeypatch):
+    # a stand-in pool that records its size and maps in this process
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
+    reports = list(run_suite("euler", 3, jobs=64))
+    assert sizes == [3]
+    assert [r.line() for r in reports] == [f"euler[n={n}] PASS" for n in (1, 2, 3)]
