@@ -6,13 +6,16 @@ it the all-ones schedule word; the witness records every such shift.  The
 algorithms attach a canonical decoration set to any plain permutation; a
 toggle on the first letter connects the two outputs, and an affine extension
 step sends flat words of size n-1 to all-ones words of size n.  Together they
-turn the signed path enumerators into explicit sums of t^revmaj over words,
-computable in O(n!) instead of path-by-path.
+turn the signed path enumerators into explicit sums of t^revmaj over words.
+An insertion DP computes those sums in time polynomial in n (n = 20 takes
+under a second); decorating all n! permutations, its test oracle, stops near
+n = 9.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import AbstractSet
@@ -144,10 +147,89 @@ def delta(m: int, word: DecoratedPermutation) -> DecoratedPermutation:
 
 
 @lru_cache(maxsize=None)
+def _chain_counts(n: int) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
+    """Permutations of size n counted by (chain decorations k, revmaj), split
+    by whether their first decreasing run keeps exactly two undecorated letters.
+
+    An insertion DP over words built right to left: prepending a letter of
+    rank r in 0..L to a suffix of length L moves the older ranks >= r up by
+    one.  The state of a suffix is (rank of the open cyclic run's last
+    letter, rank of the first letter, ascents in the open run (0 or 1),
+    undecorated letters in the leading decreasing run capped at 3).  The new
+    letter extends the open run when the run stays cyclic (at most one
+    ascent, and with one the last letter exceeds the new first letter); the
+    old first letter then becomes interior and decorated, unless it is the
+    last letter of the word.  Otherwise the run closes and the new open run
+    is [new letter, old first].  A new letter below the old first adds t^L
+    to revmaj.
+
+    Each state carries its counts packed into one integer, ``width`` bits per
+    coefficient (no count exceeds n!), revmaj inside a decoration count's
+    block of ``row`` bits, so adding two states' counts is one integer sum.
+    O(n^4) such sums in all.
+    """
+    top = n * (n - 1) // 2  # largest revmaj
+    width = math.factorial(n).bit_length() + 1
+    row = width * (top + 1)
+    states = {(0, 0, 0, 1): 1}  # the one-letter suffix
+    for length in range(1, n):
+        ascent = width * length
+        grown: dict[tuple[int, int, int, int], int] = {}
+        for (last, first, ascents, undec), packed in states.items():
+            shifted = {
+                (False, False): packed,
+                (False, True): packed << ascent,
+                (True, False): packed << row,
+                (True, True): packed << (row + ascent),
+            }
+            for r in range(length + 1):
+                below = r <= first
+                extend = ascents + below == 0 or (ascents + below == 1 and last >= r)
+                if extend:
+                    state_last, state_ascents = last + (last >= r), ascents + below
+                else:
+                    state_last, state_ascents = first + below, below
+                decorate = extend and length > 1
+                state_undec = 1 if below else min(3, undec + 1 - decorate)
+                key = (state_last, r, state_ascents, state_undec)
+                grown[key] = grown.get(key, 0) + shifted[decorate, below]
+        states = grown
+    two = sum(packed for key, packed in states.items() if key[3] == 2)
+    other = sum(packed for key, packed in states.items() if key[3] != 2)
+    mask = (1 << width) - 1
+
+    def unpack(packed: int) -> dict[tuple[int, int], int]:
+        return {
+            divmod(slot, top + 1): count
+            for slot in range(n * (top + 1))
+            if (count := packed >> (slot * width) & mask)
+        }
+
+    return unpack(two), unpack(other)
+
+
+@lru_cache(maxsize=None)
 def _fast_sums(n: int, flat: bool) -> tuple[TPoly, ...]:
     """t^revmaj of the decorating-algorithm outputs, bucketed by decoration
     count; parity algorithm for the signed square sums, shift-zero algorithm
-    for the signed Dyck sums."""
+    for the signed Dyck sums.
+
+    Both algorithms decorate the cyclic-run chain, then maybe the first
+    letter, so both come from one pass of the insertion DP
+    :func:`_chain_counts`, polynomial in n; :func:`_sweep_sums` is its
+    oracle."""
+    acc: list[dict[int, int]] = [dict() for _ in range(n)]
+    two, other = _chain_counts(n)
+    for first_run_two, counts in ((True, two), (False, other)):
+        for (k, d), count in counts.items():
+            k += first_run_two if flat else (n - k) % 2 == 0
+            acc[k][d] = acc[k].get(d, 0) + count
+    return tuple(TPoly.from_counts(bucket) for bucket in acc)
+
+
+def _sweep_sums(n: int, flat: bool) -> tuple[TPoly, ...]:
+    """:func:`_fast_sums` by decorating all n! permutations: the test oracle
+    for the insertion DP."""
     acc: list[dict[int, int]] = [dict() for _ in range(max(n, 1))]
     decorate = dyck_decorate if flat else parity_decorate
     for values in itertools.permutations(range(1, n + 1)):

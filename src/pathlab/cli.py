@@ -81,6 +81,8 @@ def cmd_verify(args) -> int:
         raise CliError(f"unknown check {args.check!r}; known: {', '.join(sorted(CHECKS))}")
     if args.max_n is not None and args.max_n < 1:
         raise CliError(f"--max-n must be at least 1, got {args.max_n}")
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     failed = False
     for report in run_suite(args.check, args.max_n, args.jobs):
         print(report.line())

@@ -148,9 +148,18 @@ def letter_diagonals(sdw: ShiftedDiagonalWord) -> dict[int, int]:
     }
 
 
-def is_cyclic_run(values: Sequence[int], n: int) -> bool:
+def is_cyclic_run(values: Sequence[int]) -> bool:
     """True when some cyclic relabeling v -> ((v + m - 1) mod n) + 1 makes the
-    factor strictly decreasing."""
+    factor strictly decreasing, for any alphabet 1..n holding its letters;
+    that is, when it has at most one ascent and, if it has one, its last
+    letter exceeds its first.  :func:`_is_cyclic_run_by_rotation` is the
+    oracle."""
+    ascents = sum(1 for a, b in zip(values, values[1:]) if a < b)
+    return ascents == 0 or (ascents == 1 and values[-1] > values[0])
+
+
+def _is_cyclic_run_by_rotation(values: Sequence[int], n: int) -> bool:
+    """:func:`is_cyclic_run` by trying all n relabelings."""
     if len(values) <= 1:
         return True
     for m in range(1, n + 1):
@@ -169,18 +178,16 @@ def lmcr(word: DecoratedPermutation | Sequence[int], j: int) -> tuple[int, ...]:
 def rmcr(word: DecoratedPermutation | Sequence[int], i: int) -> tuple[int, ...]:
     """Rightmost maximal cyclic run starting at position i (1-based)."""
     values = word.values if isinstance(word, DecoratedPermutation) else tuple(word)
-    n = len(values)
     j = i
-    while j < n and is_cyclic_run(values[i - 1 : j + 1], n):
+    while j < len(values) and is_cyclic_run(values[i - 1 : j + 1]):
         j += 1
     return values[i - 1 : j]
 
 
 def lmcr_start(values: Sequence[int], j: int) -> int:
     """1-based start position of the leftmost maximal cyclic run ending at j."""
-    n = len(values)
     i = j
-    while i > 1 and is_cyclic_run(values[i - 2 : j], n):
+    while i > 1 and is_cyclic_run(values[i - 2 : j]):
         i -= 1
     return i
 

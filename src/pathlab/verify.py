@@ -93,42 +93,58 @@ def check_cancellation_path(n: int) -> str | None:
 
 
 def check_dinv_ladder(n: int) -> str | None:
-    """Every schedule-one path's cycle has size n - k, dinv values laddering
-    0..size-1, constant area and diagonal word; the path's canonical member
-    is the dinv-0 member, and the geometric ordering from it reproduces the
-    ladder."""
+    """Every schedule-one path lies in its own cycle, which has size n - k,
+    and its canonical member is the cycle's dinv-0 member.  Each such cycle
+    is checked once, however many schedule-one members it has: dinv values
+    ladder 0..size-1, area and diagonal word are constant, and the geometric
+    ordering from the dinv-0 member reproduces the ladder."""
+    ladders: dict[frozenset, tuple[paths.DecoratedLabeledPath, ...]] = {}
     for seed in enumeration.schedule_one_paths(n):
         k = len(seed.decorations)
         cycle = cutting.cutting_cycle(seed)
         if len(cycle.members) != n - k:
             return f"{seed} size {len(cycle.members)}"
-        ladder = cycle.ladder()
-        canonical = cutting.canonical_rep(seed)
-        if canonical != ladder[0]:
+        if seed not in cycle.members:
+            return f"{seed} not in its own cycle"
+        ladder = ladders.get(cycle.members)
+        if ladder is None:
+            ladder = cycle.ladder()
+            witness = _ladder_cycle_witness(cycle, ladder)
+            if witness is not None:
+                return f"{seed} {witness}"
+            ladders[cycle.members] = ladder
+        if cutting.canonical_rep(seed) != ladder[0]:
             return f"{seed} canonical is not the dinv-0 member"
-        word = schedule.diagonal_word(seed)
-        for member in ladder:
-            if schedule.diagonal_word(member).word != word.word:
-                return f"{seed} word not constant"
-            if paths.area(member) != paths.area(seed):
-                return f"{seed} area not constant"
-        order = cutting.geometric_order(canonical)
-        geometric = [cutting.psi(canonical, i) for i in order]
-        if geometric != list(ladder):
-            return f"{seed} geometric order differs"
-        listed = cutting.sched_one_members(cycle)
-        criterion = [
-            q
-            for q in ladder
-            if sum(
-                1
-                for i, d in enumerate(paths.area_word(q), start=1)
-                if d == 0 and i not in q.decorations
-            )
-            == 1
-        ]
-        if sorted(map(str, listed)) != sorted(map(str, criterion)):
-            return f"{seed} schedule-one members differ"
+    return None
+
+
+def _ladder_cycle_witness(
+    cycle: cutting.CuttingCycle, ladder: tuple[paths.DecoratedLabeledPath, ...]
+) -> str | None:
+    """The per-cycle part of :func:`check_dinv_ladder`."""
+    base = ladder[0]
+    word = schedule.diagonal_word(base).word
+    for member in ladder:
+        if schedule.diagonal_word(member).word != word:
+            return "word not constant"
+        if paths.area(member) != paths.area(base):
+            return "area not constant"
+    geometric = [cutting.psi(base, i) for i in cutting.geometric_order(base)]
+    if geometric != list(ladder):
+        return "geometric order differs"
+    listed = cutting.sched_one_members(cycle)
+    criterion = [
+        q
+        for q in ladder
+        if sum(
+            1
+            for i, d in enumerate(paths.area_word(q), start=1)
+            if d == 0 and i not in q.decorations
+        )
+        == 1
+    ]
+    if sorted(map(str, listed)) != sorted(map(str, criterion)):
+        return "schedule-one members differ"
     return None
 
 

@@ -123,7 +123,7 @@ DELTA_TABLE = {
 
 def test_criterion_07_recursion():
     with report("07 recursion"):
-        assert_suite_passes("recursion", 8)
+        assert_suite_passes("recursion", 12)
         assert_suite_passes("delta-bijection", 7)
         for src, outs in DELTA_TABLE.items():
             word = parse_perm(src)
@@ -133,7 +133,7 @@ def test_criterion_07_recursion():
 
 def test_criterion_08_factorial_identity():
     with report("08 factorial-identity"):
-        assert_suite_passes("sum-factorial", 8)
+        assert_suite_passes("sum-factorial", 12)
 
 
 def test_criterion_09_euler_specialization():

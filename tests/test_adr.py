@@ -3,7 +3,8 @@
 The exhaustive properties (decoration uniqueness, the phi and delta
 bijections, agreement with the brute sums, the recursion and the factorial
 identity) are checked by acceptance criteria 02 and 06-08 through the verify
-suites."""
+suites; the fast sums' insertion DP is checked here against the sweep over
+all permutations."""
 
 from __future__ import annotations
 
@@ -15,6 +16,8 @@ from pathlab.adr import (
     D_fast,
     NotAnADR,
     S_fast,
+    _fast_sums,
+    _sweep_sums,
     all_adrs,
     dyck_decorate,
     euler_specialization,
@@ -23,7 +26,7 @@ from pathlab.adr import (
     parity_decorate,
     phi,
 )
-from pathlab.poly import TPoly
+from pathlab.poly import TPoly, t_factorial
 from pathlab.schedule import make_perm, parse_perm
 
 
@@ -96,6 +99,19 @@ class TestFastSums:
         assert D_fast(3, 0) == TPoly([0, 0, 1, 1])
         assert D_fast(3, 1) == TPoly([0, 2, 1])
         assert D_fast(3, 2) == TPoly.one()
+
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_dp_matches_sweep(self, flat):
+        # both algorithms, every k, every n <= 8
+        for n in range(1, 9):
+            assert _fast_sums(n, flat) == _sweep_sums(n, flat), n
+
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_dp_sums_to_factorial_at_twenty(self, flat):
+        total = TPoly.zero()
+        for bucket in _fast_sums(20, flat):
+            total = total + bucket
+        assert total == t_factorial(20)
 
     def test_euler_specialization(self):
         assert euler_specialization(1) == TPoly.one()

@@ -198,6 +198,8 @@ class TestDomain:
             (("table", "--n", "0"), "at least 1"),
             (("table", "--n", "-2"), "at least 1"),
             (("verify", "euler", "--max-n", "0"), "at least 1"),
+            (("verify", "euler", "--max-n", "2", "--jobs", "-5"), "at least 1"),
+            (("verify", "euler", "--max-n", "2", "--jobs", "0"), "at least 1"),
         ],
     )
     def test_out_of_domain_input_exits_two(self, capsys, argv, message):

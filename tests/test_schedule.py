@@ -12,6 +12,7 @@ from pathlab.poly import QTPoly
 from pathlab.schedule import (
     DecoratedPermutation,
     ShiftedDiagonalWord,
+    _is_cyclic_run_by_rotation,
     count_by_sdw,
     decreasing_runs,
     descents,
@@ -70,10 +71,22 @@ class TestWordBasics:
 
     def test_cyclic_runs(self):
         # 8 4 2 becomes a decreasing run after adding some m modulo 8
-        assert is_cyclic_run((8, 4, 2), 8)
-        assert is_cyclic_run((2, 8), 8)  # m = 1 gives 3 1
-        assert not is_cyclic_run((2, 4, 8), 8)
-        assert is_cyclic_run((5,), 8)
+        assert is_cyclic_run((8, 4, 2))
+        assert is_cyclic_run((2, 8))  # m = 1 gives 3 1
+        assert not is_cyclic_run((2, 4, 8))
+        assert is_cyclic_run((5,))
+
+    def test_cyclic_run_matches_rotations(self):
+        # every factor of every permutation with n <= 7
+        factors = 0
+        for n in range(1, 8):
+            for values in itertools.permutations(range(1, n + 1)):
+                for i in range(n):
+                    for j in range(i + 1, n + 1):
+                        factor = values[i:j]
+                        assert is_cyclic_run(factor) == _is_cyclic_run_by_rotation(factor, n)
+                        factors += 1
+        assert factors == 158_323
 
     def test_lmcr_rmcr(self):
         values = (8, 5, 2, 9, 6, 1, 7, 4, 3)

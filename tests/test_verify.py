@@ -35,6 +35,20 @@ def test_dinv_ladder_builds_each_cycle_once(monkeypatch):
     assert len(calls) == 480
 
 
+def test_dinv_ladder_checks_each_cycle_once(monkeypatch):
+    # 480 schedule-one seeds at n = 5 lie in 226 cycles
+    calls = []
+    original = cutting.geometric_order
+
+    def counting_order(path):
+        calls.append(path)
+        return original(path)
+
+    monkeypatch.setattr(cutting, "geometric_order", counting_order)
+    assert verify.check_dinv_ladder(5) is None
+    assert len(calls) == 226
+
+
 def test_workers_capped_at_cell_count(monkeypatch):
     # a stand-in pool that records its size and maps in this process
     sizes = []
