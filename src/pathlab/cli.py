@@ -16,7 +16,7 @@ from . import __version__
 from .adr import D_fast, S_fast, S_recursive, dyck_decorate, is_adr, parity_decorate
 from .bridge import path_from_sdw
 from .cutting import CycleError, canonical_rep, cutting_cycle, sched_one_members
-from .enumeration import D_brute, PathFamily, S_brute, generate
+from .enumeration import D_brute, PathFamily, S_brute, bare_path_count, generate
 from .paths import (
     area,
     area_word,
@@ -61,6 +61,10 @@ def cmd_table(args) -> int:
         raise CliError(f"method {args.method!r} is not available for stat {args.stat!r}")
     if args.n < 1:
         raise CliError(f"--n must be at least 1, got {args.n}")
+    if args.method == "brute":
+        kind = "square" if args.stat == "S" else "dyck"
+        pairs = bare_path_count(args.n, kind)
+        print(f"# brute force visits {pairs} (steps, labels) pairs", file=sys.stderr)
     rows = [(k, fn(args.n, k)) for k in range(args.n)]
     if args.format == "json":
         payload = {

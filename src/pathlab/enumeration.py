@@ -5,6 +5,15 @@ All enumeration is deterministic: step words in lexicographic order
 lexicographic order of their sorted tuples.  The generators are desk-scale by
 design; the signed/weighted sums stream over the generated families without
 materializing them.
+
+The streams work in two levels.  What a step word fixes for all of its
+labelings (the area word, which pairs of north steps can attack, which steps
+are valleys whatever the labels) is its profile, derived once per step word
+by :func:`_step_profile`.  The labelings of a column composition are listed
+once per call, in a dict that lives as long as the call.  Per (steps, labels)
+pair only label comparisons remain.  The definitional forms in
+:mod:`pathlab.paths` (``attack_pairs``, ``contractible_valleys``, ``dinv``)
+are the oracle the tests hold the profile to.
 """
 
 from __future__ import annotations
@@ -12,13 +21,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .paths import (
     DecoratedLabeledPath,
     area,
     area_word,
-    attack_pairs,
     contractible_valleys,
     dinv,
     word_shift,
@@ -73,29 +81,106 @@ def column_sizes(steps: str) -> tuple[int, ...]:
     return tuple(len(block) for block in steps.split("E") if block)
 
 
+def _composition_labelings(sizes: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Permutations of 1..n increasing inside each block of ``sizes``,
+    lexicographically."""
+    partial = [((), tuple(range(1, sum(sizes) + 1)))]  # (labels so far, unused)
+    for size in sizes:
+        partial = [
+            (head + combo, tuple(v for v in rest if v not in combo))
+            for head, rest in partial
+            for combo in itertools.combinations(rest, size)
+        ]
+    return [head for head, _ in partial]
+
+
 def standard_labelings(steps: str) -> Iterator[tuple[int, ...]]:
     """Permutations of 1..n increasing inside each column, lexicographically."""
-    sizes = column_sizes(steps)
-    n = sum(sizes)
+    yield from _composition_labelings(column_sizes(steps))
 
-    def rec(remaining: tuple[int, ...], idx: int) -> Iterator[tuple[int, ...]]:
-        if idx == len(sizes):
-            yield ()
-            return
-        for combo in itertools.combinations(remaining, sizes[idx]):
-            rest = tuple(v for v in remaining if v not in combo)
-            for tail in rec(rest, idx + 1):
-                yield combo + tail
 
-    yield from rec(tuple(range(1, n + 1)), 0)
+def _labeled_step_words(
+    n: int, kind: str
+) -> Iterator[tuple[str, list[tuple[int, ...]]]]:
+    """Each step word of size n with its standard labelings.  The labelings of
+    a column composition are listed once and shared by every step word with
+    that composition; the dict holding them goes when the generator does."""
+    by_sizes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for steps in step_words(n, kind):
+        sizes = column_sizes(steps)
+        if sizes not in by_sizes:
+            by_sizes[sizes] = _composition_labelings(sizes)
+        yield steps, by_sizes[sizes]
+
+
+class _StepProfile(NamedTuple):
+    """What a step word fixes for every labeling of it.
+
+    North steps are numbered 1..n as in :mod:`pathlab.paths`.  A candidate
+    (i, j, lo, hi) is a pair of steps i < j that attacks exactly when
+    w_lo < w_hi: a primary candidate (a_j = a_i) has lo, hi = i, j, and a
+    secondary one (a_j + 1 = a_i) has lo, hi = j, i.  Candidates are ordered
+    by i, then j.
+    """
+
+    word: tuple[int, ...]  # area word a_1..a_n
+    shift: int
+    area: int
+    bonus: int  # north steps strictly below the main diagonal
+    candidates: tuple[tuple[int, int, int, int], ...]
+    valleys: tuple[int, ...]  # contractible whatever the labels
+    ties: tuple[int, ...]  # i with a_{i-1} = a_i: contractible iff w_{i-1} < w_i
+
+
+def _step_profile(steps: str) -> _StepProfile:
+    """The label-free part of the area, attack pairs and valleys of a step
+    word, with the rules of :func:`pathlab.paths.attack_pairs` and
+    :func:`pathlab.paths.contractible_valleys`."""
+    a = area_word(DecoratedLabeledPath(steps, ()))
+    n = len(a)
+    s = word_shift(a)
+    candidates = []
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        if a[j - 1] == a[i - 1]:
+            candidates.append((i, j, i, j))
+        elif a[j - 1] + 1 == a[i - 1]:
+            candidates.append((i, j, j, i))
+    return _StepProfile(
+        word=a,
+        shift=s,
+        area=sum(v + s for v in a),
+        bonus=sum(1 for v in a if v < 0),
+        candidates=tuple(candidates),
+        valleys=((1,) if a[0] <= -1 else ())
+        + tuple(i for i in range(2, n + 1) if a[i - 2] > a[i - 1]),
+        ties=tuple(i for i in range(2, n + 1) if a[i - 2] == a[i - 1]),
+    )
+
+
+def _attack_pairs(profile: _StepProfile, w: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Attack pairs (i, j) of the undecorated path whose step i carries label
+    w[i] (w[0] is a placeholder), ordered by i, then j."""
+    return [(i, j) for i, j, lo, hi in profile.candidates if w[lo] < w[hi]]
+
+
+def _valleys(profile: _StepProfile, w: tuple[int, ...]) -> list[int]:
+    """Contractible valleys of the path whose step i carries label w[i]
+    (w[0] is a placeholder), increasing."""
+    return sorted(profile.valleys + tuple(i for i in profile.ties if w[i - 1] < w[i]))
 
 
 def bare_paths(n: int, kind: str = "square") -> Iterator[DecoratedLabeledPath]:
     """Every undecorated standard path of size n: step words in order, then
     label words in order."""
-    for steps in step_words(n, kind):
-        for labels in standard_labelings(steps):
+    for steps, labelings in _labeled_step_words(n, kind):
+        for labels in labelings:
             yield DecoratedLabeledPath(steps, labels)
+
+
+def bare_path_count(n: int, kind: str = "square") -> int:
+    """How many paths :func:`bare_paths` yields: n^n square paths and
+    (n + 1)^(n - 1) Dyck paths (the parking functions)."""
+    return n**n if kind == "square" else (n + 1) ** (n - 1)
 
 
 def generate(family: PathFamily) -> Iterator[DecoratedLabeledPath]:
@@ -110,35 +195,41 @@ def generate(family: PathFamily) -> Iterator[DecoratedLabeledPath]:
 def _signed_sums(n: int, kind: str) -> tuple[TPoly, ...]:
     """For each k, the sum of (-1)^dinv t^area over the size-n family.
 
-    Streams over (steps, labels) pairs once.  For a fixed pair, decorating a
+    Visits every (steps, labels) pair once.  For a fixed pair, decorating a
     valley i flips the sign by (-1)^(c_i + 1), where c_i counts the attack
     pairs with left index i: those pairs vanish and the decoration itself
     subtracts one from dinv.  Summing the sign over all k-subsets of valleys
     is therefore the degree-k elementary symmetric function of those flips.
+
+    The area, the below-diagonal bonus and the candidate attack pairs come
+    from the step word's profile, computed once per step word; each column
+    composition's labelings are listed once per call.  Area is constant
+    across a step word, so the pairs of one step word add into one vector
+    indexed by k.
     """
     acc: list[dict[int, int]] = [dict() for _ in range(n)]
-    for base in bare_paths(n, kind):
-        a = area_word(base)
-        s = word_shift(a)
-        ar = sum(v + s for v in a)
-        pairs = attack_pairs(base)
-        counts: dict[int, int] = {}  # attack pairs per left index
-        for pair in pairs:
-            counts[pair.i] = counts.get(pair.i, 0) + 1
-        bonus = sum(1 for v in a if v < 0)
-        base_sign = -1 if (len(pairs) + bonus) % 2 else 1
-        # elementary symmetric functions of the sign flips, by k
-        esym = [1] + [0] * (n - 1)
-        top = 0
-        for i in sorted(contractible_valleys(base)):
-            flip = 1 if (counts.get(i, 0) + 1) % 2 == 0 else -1
-            top += 1
-            for k in range(min(top, n - 1), 0, -1):
-                esym[k] += esym[k - 1] * flip
-        for k in range(n):
-            contrib = base_sign * esym[k]
+    for steps, labelings in _labeled_step_words(n, kind):
+        profile = _step_profile(steps)
+        by_k = [0] * n
+        for labels in labelings:
+            w = (0,) + labels
+            counts = [0] * (n + 1)  # attack pairs by left index
+            for i, _ in _attack_pairs(profile, w):
+                counts[i] += 1
+            base_sign = -1 if (sum(counts) + profile.bonus) % 2 else 1
+            # elementary symmetric functions of the sign flips, by k
+            esym = [base_sign] + [0] * (n - 1)
+            top = 0
+            for i in _valleys(profile, w):
+                flip = 1 if counts[i] % 2 else -1
+                top += 1
+                for k in range(min(top, n - 1), 0, -1):
+                    esym[k] += esym[k - 1] * flip
+            for k in range(n):
+                by_k[k] += esym[k]
+        for k, contrib in enumerate(by_k):
             if contrib:
-                acc[k][ar] = acc[k].get(ar, 0) + contrib
+                acc[k][profile.area] = acc[k].get(profile.area, 0) + contrib
     return tuple(TPoly.from_counts(bucket) for bucket in acc)
 
 
@@ -184,19 +275,23 @@ def schedule_one_paths(n: int) -> Iterator[DecoratedLabeledPath]:
     Such a path has no attack pair between two undecorated steps, so only
     decoration sets touching every attack pair of the bare path need to be
     tried (checked against the naive filter in the tests); each surviving
-    candidate still gets its schedule word computed and checked.
+    candidate still gets its schedule word computed and checked.  The bare
+    path's attack pairs and valleys come from its step word's profile.
     """
     ones = (1,) * n
-    for base in bare_paths(n):
-        valleys = contractible_valleys(base)
-        pairs = [(p.i, p.j) for p in attack_pairs(base)]
-        if any(i not in valleys and j not in valleys for i, j in pairs):
-            continue
-        for r in range(min(len(valleys), n - 1) + 1):
-            for dv in itertools.combinations(sorted(valleys), r):
-                cover = set(dv)
-                if any(i not in cover and j not in cover for i, j in pairs):
-                    continue
-                path = DecoratedLabeledPath(base.steps, base.labels, frozenset(dv))
-                if schedule_numbers(diagonal_word(path)) == ones:
-                    yield path
+    for steps, labelings in _labeled_step_words(n, "square"):
+        profile = _step_profile(steps)
+        for labels in labelings:
+            w = (0,) + labels
+            pairs = _attack_pairs(profile, w)
+            valleys = _valleys(profile, w)
+            if any(i not in valleys and j not in valleys for i, j in pairs):
+                continue
+            for r in range(min(len(valleys), n - 1) + 1):
+                for dv in itertools.combinations(valleys, r):
+                    cover = set(dv)
+                    if any(i not in cover and j not in cover for i, j in pairs):
+                        continue
+                    path = DecoratedLabeledPath(steps, labels, frozenset(dv))
+                    if schedule_numbers(diagonal_word(path)) == ones:
+                        yield path

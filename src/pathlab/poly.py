@@ -253,6 +253,39 @@ def q_analog(n: int) -> QTPoly:
     return QTPoly({(d, 0): 1 for d in range(n)})
 
 
+def euler_t(n: int) -> TPoly:
+    """Generating polynomial of down-up alternating permutations of size n.
+
+    Permutations with s1 > s2 < s3 > s4 < ... are weighted by t to the number
+    of occurrences of the dashed pattern whose middle and largest letters are
+    adjacent (large immediately before small, with a mid-valued letter later).
+    Evaluating at t = 1 gives the alternating-permutation numbers
+    1, 1, 2, 5, 16, 61, 272, ...
+
+    Builds the permutation right to left.  Prepending a letter of rank r
+    (0..L) to a suffix of length L whose first letter has rank f makes
+    position n - L a descent when r > f, with the r - f - 1 suffix letters of
+    rank strictly between f and r as new pattern occurrences, and an ascent
+    when r <= f.  The state maps f to the polynomial of the suffixes so far.
+    Checked against :func:`_euler_t_by_sweep` in the tests.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    by_first = [TPoly.one()]  # suffix of length 1
+    for length in range(1, n):
+        if (n - length) % 2:  # an odd position is a descent
+            by_first = [
+                sum(
+                    (TPoly.monomial(r - f - 1) * by_first[f] for f in range(r)),
+                    TPoly(),
+                )
+                for r in range(length + 1)
+            ]
+        else:
+            by_first = [sum(by_first[r:], TPoly()) for r in range(length + 1)]
+    return sum(by_first, TPoly())
+
+
 def _is_alternating(perm: tuple[int, ...]) -> bool:
     # starts with a descent, then strictly alternates
     return all(
@@ -272,17 +305,8 @@ def _pattern_count(perm: tuple[int, ...]) -> int:
     return count
 
 
-def euler_t(n: int) -> TPoly:
-    """Generating polynomial of down-up alternating permutations of size n.
-
-    Permutations with s1 > s2 < s3 > s4 < ... are weighted by t to the number
-    of occurrences of the dashed pattern whose middle and largest letters are
-    adjacent (large immediately before small, with a mid-valued letter later).
-    Evaluating at t = 1 gives the alternating-permutation numbers
-    1, 1, 2, 5, 16, 61, 272, ...
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
+def _euler_t_by_sweep(n: int) -> TPoly:
+    """Test-only oracle for :func:`euler_t`: sweeps all n! permutations."""
     return TPoly.from_counts(
         Counter(
             _pattern_count(perm)

@@ -305,8 +305,8 @@ CHECKS: dict[str, tuple[Callable[[int], str | None], int]] = {
     "decorate-unique": (check_decorate_unique, 6),
     "phi-bijection": (check_phi_bijection, 7),
     "delta-bijection": (check_delta_bijection, 7),
-    "recursion": (check_recursion, 8),
-    "sum-factorial": (check_sum_factorial, 8),
+    "recursion": (check_recursion, 12),
+    "sum-factorial": (check_sum_factorial, 12),
     "euler": (check_euler, 7),
     "sdw-area": (check_sdw_area, 5),
 }

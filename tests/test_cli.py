@@ -37,6 +37,13 @@ class TestTable:
             outs.append(out)
         assert outs[0] == outs[1] == outs[2]
 
+    @pytest.mark.parametrize("stat, pairs", [("S", 27), ("D", 16)])
+    def test_brute_states_its_cost_on_stderr(self, capsys, stat, pairs):
+        # n^n square and (n + 1)^(n - 1) Dyck (steps, labels) pairs at n = 3
+        code, _, err = run(capsys, "table", "--n", "3", "--stat", stat, "--method", "brute")
+        assert code == 0
+        assert err == f"# brute force visits {pairs} (steps, labels) pairs\n"
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "table", "--n", "1", "--stat", "D", "--format", "json")
         assert code == 0

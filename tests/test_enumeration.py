@@ -8,8 +8,14 @@ import pytest
 
 from pathlab.enumeration import (
     D_brute,
+    KINDS,
     PathFamily,
     S_brute,
+    _attack_pairs,
+    _step_profile,
+    _valleys,
+    bare_path_count,
+    bare_paths,
     column_sizes,
     fibers_by_sdw,
     generate,
@@ -18,7 +24,15 @@ from pathlab.enumeration import (
     standard_labelings,
     step_words,
 )
-from pathlab.paths import area, dinv, validate
+from pathlab.paths import (
+    area,
+    area_word,
+    attack_pairs,
+    contractible_valleys,
+    dinv,
+    shift,
+    validate,
+)
 from pathlab.poly import QTPoly, TPoly
 from pathlab.schedule import diagonal_word, schedule_numbers
 
@@ -45,6 +59,55 @@ class TestStepWords:
         assert column_sizes("NNEENE") == (2, 1)
         assert column_sizes("ENNE") == (2,)
 
+    def test_labelings_are_the_column_increasing_permutations(self):
+        # checked for every step word of both kinds with n <= 5
+        for n in range(1, 6):
+            perms = list(itertools.permutations(range(1, n + 1)))
+            for kind in KINDS:
+                for w in step_words(n, kind):
+                    blocks = list(
+                        itertools.accumulate(column_sizes(w), initial=0)
+                    )
+                    expected = [
+                        p
+                        for p in perms
+                        if all(
+                            list(p[lo:hi]) == sorted(p[lo:hi])
+                            for lo, hi in zip(blocks, blocks[1:])
+                        )
+                    ]
+                    assert list(standard_labelings(w)) == expected
+
+    def test_bare_path_count(self):
+        # n^n square and (n + 1)^(n - 1) Dyck pairs, checked for n <= 5
+        for n in range(1, 6):
+            for kind in KINDS:
+                assert sum(1 for _ in bare_paths(n, kind)) == bare_path_count(n, kind)
+
+
+class TestStepProfile:
+    def test_matches_definitional_forms(self):
+        """For every (steps, labels) pair of both kinds with n <= 5, the
+        profile gives the area word, shift, area, attack pairs (so the count
+        per left index) and contractible valleys of paths.py."""
+        for n in range(1, 6):
+            for kind in KINDS:
+                for w in step_words(n, kind):
+                    profile = _step_profile(w)
+                    for labels in standard_labelings(w):
+                        base = validate(w, labels)
+                        assert profile.word == area_word(base)
+                        assert profile.shift == shift(base)
+                        assert profile.area == area(base)
+                        assert profile.bonus + len(attack_pairs(base)) == dinv(base)
+                        padded = (0,) + labels
+                        assert _attack_pairs(profile, padded) == sorted(
+                            (p.i, p.j) for p in attack_pairs(base)
+                        )
+                        assert _valleys(profile, padded) == sorted(
+                            contractible_valleys(base)
+                        )
+
 
 class TestGenerate:
     def test_counts_match_naive_product(self):
@@ -56,8 +119,6 @@ class TestGenerate:
             naive = 0
             for w in step_words(n, "square"):
                 for labels in standard_labelings(w):
-                    from pathlab.paths import contractible_valleys
-
                     base = validate(w, labels)
                     v = len(contractible_valleys(base))
                     naive += sum(
@@ -89,7 +150,9 @@ class TestGenerate:
 
 class TestSignedSums:
     def test_brute_sums_match_naive(self):
-        for n in range(1, 5):
+        """S_brute/D_brute equal (-1)^dinv t^area summed over generate, with
+        dinv from paths.py, for every k and n <= 5."""
+        for n in range(1, 6):
             for k in range(n):
                 for fn, kind in ((S_brute, "square"), (D_brute, "dyck")):
                     acc = {}
@@ -131,7 +194,9 @@ class TestFibers:
 
 class TestScheduleOnePaths:
     def test_matches_naive_filter(self):
-        for n in range(1, 5):
+        """Equal, as sets, to the schedule-one members of generate for
+        n <= 5."""
+        for n in range(1, 6):
             fast = set(schedule_one_paths(n))
             naive = {
                 p

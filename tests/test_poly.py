@@ -5,7 +5,15 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pathlab.poly import QTPoly, TPoly, euler_t, q_analog, t_analog, t_factorial
+from pathlab.poly import (
+    QTPoly,
+    TPoly,
+    _euler_t_by_sweep,
+    euler_t,
+    q_analog,
+    t_analog,
+    t_factorial,
+)
 
 tpolys = st.lists(st.integers(-9, 9), max_size=6).map(TPoly)
 qtpolys = st.dictionaries(
@@ -104,3 +112,12 @@ class TestSpecialPolynomials:
         # the two down-up permutations of size 3 are 213 (no pattern) and
         # 312 (one occurrence of the counted pattern)
         assert euler_t(3) == TPoly([1, 1])
+
+    def test_euler_t_matches_sweep(self):
+        # the insertion DP against the n! sweep, checked for n <= 9
+        for n in range(1, 10):
+            assert euler_t(n) == _euler_t_by_sweep(n)
+
+    def test_euler_t_at_twenty(self):
+        # the zigzag number E_20, out of the sweep's reach
+        assert euler_t(20)(1) == 370371188237525
