@@ -78,10 +78,10 @@ from .schedule import (
     lmcr,
     maj,
     make_perm,
+    ones_shifts,
     parse_perm,
     revmaj,
     rmcr,
-    sched_word,
     schedule_numbers,
     schedule_numbers_cyclic,
     schedule_rhs,

@@ -1,8 +1,9 @@
 """Words with all-ones schedules, decorating algorithms, and fast enumerators.
 
 A decorated permutation is *all-ones realizable* (AOR) when some shift gives
-it the all-ones schedule word; the witness records every such shift.  The
-*flat* ones (DAOR) are those realizable at shift zero.  Two decorating
+it the all-ones schedule word; the witness records every such shift, all
+found in one pass over the word's runs (:func:`pathlab.schedule.ones_shifts`).
+The *flat* ones (DAOR) are those realizable at shift zero.  Two decorating
 algorithms attach a canonical decoration set to any plain permutation; a
 toggle on the first letter connects the two outputs, and an affine extension
 step sends flat words of size n-1 to all-ones words of size n.  Together they
@@ -23,12 +24,11 @@ from typing import AbstractSet
 from .poly import TPoly, t_analog, euler_t
 from .schedule import (
     DecoratedPermutation,
-    ShiftedDiagonalWord,
     decreasing_runs,
     lmcr_start,
     make_perm,
+    ones_shifts,
     revmaj,
-    schedule_numbers,
 )
 
 
@@ -46,21 +46,15 @@ class ADRWitness:
 
 
 def is_adr(word: DecoratedPermutation) -> ADRWitness:
-    """Sweep every shift up to the number of runs and collect those whose
-    schedule word is all ones."""
-    ones = (1,) * word.n
-    valid = frozenset(
-        s
-        for s in range(len(decreasing_runs(word)))
-        if schedule_numbers(ShiftedDiagonalWord(word, s)) == ones
-    )
-    return ADRWitness(word, valid)
+    """The word with every shift whose schedule word is all ones, found in
+    one pass over its runs by :func:`~pathlab.schedule.ones_shifts`.  The
+    empty word is all ones at shift 0."""
+    return ADRWitness(word, ones_shifts(word))
 
 
 def is_flat_adr(word: DecoratedPermutation) -> bool:
     """All-ones realizable at shift zero."""
-    ones = (1,) * word.n
-    return schedule_numbers(ShiftedDiagonalWord(word, 0)) == ones
+    return 0 in ones_shifts(word)
 
 
 def _chain_decorations(values: tuple[int, ...]) -> set[int]:

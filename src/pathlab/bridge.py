@@ -32,8 +32,8 @@ from .schedule import (
     ShiftedDiagonalWord,
     diagonal_word,
     letter_diagonals,
+    ones_shifts,
     revmaj,
-    schedule_numbers,
 )
 
 
@@ -57,7 +57,7 @@ def path_from_sdw(word: DecoratedPermutation, shift: int) -> DecoratedLabeledPat
     """The unique path whose shifted diagonal word is (word, shift), for
     words with all-ones schedule word at that shift."""
     sdw = ShiftedDiagonalWord(word, shift)
-    if schedule_numbers(sdw) != (1,) * word.n:
+    if shift not in ones_shifts(word):
         raise ScheduleNotOne(f"({word}, {shift}) does not have all-ones schedules")
     diag_of = letter_diagonals(sdw)
     decorated_values = word.decorated_values

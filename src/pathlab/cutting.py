@@ -19,7 +19,7 @@ from .paths import (
     dinv,
     validate,
 )
-from .schedule import diagonal_word, schedule_numbers
+from .schedule import diagonal_word, ones_shifts
 
 
 class CycleError(ValueError):
@@ -191,7 +191,7 @@ def sched_one_members(
     out = [
         q
         for q in cycle.members
-        if schedule_numbers(diagonal_word(q)) == (1,) * q.n
+        if (sdw := diagonal_word(q)).shift in ones_shifts(sdw.word)
     ]
     return tuple(sorted(out, key=dinv))
 

@@ -32,7 +32,7 @@ from .paths import (
     word_shift,
 )
 from .poly import QTPoly, TPoly
-from .schedule import diagonal_word, schedule_numbers
+from .schedule import decreasing_runs, diagonal_word, ones_shifts_by_runs
 
 KINDS = ("square", "dyck")
 
@@ -274,11 +274,14 @@ def schedule_one_paths(n: int) -> Iterator[DecoratedLabeledPath]:
 
     Such a path has no attack pair between two undecorated steps, so only
     decoration sets touching every attack pair of the bare path need to be
-    tried (checked against the naive filter in the tests); each surviving
-    candidate still gets its schedule word computed and checked.  The bare
-    path's attack pairs and valleys come from its step word's profile.
+    tried (checked against the naive filter in the tests).  Decorating steps
+    changes neither the letters of the diagonal word nor the shift, so each
+    bare path that can be covered gets its diagonal word and that word's
+    runs once; a candidate only names its decorated letters (the labels of
+    its steps) and asks :func:`~pathlab.schedule.ones_shifts_by_runs`
+    whether the bare shift gives all ones.  The bare path's attack pairs and
+    valleys come from its step word's profile.
     """
-    ones = (1,) * n
     for steps, labelings in _labeled_step_words(n, "square"):
         profile = _step_profile(steps)
         for labels in labelings:
@@ -287,11 +290,12 @@ def schedule_one_paths(n: int) -> Iterator[DecoratedLabeledPath]:
             valleys = _valleys(profile, w)
             if any(i not in valleys and j not in valleys for i, j in pairs):
                 continue
+            bare = diagonal_word(DecoratedLabeledPath(steps, labels))
+            runs = decreasing_runs(bare.word)
             for r in range(min(len(valleys), n - 1) + 1):
                 for dv in itertools.combinations(valleys, r):
                     cover = set(dv)
                     if any(i not in cover and j not in cover for i, j in pairs):
                         continue
-                    path = DecoratedLabeledPath(steps, labels, frozenset(dv))
-                    if schedule_numbers(diagonal_word(path)) == ones:
-                        yield path
+                    if bare.shift in ones_shifts_by_runs(runs, {w[i] for i in dv}):
+                        yield DecoratedLabeledPath(steps, labels, frozenset(dv))

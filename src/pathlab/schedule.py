@@ -11,7 +11,7 @@ factor counted by its schedule number.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from .paths import DecoratedLabeledPath, NonStandardLabeling, area_word, word_shift
 from .poly import QTPoly, q_analog
@@ -42,8 +42,15 @@ class DecoratedPermutation:
 
 @dataclass(frozen=True)
 class ShiftedDiagonalWord:
+    """A decorated permutation laid out with run i on diagonal i - shift;
+    a shift below 0 names no layout and raises ValueError."""
+
     word: DecoratedPermutation
     shift: int
+
+    def __post_init__(self):
+        if self.shift < 0:
+            raise ValueError(f"shift must be at least 0, got {self.shift}")
 
 
 def make_perm(
@@ -231,6 +238,57 @@ def schedule_numbers(sdw: ShiftedDiagonalWord) -> tuple[int, ...]:
     return tuple(out)
 
 
+def ones_shifts(word: DecoratedPermutation) -> frozenset[int]:
+    """Every shift at which the schedule word is all ones, in one pass over
+    the decreasing runs; :func:`schedule_numbers` is the oracle.
+
+    None of the three schedule values a letter c of run r_i can take depends
+    on the shift: *low* #{d in ṙ_i : d < c} + #{d in ṙ_{i+1} : d > c},
+    *zero* #{d in ṙ_i : d > c} + 1 and *high* #{d in ṙ_i : d > c} +
+    #{d in ṙ_{i-1} : d < c}.  So shift s gives all ones exactly when every
+    decorated letter has low value 1 and every undecorated letter has low
+    value 1 in the runs before s, zero value 1 in run s and high value 1 in
+    the runs after s.  The empty word is all ones at shift 0 only; a
+    nonempty word has no all-ones shift at or past its number of runs.
+    """
+    return ones_shifts_by_runs(decreasing_runs(word), word.decorated_values)
+
+
+def ones_shifts_by_runs(
+    runs: Sequence[Sequence[int]], decorated: AbstractSet[int]
+) -> frozenset[int]:
+    """:func:`ones_shifts` of the word with these decreasing runs and these
+    decorated letters, for callers that try many decorations of one word."""
+    if not runs:
+        return frozenset((0,))
+    undec = [tuple(v for v in run if v not in decorated) for run in runs] + [()]
+    first_not_low = len(runs) - 1  # a valid shift is at most this
+    last_not_high = 0  # and at least this
+    zero_ok = []
+    for i, run in enumerate(runs):
+        here, above, below = undec[i], undec[i + 1], undec[i - 1] if i else ()
+        low_ok = high_ok = True
+        greater = 0  # undecorated letters of the run before c, all larger than c
+        for c in run:
+            undecorated = c not in decorated
+            # the run decreases, so its undecorated letters below c follow c
+            low = len(here) - greater - undecorated + sum(1 for d in above if d > c)
+            if not undecorated:
+                if low != 1:
+                    return frozenset()
+                continue
+            low_ok = low_ok and low == 1
+            high_ok = high_ok and greater + sum(1 for d in below if d < c) == 1
+            greater += 1
+        # zero value 1 for every undecorated letter: at most one in the run
+        zero_ok.append(len(here) <= 1)
+        if not low_ok:
+            first_not_low = min(first_not_low, i)
+        if not high_ok:
+            last_not_high = i
+    return frozenset(s for s in range(last_not_high, first_not_low + 1) if zero_ok[s])
+
+
 def schedule_numbers_cyclic(sdw: ShiftedDiagonalWord) -> tuple[int, ...]:
     """Cyclic-run reformulation of the schedule numbers.
 
@@ -288,8 +346,3 @@ def schedule_rhs(sdw: ShiftedDiagonalWord) -> QTPoly:
     for w in schedule_numbers(sdw):
         out = out * q_analog(w)
     return out
-
-
-def sched_word(path: DecoratedLabeledPath) -> tuple[int, ...]:
-    """Schedule numbers of the path's shifted diagonal word."""
-    return schedule_numbers(diagonal_word(path))

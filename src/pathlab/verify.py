@@ -187,7 +187,7 @@ def check_decorate_unique(n: int) -> str | None:
                 witness = adr.is_adr(word)
                 if witness and word.undecorated_count() % 2 == 1:
                     odd.append(word)
-                if adr.is_flat_adr(word):
+                if 0 in witness.valid_shifts:
                     flat.append(word)
         if odd != [adr.parity_decorate(values)]:
             return f"{values}: odd {odd}"

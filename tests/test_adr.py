@@ -27,7 +27,7 @@ from pathlab.adr import (
     phi,
 )
 from pathlab.poly import TPoly, t_factorial
-from pathlab.schedule import make_perm, parse_perm
+from pathlab.schedule import DecoratedPermutation, make_perm, parse_perm
 
 
 class TestMembership:
@@ -41,6 +41,12 @@ class TestMembership:
         witness = is_adr(make_perm((1,)))
         assert witness.valid_shifts == frozenset({0})
         assert is_flat_adr(make_perm((1,)))
+
+    def test_empty_word_is_all_ones_at_shift_zero(self):
+        # delta(1, .) extends the empty word, so both predicates must accept it
+        empty = DecoratedPermutation((), frozenset())
+        assert is_adr(empty).valid_shifts == frozenset({0})
+        assert is_flat_adr(empty)
 
     def test_dyck_representative(self):
         word = parse_perm("8 5* 2* 9 6* 1 7* 4* 3")

@@ -207,6 +207,7 @@ class TestDomain:
             (("verify", "euler", "--max-n", "0"), "at least 1"),
             (("verify", "euler", "--max-n", "2", "--jobs", "-5"), "at least 1"),
             (("verify", "euler", "--max-n", "2", "--jobs", "0"), "at least 1"),
+            (("build", "2 1", "--shift", "-1"), "shift must be at least 0"),
         ],
     )
     def test_out_of_domain_input_exits_two(self, capsys, argv, message):

@@ -25,6 +25,7 @@ from pathlab.enumeration import (
     step_words,
 )
 from pathlab.paths import (
+    DecoratedLabeledPath,
     area,
     area_word,
     attack_pairs,
@@ -205,6 +206,19 @@ class TestScheduleOnePaths:
                 if schedule_numbers(diagonal_word(p)) == (1,) * n
             }
             assert fast == naive
+
+    def test_order_matches_naive_stream(self):
+        """Bare paths in bare_paths order, each with its decoration sets by
+        size, then lexicographically; checked for n <= 5."""
+        for n in range(1, 6):
+            candidates = (
+                DecoratedLabeledPath(bare.steps, bare.labels, frozenset(dv))
+                for bare in bare_paths(n)
+                for r in range(n)
+                for dv in itertools.combinations(sorted(contractible_valleys(bare)), r)
+            )
+            naive = [p for p in candidates if schedule_numbers(diagonal_word(p)) == (1,) * n]
+            assert list(schedule_one_paths(n)) == naive
 
     def test_known_counts(self):
         assert sum(1 for _ in schedule_one_paths(3)) == 16

@@ -22,13 +22,13 @@ from pathlab.schedule import (
     lmcr,
     maj,
     make_perm,
+    ones_shifts,
     parse_perm,
     revmaj,
     rmcr,
     schedule_numbers,
     schedule_numbers_cyclic,
     schedule_rhs,
-    sched_word,
     u_statistic,
 )
 
@@ -114,7 +114,13 @@ class TestScheduleNumbers:
         assert schedule_numbers(sdw) == (0,) * 8
 
     def test_path_schedule_word(self, small_path):
-        assert sched_word(small_path) == (1, 1, 1)
+        assert schedule_numbers(diagonal_word(small_path)) == (1, 1, 1)
+
+    def test_negative_shift_raises(self):
+        # schedule_numbers would read the run below run 0 as the last run;
+        # no shifted word reaches it, nor schedule_numbers_cyclic or u_statistic
+        with pytest.raises(ValueError, match="shift must be at least 0"):
+            ShiftedDiagonalWord(make_perm((2, 1)), -1)
 
     def test_cyclic_reformulation_matches(self):
         for n in range(1, 5):
@@ -128,6 +134,24 @@ class TestScheduleNumbers:
         word = make_perm(values)
         sdw = ShiftedDiagonalWord(word, s)
         assert schedule_numbers(sdw) == schedule_numbers_cyclic(sdw)
+
+
+class TestOnesShifts:
+    def test_matches_schedule_numbers(self):
+        """Every decorated word with n <= 6 (n! * 2^n words, 46,080 at n = 6):
+        the shifts below the number of runs R whose schedule word is all
+        ones, and none at or past R.  The empty word is all ones at shift 0."""
+        assert ones_shifts(DecoratedPermutation((), frozenset())) == frozenset({0})
+        for n in range(1, 7):
+            ones = (1,) * n
+            for word in all_decorated_perms(n):
+                runs = len(decreasing_runs(word))
+                shifts = ones_shifts(word)
+                assert shifts == {
+                    s for s in range(runs)
+                    if schedule_numbers(ShiftedDiagonalWord(word, s)) == ones
+                }, word
+                assert all(s < runs for s in shifts)
 
 
 class TestProductFormula:

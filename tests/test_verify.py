@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
-from pathlab import adr, cutting, verify
+from pathlab import adr, cutting, enumeration, schedule, verify
 from pathlab.schedule import DecoratedPermutation
 from pathlab.verify import CHECKS, run_suite
 
@@ -47,6 +49,28 @@ def test_dinv_ladder_checks_each_cycle_once(monkeypatch):
     monkeypatch.setattr(cutting, "geometric_order", counting_order)
     assert verify.check_dinv_ladder(5) is None
     assert len(calls) == 226
+
+
+def test_all_ones_searches_build_no_schedule_words():
+    # counted by code object, so every route to the functions is seen
+    counted = {schedule.schedule_numbers.__code__: [], schedule.diagonal_word.__code__: []}
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in counted:
+            counted[frame.f_code].append(frame.f_locals.get("path"))
+
+    sys.setprofile(hook)
+    try:
+        assert verify.check_decorate_unique(5) is None
+        seeds = list(enumeration.schedule_one_paths(5))
+    finally:
+        sys.setprofile(None)
+    assert len(seeds) == 480
+    assert counted[schedule.schedule_numbers.__code__] == []
+    # one diagonal word per bare labeled path, at most 5^5 of them
+    bare = counted[schedule.diagonal_word.__code__]
+    assert all(not path.decorations for path in bare)
+    assert len(set(bare)) == len(bare) <= 5**5
 
 
 def test_workers_capped_at_cell_count(monkeypatch):
