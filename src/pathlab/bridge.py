@@ -155,9 +155,17 @@ def classes(n: int, k: int) -> tuple[ClassSummary, ...]:
     return tuple(out)
 
 
+def class_areas(n: int, shard: int | None = None) -> Counter[tuple[int, int]]:
+    """How many cutting-cycle classes of schedule-one paths of size n have
+    each (k, area), from one pass over ``schedule_one_paths(n, shard)``: with
+    a shard j, only the classes whose area is j mod n."""
+    canonicals = {canonical_rep(path) for path in schedule_one_paths(n, shard)}
+    return Counter((len(canon.decorations), area(canon)) for canon in canonicals)
+
+
 def classes_polynomial(n: int, k: int) -> TPoly:
-    """Sum of t^area over the schedule-one classes."""
-    return TPoly.from_counts(Counter(summary.area for summary in classes(n, k)))
+    """Sum of t^area over the schedule-one classes with k decorations."""
+    return TPoly.from_counts({a: c for (j, a), c in class_areas(n).items() if j == k})
 
 
 def theorem_equivalence_check(n: int, k: int) -> bool:

@@ -90,7 +90,8 @@ def cmd_verify(args) -> int:
     failed = False
     for report in run_suite(args.check, args.max_n, args.jobs):
         print(report.line())
-        print(f"# elapsed {report.elapsed:.2f}s", file=sys.stderr)
+        shards = f"{report.shards} shard" + ("s" if report.shards != 1 else "")
+        print(f"# elapsed {report.elapsed:.2f}s in {shards}", file=sys.stderr)
         failed = failed or not report.ok
     return CHECK_FAILED if failed else 0
 
@@ -241,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("check", help=f"one of: {', '.join(sorted(CHECKS))}")
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, at most one per size (default: 1)")
+                   help="worker processes, at most one per shard (default: 1)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("inspect", help="statistics of a path or decorated permutation")

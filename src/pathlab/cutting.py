@@ -11,6 +11,7 @@ schedule word the members' dinv values ladder from 0 to cycle size minus one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from .paths import (
     DecoratedLabeledPath,
@@ -19,7 +20,7 @@ from .paths import (
     dinv,
     validate,
 )
-from .schedule import diagonal_word, ones_shifts
+from .schedule import ShiftedDiagonalWord, diagonal_word, ones_shifts
 
 
 class CycleError(ValueError):
@@ -186,12 +187,17 @@ def ordered_cycle(path: DecoratedLabeledPath) -> tuple[DecoratedLabeledPath, ...
 
 def sched_one_members(
     cycle: CuttingCycle,
+    words: Mapping[DecoratedLabeledPath, ShiftedDiagonalWord] | None = None,
 ) -> tuple[DecoratedLabeledPath, ...]:
-    """Members whose schedule word is all ones, in dinv order."""
+    """Members whose schedule word is all ones, in dinv order.  ``words`` may
+    hold members' diagonal words that the caller already has; the others are
+    computed here."""
+    words = words or {}
     out = [
         q
         for q in cycle.members
-        if (sdw := diagonal_word(q)).shift in ones_shifts(sdw.word)
+        if (sdw := words[q] if q in words else diagonal_word(q)).shift
+        in ones_shifts(sdw.word)
     ]
     return tuple(sorted(out, key=dinv))
 

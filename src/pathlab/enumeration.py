@@ -100,13 +100,16 @@ def standard_labelings(steps: str) -> Iterator[tuple[int, ...]]:
 
 
 def _labeled_step_words(
-    n: int, kind: str
+    n: int, kind: str, shard: int | None = None
 ) -> Iterator[tuple[str, list[tuple[int, ...]]]]:
-    """Each step word of size n with its standard labelings.  The labelings of
-    a column composition are listed once and shared by every step word with
-    that composition; the dict holding them goes when the generator does."""
+    """Each step word of size n with its standard labelings; with a shard j,
+    only the step words whose area is j mod n.  The labelings of a column
+    composition are listed once and shared by every step word with that
+    composition; the dict holding them goes when the generator does."""
     by_sizes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for steps in step_words(n, kind):
+        if shard is not None and area(DecoratedLabeledPath(steps, ())) % n != shard:
+            continue
         sizes = column_sizes(steps)
         if sizes not in by_sizes:
             by_sizes[sizes] = _composition_labelings(sizes)
@@ -268,9 +271,14 @@ def fibers_by_sdw(family: PathFamily) -> dict:
     return {sdw: (count, QTPoly(acc)) for sdw, (count, acc) in out.items()}
 
 
-def schedule_one_paths(n: int) -> Iterator[DecoratedLabeledPath]:
+def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLabeledPath]:
     """All standard decorated square paths of size n (any k) whose schedule
-    word is all ones.
+    word is all ones; with a shard j in 0..n-1, only those whose area is j
+    mod n.
+
+    Area depends on the step word alone and is constant on a cutting cycle,
+    so the n shards split the stream by step word and keep each cycle whole;
+    each shard keeps the order of the whole stream.
 
     Such a path has no attack pair between two undecorated steps, so only
     decoration sets touching every attack pair of the bare path need to be
@@ -282,7 +290,7 @@ def schedule_one_paths(n: int) -> Iterator[DecoratedLabeledPath]:
     whether the bare shift gives all ones.  The bare path's attack pairs and
     valleys come from its step word's profile.
     """
-    for steps, labelings in _labeled_step_words(n, "square"):
+    for steps, labelings in _labeled_step_words(n, "square", shard):
         profile = _step_profile(steps)
         for labels in labelings:
             w = (0,) + labels

@@ -4,17 +4,25 @@ Each check sweeps every instance of one size n and returns a witness for
 the first failure, or None when all pass; :func:`run_suite` reports each size
 as a :class:`Report`, and a check that raises a pathlab error fails with the
 error as its witness.  The suites back both the test suite and the
-``pathlab verify`` command; sizes can be distributed over worker processes
-since every (check, n) cell is independent and deterministic.
+``pathlab verify`` command.
+
+The suites in :data:`SHARDED` split size n into n shards along the loop the
+check already runs: k, the first letter of a permutation, the m of delta, or
+the area mod n of a schedule-one path.  ``check(n, shard)`` runs one key and
+``check(n)`` runs them all.  Shards never repeat each other's work, and every
+(check, n, shard) cell is independent and deterministic, so cells can be
+spread over worker processes and merged back into one report per size.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import adr, bridge, cutting, enumeration, paths, poly, schedule
 
@@ -26,6 +34,7 @@ class Report:
     ok: bool = True
     witness: str = ""
     elapsed: float = 0.0
+    shards: int = 1
 
     def line(self) -> str:
         """Deterministic data line; elapsed is reported separately."""
@@ -35,14 +44,32 @@ class Report:
         return f"{self.check_id}[{params}] {status}{extra}"
 
 
+# ---------------------------------------------------------------- shards
+
+
+def _keys(n: int, shard: int | None) -> range:
+    """The keys 0..n-1 of a sharded check's outer loop, or key ``shard``
+    alone."""
+    return range(n) if shard is None else range(shard, shard + 1)
+
+
+def _permutations(n: int, shard: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Permutations of 1..n in lexicographic order; shard j keeps those that
+    start with j + 1."""
+    for key in _keys(n, shard):
+        rest = [v for v in range(1, n + 1) if v != key + 1]
+        for tail in itertools.permutations(rest):
+            yield (key + 1, *tail)
+
+
 # ---------------------------------------------------------------- checks
 
 
-def check_schedule_formula(n: int) -> str | None:
+def check_schedule_formula(n: int, shard: int | None = None) -> str | None:
     """Fiberwise: for every realized shifted diagonal word, the (q, t) sum of
     q^dinv t^area over its fiber equals the closed form, and the fiber size
-    equals the product of the schedule numbers."""
-    for k in range(n):
+    equals the product of the schedule numbers.  Sharded by k."""
+    for k in _keys(n, shard):
         fibers = enumeration.fibers_by_sdw(enumeration.PathFamily(n, k, "square"))
         for sdw, (count, qt) in fibers.items():
             if qt != schedule.schedule_rhs(sdw):
@@ -52,10 +79,11 @@ def check_schedule_formula(n: int) -> str | None:
     return None
 
 
-def check_interval(n: int) -> str | None:
+def check_interval(n: int, shard: int | None = None) -> str | None:
     """For plain permutations: whenever every schedule number is positive,
-    the set of schedule values is an initial segment {1, ..., j}."""
-    for values in itertools.permutations(range(1, n + 1)):
+    the set of schedule values is an initial segment {1, ..., j}.  Sharded by
+    first letter."""
+    for values in _permutations(n, shard):
         word = schedule.DecoratedPermutation(values, frozenset())
         for s in range(len(schedule.decreasing_runs(word))):
             sched = schedule.schedule_numbers(schedule.ShiftedDiagonalWord(word, s))
@@ -81,25 +109,36 @@ def check_cancellation_word(n: int) -> str | None:
     return None
 
 
-def check_cancellation_path(n: int) -> str | None:
+def check_cancellation_path(n: int, shard: int | None = None) -> str | None:
     """Brute signed square sums match the path-side class polynomials: one
-    t^area per cutting-cycle class of schedule-one paths (n - k odd)."""
+    t^area per cutting-cycle class of schedule-one paths (n - k odd).
+    Sharded by area mod n: a shard compares the coefficients of its own
+    areas, from one schedule-one stream for all k."""
+    classes = bridge.class_areas(n, shard)
     for k in range(n):
         if (n - k) % 2 == 0:
             continue
-        if enumeration.S_brute(n, k) != bridge.classes_polynomial(n, k):
+        brute = enumeration.S_brute(n, k)
+        wanted = {
+            a: brute[a]
+            for a in range(brute.degree + 1)
+            if shard is None or a % n == shard
+        }
+        got = {a: count for (j, a), count in classes.items() if j == k}
+        if poly.TPoly.from_counts(wanted) != poly.TPoly.from_counts(got):
             return f"k={k}"
     return None
 
 
-def check_dinv_ladder(n: int) -> str | None:
+def check_dinv_ladder(n: int, shard: int | None = None) -> str | None:
     """Every schedule-one path lies in its own cycle, which has size n - k,
     and its canonical member is the cycle's dinv-0 member.  Each such cycle
     is checked once, however many schedule-one members it has: dinv values
     ladder 0..size-1, area and diagonal word are constant, and the geometric
-    ordering from the dinv-0 member reproduces the ladder."""
+    ordering from the dinv-0 member reproduces the ladder.  Sharded by area
+    mod n, which keeps every cycle inside one shard."""
     ladders: dict[frozenset, tuple[paths.DecoratedLabeledPath, ...]] = {}
-    for seed in enumeration.schedule_one_paths(n):
+    for seed in enumeration.schedule_one_paths(n, shard):
         k = len(seed.decorations)
         cycle = cutting.cutting_cycle(seed)
         if len(cycle.members) != n - k:
@@ -121,18 +160,19 @@ def check_dinv_ladder(n: int) -> str | None:
 def _ladder_cycle_witness(
     cycle: cutting.CuttingCycle, ladder: tuple[paths.DecoratedLabeledPath, ...]
 ) -> str | None:
-    """The per-cycle part of :func:`check_dinv_ladder`."""
+    """The per-cycle part of :func:`check_dinv_ladder`; each member's
+    diagonal word is computed once."""
     base = ladder[0]
-    word = schedule.diagonal_word(base).word
+    words = {member: schedule.diagonal_word(member) for member in ladder}
     for member in ladder:
-        if schedule.diagonal_word(member).word != word:
+        if words[member].word != words[base].word:
             return "word not constant"
         if paths.area(member) != paths.area(base):
             return "area not constant"
     geometric = [cutting.psi(base, i) for i in cutting.geometric_order(base)]
     if geometric != list(ladder):
         return "geometric order differs"
-    listed = cutting.sched_one_members(cycle)
+    listed = cutting.sched_one_members(cycle, words)
     criterion = [
         q
         for q in ladder
@@ -148,19 +188,21 @@ def _ladder_cycle_witness(
     return None
 
 
-def check_shape(n: int) -> str | None:
-    """Every schedule-one path splits into the three stretches."""
-    for seed in enumeration.schedule_one_paths(n):
+def check_shape(n: int, shard: int | None = None) -> str | None:
+    """Every schedule-one path splits into the three stretches.  Sharded by
+    area mod n."""
+    for seed in enumeration.schedule_one_paths(n, shard):
         stretch = cutting.shape_stretches(seed)
         if stretch.head + stretch.body + stretch.tail != seed.steps:
             return f"{seed}: stretches do not tile"
     return None
 
 
-def check_partition(n: int) -> str | None:
+def check_partition(n: int, shard: int | None = None) -> str | None:
     """Cutting cycles partition every family: members of a cycle have cycles
-    with the same member set, and distinct cycle member sets are disjoint."""
-    for k in range(n):
+    with the same member set, and distinct cycle member sets are disjoint.
+    Sharded by k."""
+    for k in _keys(n, shard):
         seen: dict[paths.DecoratedLabeledPath, frozenset] = {}
         for path in enumeration.generate(enumeration.PathFamily(n, k, "square")):
             members = cutting.cutting_cycle(path).members
@@ -174,12 +216,13 @@ def check_partition(n: int) -> str | None:
     return None
 
 
-def check_decorate_unique(n: int) -> str | None:
+def check_decorate_unique(n: int, shard: int | None = None) -> str | None:
     """Exactly one decoration set per permutation yields an ADR word with an
     odd number of undecorated letters, and it is the parity-algorithm output;
-    exactly one yields a flat ADR word, the shift-zero-algorithm output."""
+    exactly one yields a flat ADR word, the shift-zero-algorithm output.
+    Sharded by first letter."""
     positions = list(range(1, n + 1))
-    for values in itertools.permutations(range(1, n + 1)):
+    for values in _permutations(n, shard):
         odd, flat = [], []
         for r in range(n + 1):
             for combo in itertools.combinations(positions, r):
@@ -196,12 +239,13 @@ def check_decorate_unique(n: int) -> str | None:
     return None
 
 
-def check_phi_bijection(n: int) -> str | None:
+def check_phi_bijection(n: int, shard: int | None = None) -> str | None:
     """phi maps the odd-undecorated ADR words bijectively onto the flat ADR
     words of the same size, preserving letters, revmaj, and shifting the
-    decoration count by at most one."""
+    decoration count by at most one.  Sharded by first letter: phi keeps the
+    letters, so images from two shards cannot collide."""
     images = {}
-    for values in itertools.permutations(range(1, n + 1)):
+    for values in _permutations(n, shard):
         word = adr.parity_decorate(values)
         image = adr.phi(word)
         if image.values != word.values:
@@ -220,28 +264,34 @@ def check_phi_bijection(n: int) -> str | None:
     return None
 
 
-def check_delta_bijection(n: int) -> str | None:
-    """delta over all m and all flat ADR words of size n - 1 produces each
-    odd-undecorated ADR word of size n exactly once, raising revmaj by n - m."""
-    produced = {}
+def _delta_images(
+    n: int, shard: int | None = None
+) -> Iterator[tuple[int, schedule.DecoratedPermutation, schedule.DecoratedPermutation]]:
+    """(m, source, delta(m, source)) for every flat ADR word of size n - 1,
+    with m = shard + 1, or every m in 1..n; sources in lexicographic order of
+    their letters, then m increasing."""
+    ms = [key + 1 for key in _keys(n, shard)]
     for values in itertools.permutations(range(1, n)):
-        word = adr.dyck_decorate(values) if n > 1 else None
-        source_words = [word] if word is not None else [
-            schedule.DecoratedPermutation((), frozenset())
-        ]
-        for source in source_words:
-            base = schedule.revmaj(source)
-            for m in range(1, n + 1):
-                image = adr.delta(m, source)
-                if schedule.revmaj(image) != base + n - m:
-                    return f"delta({m}, {source}) revmaj"
-                if image in produced:
-                    return f"{image} hit twice"
-                produced[image] = (m, source)
-    expected = {
-        adr.parity_decorate(values)
-        for values in itertools.permutations(range(1, n + 1))
-    }
+        source = adr.dyck_decorate(values) if n > 1 else schedule.DecoratedPermutation(
+            (), frozenset()
+        )
+        for m in ms:
+            yield m, source, adr.delta(m, source)
+
+
+def check_delta_bijection(n: int, shard: int | None = None) -> str | None:
+    """delta over all m and all flat ADR words of size n - 1 produces each
+    odd-undecorated ADR word of size n exactly once, raising revmaj by n - m.
+    Sharded by m, the first letter of every image, so a shard expects the
+    words that start with m."""
+    produced = {}
+    for m, source, image in _delta_images(n, shard):
+        if schedule.revmaj(image) != schedule.revmaj(source) + n - m:
+            return f"delta({m}, {source}) revmaj"
+        if image in produced:
+            return f"{image} hit twice"
+        produced[image] = (m, source)
+    expected = {adr.parity_decorate(values) for values in _permutations(n, shard)}
     if set(produced) != expected:
         return "image set differs"
     return None
@@ -284,17 +334,18 @@ def check_euler(n: int) -> str | None:
     return None
 
 
-def check_sdw_area(n: int) -> str | None:
-    """area equals revmaj of the diagonal word for every path."""
-    for k in range(n):
+def check_sdw_area(n: int, shard: int | None = None) -> str | None:
+    """area equals revmaj of the diagonal word for every path.  Sharded by
+    k."""
+    for k in _keys(n, shard):
         for path in enumeration.generate(enumeration.PathFamily(n, k, "square")):
             if paths.area(path) != schedule.revmaj(schedule.diagonal_word(path).word):
                 return str(path)
     return None
 
 
-CHECKS: dict[str, tuple[Callable[[int], str | None], int]] = {
-    # check_id -> (function of n, default max_n)
+CHECKS: dict[str, tuple[Callable[..., str | None], int]] = {
+    # check_id -> (function of n, and of a shard in SHARDED, default max_n)
     "schedule-formula": (check_schedule_formula, 5),
     "interval": (check_interval, 7),
     "cancellation-word": (check_cancellation_word, 5),
@@ -312,31 +363,72 @@ CHECKS: dict[str, tuple[Callable[[int], str | None], int]] = {
 }
 
 
-def _run_cell(args: tuple[str, int]) -> Report:
-    check_id, n = args
+# suites whose size n runs as n cells, check(n, shard) for shard in 0..n-1;
+# the others run check(n) as one cell per size
+SHARDED = frozenset({
+    "schedule-formula",
+    "interval",
+    "cancellation-path",
+    "dinv-ladder",
+    "shape",
+    "partition",
+    "decorate-unique",
+    "phi-bijection",
+    "delta-bijection",
+    "sdw-area",
+})
+
+
+def _run_cell(args: tuple[str, int, int | None]) -> Report:
+    check_id, n, shard = args
+    check = CHECKS[check_id][0]
     start = time.perf_counter()
     try:
-        witness = CHECKS[check_id][0](n)
+        witness = check(n) if shard is None else check(n, shard)
     except ValueError as exc:  # every pathlab error, e.g. a broken ladder
         witness = f"{type(exc).__name__}: {exc}"
     elapsed = time.perf_counter() - start
     return Report(check_id, {"n": n}, witness is None, witness or "", elapsed)
 
 
+def _merge(reports: Iterable[Report]) -> Iterator[Report]:
+    """One report per size from its cells' reports, which come in order of
+    (n, shard): a size passes when every shard passes, its witness is the
+    lowest failing shard's, and its time is the sum of the shards' times."""
+    for _, group in itertools.groupby(reports, key=lambda r: r.params["n"]):
+        shards = list(group)
+        failed = [r for r in shards if not r.ok]
+        yield dataclasses.replace(
+            shards[0],
+            ok=not failed,
+            witness=failed[0].witness if failed else "",
+            elapsed=math.fsum(r.elapsed for r in shards),
+            shards=len(shards),
+        )
+
+
 def run_suite(
     check_id: str, max_n: int | None = None, jobs: int = 1
 ) -> Iterator[Report]:
-    """Run one named suite for n = 1..max_n, across at most ``jobs`` worker
-    processes and never more than one per size; reports come back in order
-    of n regardless of worker scheduling."""
+    """Run one named suite for n = 1..max_n as (check, n, shard) cells: one
+    after another in this process when ``jobs`` is 1, else on at most
+    ``jobs`` worker processes and never more than one per shard.  Reports
+    come back one per size, in order of n, and are the same for any
+    ``jobs``."""
     if check_id not in CHECKS:
         raise KeyError(f"unknown check {check_id!r}; known: {sorted(CHECKS)}")
     if max_n is None:
         max_n = CHECKS[check_id][1]
-    cells = [(check_id, n) for n in range(1, max_n + 1)]
+    cells = [
+        (check_id, n, shard)
+        for n in range(1, max_n + 1)
+        for shard in (range(n) if check_id in SHARDED else (None,))
+    ]
     if jobs <= 1 or len(cells) <= 1:
-        for cell in cells:
-            yield _run_cell(cell)
+        yield from _merge(map(_run_cell, cells))
         return
+    # the largest sizes go first, so that small cells fill the workers' tails
+    order = sorted(cells, key=lambda cell: -cell[1])
     with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
-        yield from pool.map(_run_cell, cells)
+        done = dict(zip(order, pool.map(_run_cell, order)))
+    yield from _merge(done[cell] for cell in cells)

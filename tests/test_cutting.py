@@ -74,6 +74,13 @@ class TestBigCycle:
         got = {format_path(p) for p in sched_one_members(cycle)}
         assert got == set(BIG_SCHED_ONE)
 
+    def test_schedule_one_members_from_given_words(self, big_cycle_paths, monkeypatch):
+        cycle = cutting_cycle(big_cycle_paths[0])
+        words = {q: diagonal_word(q) for q in cycle.members}
+        monkeypatch.setattr(cutting, "diagonal_word", None)  # a call would raise
+        got = {format_path(p) for p in sched_one_members(cycle, words)}
+        assert got == set(BIG_SCHED_ONE)
+
     def test_shape_of_canonical(self, big_cycle_paths):
         assert shape_stretches(big_cycle_paths[0]) == Stretches(
             head="EN", body="NENNNNENE", tail="EEENE"

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import sys
+from collections import Counter
 
 import pytest
 
-from pathlab import adr, cutting, enumeration, schedule, verify
+from pathlab import adr, bridge, cutting, enumeration, paths, schedule, verify
 from pathlab.schedule import DecoratedPermutation
-from pathlab.verify import CHECKS, run_suite
+from pathlab.verify import CHECKS, SHARDED, run_suite
 
 
 @pytest.mark.parametrize("check_id", sorted(CHECKS))
@@ -49,6 +51,24 @@ def test_dinv_ladder_checks_each_cycle_once(monkeypatch):
     monkeypatch.setattr(cutting, "geometric_order", counting_order)
     assert verify.check_dinv_ladder(5) is None
     assert len(calls) == 226
+
+
+def test_dinv_ladder_computes_each_members_word_once():
+    # counted by code object over the five area shards of n = 5; the seed
+    # stream makes one call per bare path it tests, the ladders one per member
+    callers = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is schedule.diagonal_word.__code__:
+            callers.append(frame.f_back.f_code)
+
+    sys.setprofile(hook)
+    try:
+        assert all(verify.check_dinv_ladder(5, shard) is None for shard in range(5))
+    finally:
+        sys.setprofile(None)
+    assert len(callers) <= 2841
+    assert cutting.sched_one_members.__code__ not in callers
 
 
 def test_all_ones_searches_build_no_schedule_words():
@@ -94,3 +114,111 @@ def test_workers_capped_at_cell_count(monkeypatch):
     reports = list(run_suite("euler", 3, jobs=64))
     assert sizes == [3]
     assert [r.line() for r in reports] == [f"euler[n={n}] PASS" for n in (1, 2, 3)]
+
+
+# ---------------------------------------------------------------- shards
+
+
+def test_battery_suites_are_sharded():
+    assert SHARDED < set(CHECKS) and len(SHARDED) == 10
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_permutation_shards_partition_in_order(n):
+    # shard j holds the permutations that start with j + 1, so the shards in
+    # order are the lexicographic stream
+    whole = list(itertools.permutations(range(1, n + 1)))
+    assert list(verify._permutations(n)) == whole
+    assert [p for j in range(n) for p in verify._permutations(n, j)] == whole
+    assert [list(verify._keys(n, j)) for j in range(n)] == [[j] for j in range(n)]
+    assert list(verify._keys(n, None)) == list(range(n))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_delta_shards_partition_images(n):
+    whole = [image for _, _, image in verify._delta_images(n)]
+    shards = [
+        [image for _, _, image in verify._delta_images(n, j)] for j in range(n)
+    ]
+    assert sorted(map(str, whole)) == sorted(str(i) for shard in shards for i in shard)
+    for j, shard in enumerate(shards):
+        assert all(image.values[0] == j + 1 for image in shard)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_area_shards_partition_seeds_and_cycles(n):
+    whole = list(enumeration.schedule_one_paths(n))
+    shards = [list(enumeration.schedule_one_paths(n, j)) for j in range(n)]
+    assert sum(len(shard) for shard in shards) == len(whole)
+    assert set().union(*shards) == set(whole)
+    for j, shard in enumerate(shards):
+        seeds = set(shard)
+        for seed in shard:
+            members = cutting.cutting_cycle(seed).members
+            assert all(paths.area(q) % n == j for q in members)
+            assert set(cutting.sched_one_members(cutting.CuttingCycle(members))) <= seeds
+    merged = Counter()
+    for j in range(n):
+        merged.update(bridge.class_areas(n, j))
+    assert merged == bridge.class_areas(n)
+
+
+def test_area_shards_split_bare_paths_evenly():
+    sizes = [
+        sum(len(labels) for _, labels in enumeration._labeled_step_words(6, "square", j))
+        for j in range(6)
+    ]
+    assert sizes == [7776] * 6
+
+
+def test_cancellation_path_streams_each_seed_once(monkeypatch):
+    seen = []
+    original = bridge.schedule_one_paths
+
+    def counting(n, shard=None):
+        for path in original(n, shard):
+            seen.append(path)
+            yield path
+
+    monkeypatch.setattr(bridge, "schedule_one_paths", counting)
+    assert all(verify.check_cancellation_path(5, shard) is None for shard in range(5))
+    assert len(seen) == len(set(seen)) == 480
+
+
+@pytest.mark.parametrize("check_id", sorted(SHARDED))
+def test_reports_do_not_depend_on_jobs(check_id):
+    serial = list(run_suite(check_id, 5, jobs=1))
+    pooled = list(run_suite(check_id, 5, jobs=2))
+    assert [r.line() for r in serial] == [r.line() for r in pooled]
+    assert [r.shards for r in serial] == [r.shards for r in pooled] == [1, 2, 3, 4, 5]
+
+
+def test_lowest_failing_shard_names_the_witness(monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    def fails_in_two_shards(n, shard=None):
+        return f"shard {shard}" if n == 3 and shard in (0, 1) else None
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setitem(CHECKS, "interval", (fails_in_two_shards, 3))
+    expected = [
+        "interval[n=1] PASS",
+        "interval[n=2] PASS",
+        "interval[n=3] FAIL witness: shard 0",
+    ]
+    for jobs in (1, 3):
+        assert [r.line() for r in run_suite("interval", jobs=jobs)] == expected
+    assert sizes == [3]
