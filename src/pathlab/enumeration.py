@@ -195,8 +195,9 @@ def generate(family: PathFamily) -> Iterator[DecoratedLabeledPath]:
 
 
 @lru_cache(maxsize=None)
-def _signed_sums(n: int, kind: str) -> tuple[TPoly, ...]:
-    """For each k, the sum of (-1)^dinv t^area over the size-n family.
+def _signed_sums(n: int, kind: str, shard: int | None) -> tuple[TPoly, ...]:
+    """For each k, the sum of (-1)^dinv t^area over the size-n family; with
+    a shard j, over the paths whose area is j mod n.
 
     Visits every (steps, labels) pair once.  For a fixed pair, decorating a
     valley i flips the sign by (-1)^(c_i + 1), where c_i counts the attack
@@ -211,7 +212,7 @@ def _signed_sums(n: int, kind: str) -> tuple[TPoly, ...]:
     indexed by k.
     """
     acc: list[dict[int, int]] = [dict() for _ in range(n)]
-    for steps, labelings in _labeled_step_words(n, kind):
+    for steps, labelings in _labeled_step_words(n, kind, shard):
         profile = _step_profile(steps)
         by_k = [0] * n
         for labels in labelings:
@@ -236,18 +237,20 @@ def _signed_sums(n: int, kind: str) -> tuple[TPoly, ...]:
     return tuple(TPoly.from_counts(bucket) for bucket in acc)
 
 
-def S_brute(n: int, k: int) -> TPoly:
+def S_brute(n: int, k: int, shard: int | None = None) -> TPoly:
     """Signed t-enumerator of square paths: sum of (-1)^dinv t^area over the
-    standard decorated square paths of size n with k decorations."""
+    standard decorated square paths of size n with k decorations.  With a
+    shard j in 0..n-1, only its terms t^a with a = j mod n, from those
+    paths alone."""
     PathFamily(n, k, "square")
-    return _signed_sums(n, "square")[k]
+    return _signed_sums(n, "square", shard)[k]
 
 
 def D_brute(n: int, k: int) -> TPoly:
     """Signed t-enumerator of Dyck paths: sum of (-1)^dinv t^area over the
     standard decorated Dyck paths of size n with k decorations."""
     PathFamily(n, k, "dyck")
-    return _signed_sums(n, "dyck")[k]
+    return _signed_sums(n, "dyck", None)[k]
 
 
 def qt_enumerator(family: PathFamily) -> QTPoly:

@@ -10,8 +10,10 @@ The suites in :data:`SHARDED` split size n into n shards along the loop the
 check already runs: k, the first letter of a permutation, the m of delta, or
 the area mod n of a schedule-one path.  ``check(n, shard)`` runs one key and
 ``check(n)`` runs them all.  Shards never repeat each other's work, and every
-(check, n, shard) cell is independent and deterministic, so cells can be
-spread over worker processes and merged back into one report per size.
+(check, n, shard) cell is independent and deterministic; a shard reuses no
+result another cell cached, so it does the same work on whichever worker
+runs it.  Cells are spread over worker processes and merged back into one
+report per size.
 """
 
 from __future__ import annotations
@@ -112,20 +114,14 @@ def check_cancellation_word(n: int) -> str | None:
 def check_cancellation_path(n: int, shard: int | None = None) -> str | None:
     """Brute signed square sums match the path-side class polynomials: one
     t^area per cutting-cycle class of schedule-one paths (n - k odd).
-    Sharded by area mod n: a shard compares the coefficients of its own
-    areas, from one schedule-one stream for all k."""
+    Sharded by area mod n: a shard compares the terms of its own areas, from
+    one schedule-one stream for all k."""
     classes = bridge.class_areas(n, shard)
     for k in range(n):
         if (n - k) % 2 == 0:
             continue
-        brute = enumeration.S_brute(n, k)
-        wanted = {
-            a: brute[a]
-            for a in range(brute.degree + 1)
-            if shard is None or a % n == shard
-        }
         got = {a: count for (j, a), count in classes.items() if j == k}
-        if poly.TPoly.from_counts(wanted) != poly.TPoly.from_counts(got):
+        if enumeration.S_brute(n, k, shard) != poly.TPoly.from_counts(got):
             return f"k={k}"
     return None
 

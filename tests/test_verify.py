@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from pathlab import adr, bridge, cutting, enumeration, paths, schedule, verify
+from pathlab import adr, bridge, cutting, enumeration, paths, poly, schedule, verify
 from pathlab.schedule import DecoratedPermutation
 from pathlab.verify import CHECKS, SHARDED, run_suite
 
@@ -161,6 +161,15 @@ def test_area_shards_partition_seeds_and_cycles(n):
     for j in range(n):
         merged.update(bridge.class_areas(n, j))
     assert merged == bridge.class_areas(n)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_area_shards_split_brute_sums(n):
+    for k in range(n):
+        shards = [enumeration.S_brute(n, k, j) for j in range(n)]
+        assert sum(shards, start=poly.TPoly()) == enumeration.S_brute(n, k)
+        for j, part in enumerate(shards):
+            assert all(a % n == j for a, c in enumerate(part.coeffs) if c)
 
 
 def test_area_shards_split_bare_paths_evenly():
