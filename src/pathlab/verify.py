@@ -267,10 +267,9 @@ def _delta_images(
     with m = shard + 1, or every m in 1..n; sources in lexicographic order of
     their letters, then m increasing."""
     ms = [key + 1 for key in _keys(n, shard)]
+    empty = schedule.DecoratedPermutation((), frozenset())
     for values in itertools.permutations(range(1, n)):
-        source = adr.dyck_decorate(values) if n > 1 else schedule.DecoratedPermutation(
-            (), frozenset()
-        )
+        source = adr.dyck_decorate(values) if n > 1 else empty
         for m in ms:
             yield m, source, adr.delta(m, source)
 
@@ -409,8 +408,8 @@ def run_suite(
     """Run one named suite for n = 1..max_n as (check, n, shard) cells: one
     after another in this process when ``jobs`` is 1, else on at most
     ``jobs`` worker processes and never more than one per shard.  Reports
-    come back one per size, in order of n, and are the same for any
-    ``jobs``."""
+    come back one per size, in order of n (from the pool, once every cell is
+    done), and are the same for any ``jobs``."""
     if check_id not in CHECKS:
         raise KeyError(f"unknown check {check_id!r}; known: {sorted(CHECKS)}")
     if max_n is None:
