@@ -18,12 +18,11 @@ report per size.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator
 
 from . import adr, bridge, cutting, enumeration, paths, poly, schedule
@@ -393,7 +392,7 @@ def _merge(reports: Iterable[Report]) -> Iterator[Report]:
     for _, group in itertools.groupby(reports, key=lambda r: r.params["n"]):
         shards = list(group)
         failed = [r for r in shards if not r.ok]
-        yield dataclasses.replace(
+        yield replace(
             shards[0],
             ok=not failed,
             witness=failed[0].witness if failed else "",
