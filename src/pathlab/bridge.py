@@ -1,5 +1,5 @@
 """From words back to paths: fibers, canonical reconstruction, and the
-class-level equivalence of the path and word enumerators.
+cutting-cycle classes of schedule-one paths.
 
 Each decreasing run of a shifted diagonal word names a diagonal (run index
 minus shift).  When the schedule word is all ones the fiber holds exactly one
@@ -14,26 +14,16 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 
-from .adr import all_adrs
-from .cutting import canonical_rep, cutting_cycle
+from .cutting import canonical_rep
 from .enumeration import schedule_one_paths
-from .paths import (
-    DecoratedLabeledPath,
-    PathError,
-    area,
-    dinv,
-    validate,
-)
-from .poly import TPoly
+from .paths import DecoratedLabeledPath, PathError, validate
 from .schedule import (
     DecoratedPermutation,
     ShiftedDiagonalWord,
     diagonal_word,
     letter_diagonals,
     ones_shifts,
-    revmaj,
 )
 
 
@@ -119,76 +109,9 @@ def fiber_paths(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ClassSummary:
-    """One cutting-cycle class of paths with all-ones schedule word."""
-
-    diagonal_word: DecoratedPermutation
-    area: int
-    size: int
-    member_count_sched1: int
-    canonical: DecoratedLabeledPath
-
-
-def classes(n: int, k: int) -> tuple[ClassSummary, ...]:
-    """Summaries of the cutting-cycle classes of schedule-one paths of size n
-    with k decorations, computed path-side by brute enumeration."""
-    by_canonical: dict[DecoratedLabeledPath, list[DecoratedLabeledPath]] = {}
-    for path in schedule_one_paths(n):
-        if len(path.decorations) != k:
-            continue
-        by_canonical.setdefault(canonical_rep(path), []).append(path)
-    out = []
-    for canon, seeds in sorted(
-        by_canonical.items(), key=lambda item: str(item[0])
-    ):
-        cycle = cutting_cycle(canon)
-        out.append(
-            ClassSummary(
-                diagonal_word=diagonal_word(canon).word,
-                area=area(canon),
-                size=len(cycle.members),
-                member_count_sched1=len(seeds),
-                canonical=canon,
-            )
-        )
-    return tuple(out)
-
-
-def class_areas(n: int, shard: int | None = None) -> Counter[tuple[int, int]]:
-    """How many cutting-cycle classes of schedule-one paths of size n have
-    each (k, area), from one pass over ``schedule_one_paths(n, shard)``: with
-    a shard j, only the classes whose area is j mod n."""
-    canonicals = {canonical_rep(path) for path in schedule_one_paths(n, shard)}
-    return Counter((len(canon.decorations), area(canon)) for canon in canonicals)
-
-
-def classes_polynomial(n: int, k: int) -> TPoly:
-    """Sum of t^area over the schedule-one classes with k decorations."""
-    return TPoly.from_counts({a: c for (j, a), c in class_areas(n).items() if j == k})
-
-
-def theorem_equivalence_check(n: int, k: int) -> bool:
-    """True when the path-side classes and the word-side enumeration agree:
-    the diagonal-word map is a bijection from classes onto the ADR words with
-    k decorations, matching area with revmaj, cycle size with n - k, and the
-    number of schedule-one members with the number of valid shifts."""
-    summaries = classes(n, k)
-    witnesses = {w.word: w for w in all_adrs(n, k)}
-    if len(summaries) != len(witnesses):
-        return False
-    seen = set()
-    for summary in summaries:
-        witness = witnesses.get(summary.diagonal_word)
-        if witness is None or summary.diagonal_word in seen:
-            return False
-        seen.add(summary.diagonal_word)
-        if summary.area != revmaj(summary.diagonal_word):
-            return False
-        if summary.size != n - k:
-            return False
-        if summary.member_count_sched1 != len(witness.valid_shifts):
-            return False
-        if dinv(summary.canonical) != 0:
-            return False
-    return True
+def classes(n: int, shard: int | None = None) -> Counter[DecoratedLabeledPath]:
+    """The cutting-cycle classes of schedule-one paths of size n, each named
+    by its canonical member and counting its schedule-one members, from one
+    pass over ``schedule_one_paths(n, shard)``: with a shard j, only the
+    classes whose area is j mod n."""
+    return Counter(canonical_rep(path) for path in schedule_one_paths(n, shard))

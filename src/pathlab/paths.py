@@ -145,14 +145,6 @@ def dinv(path: DecoratedLabeledPath) -> int:
     return len(attack_pairs(path)) + bonus - len(path.decorations)
 
 
-def monomial(path: DecoratedLabeledPath) -> dict[int, int]:
-    """Multiset of labels as a mapping label -> multiplicity."""
-    out: dict[int, int] = {}
-    for w in path.labels:
-        out[w] = out.get(w, 0) + 1
-    return out
-
-
 def is_dyck(path: DecoratedLabeledPath) -> bool:
     """True when the path never goes below the main diagonal."""
     word = area_word(path)

@@ -113,11 +113,6 @@ class TPoly:
             acc = acc * t + c
         return acc
 
-    def __getitem__(self, degree: int) -> int:
-        if 0 <= degree < len(self.coeffs):
-            return self.coeffs[degree]
-        return 0
-
     def __str__(self) -> str:
         parts = []
         for d in range(self.degree, -1, -1):

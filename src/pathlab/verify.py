@@ -9,11 +9,12 @@ error as its witness.  The suites back both the test suite and the
 The suites in :data:`SHARDED` split size n into n shards along the loop the
 check already runs: k, the first letter of a permutation, the m of delta, or
 the area mod n of a schedule-one path.  ``check(n, shard)`` runs one key and
-``check(n)`` runs them all.  Shards never repeat each other's work, and every
-(check, n, shard) cell is independent and deterministic; a shard reuses no
-result another cell cached, so it does the same work on whichever worker
-runs it.  Cells are spread over worker processes and merged back into one
-report per size.
+``check(n)`` runs them all.  A shard may read the key of every item to find
+its own, but it repeats no other shard's work, except in ``delta-bijection``:
+every m shard decorates all (n - 1)! sources again.  Every (check, n, shard)
+cell is independent and deterministic; a shard reuses no result another cell
+cached, so it does the same work on whichever worker runs it.  Cells are
+spread over worker processes and merged back into one report per size.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator
@@ -110,16 +112,62 @@ def check_cancellation_word(n: int) -> str | None:
     return None
 
 
+def _all_ones_words(
+    n: int, shard: int | None = None
+) -> Iterator[tuple[schedule.DecoratedPermutation, frozenset[int]]]:
+    """(word, its all-ones shifts) for every all-ones word of size n with
+    fewer than n decorations; with a shard j, only the words whose revmaj is
+    j mod n.  Each permutation of the shard has its runs found once, and
+    every decoration set is tested on them."""
+    positions = range(1, n + 1)
+    for values in itertools.permutations(positions):
+        if shard is not None and schedule.revmaj(values) % n != shard:
+            continue
+        runs = schedule.decreasing_runs(values)
+        for r in range(n):
+            for combo in itertools.combinations(positions, r):
+                decorated = {values[p - 1] for p in combo}
+                shifts = schedule.ones_shifts_by_runs(runs, decorated)
+                if shifts:
+                    yield schedule.DecoratedPermutation(values, frozenset(combo)), shifts
+
+
 def check_cancellation_path(n: int, shard: int | None = None) -> str | None:
-    """Brute signed square sums match the path-side class polynomials: one
-    t^area per cutting-cycle class of schedule-one paths (n - k odd).
-    Sharded by area mod n: a shard compares the terms of its own areas, from
-    one schedule-one stream for all k."""
-    classes = bridge.class_areas(n, shard)
+    """The cutting-cycle classes of schedule-one paths match the all-ones
+    words, and give the brute signed square sums:
+
+    - no two classes share a diagonal word, and each class's area is its
+      word's revmaj;
+    - each class has one schedule-one member per all-ones shift of its word;
+    - the class words are exactly the all-ones words with fewer than n
+      decorations;
+    - the brute sum S(n, k) is one t^area per class with k decorations
+      (n - k odd).
+
+    Sharded by area mod n, which is revmaj mod n on the word side: a shard
+    takes its classes from one schedule-one stream for all k, and sweeps the
+    permutations whose revmaj falls in it."""
+    classes = bridge.classes(n, shard)
+    members = {}
+    for canon, count in classes.items():
+        word = schedule.diagonal_word(canon).word
+        if word in members:
+            return f"{word} names two classes"
+        if paths.area(canon) != schedule.revmaj(word):
+            return f"{canon} area is not revmaj of {word}"
+        members[word] = count
+    for word, shifts in _all_ones_words(n, shard):
+        count = members.pop(word, None)
+        if count is None:
+            return f"{word} names no class"
+        if count != len(shifts):
+            return f"{word} has {count} schedule-one members for {len(shifts)} shifts"
+    if members:
+        return f"{next(iter(members))} is not an all-ones word"
     for k in range(n):
         if (n - k) % 2 == 0:
             continue
-        got = {a: count for (j, a), count in classes.items() if j == k}
+        got = Counter(paths.area(c) for c in classes if len(c.decorations) == k)
         if enumeration.S_brute(n, k, shard) != poly.TPoly.from_counts(got):
             return f"k={k}"
     return None
@@ -264,7 +312,8 @@ def _delta_images(
 ) -> Iterator[tuple[int, schedule.DecoratedPermutation, schedule.DecoratedPermutation]]:
     """(m, source, delta(m, source)) for every flat ADR word of size n - 1,
     with m = shard + 1, or every m in 1..n; sources in lexicographic order of
-    their letters, then m increasing."""
+    their letters, then m increasing.  Each shard decorates every source, so
+    the n shards of a size decorate each source n times."""
     ms = [key + 1 for key in _keys(n, shard)]
     empty = schedule.DecoratedPermutation((), frozenset())
     for values in itertools.permutations(range(1, n)):

@@ -1,5 +1,5 @@
-"""Every module of the package (bar its re-exporting ``__init__``) and of
-the test suite uses each name it imports."""
+"""Every module of the package and of the test suite uses each name it
+imports."""
 
 from __future__ import annotations
 
@@ -12,8 +12,6 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_no_unused_imports():
     unused = {}
     for path in [*ROOT.glob("src/pathlab/*.py"), *ROOT.glob("tests/*.py")]:
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text())
         imported = {
             (alias.asname or alias.name).partition(".")[0]

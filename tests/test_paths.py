@@ -19,7 +19,6 @@ from pathlab.paths import (
     dinv,
     format_path,
     is_dyck,
-    monomial,
     parse_path,
     shift,
     validate,
@@ -62,9 +61,6 @@ class TestSmallPathStatistics:
             validate("NENE", (1, 2), {1})
         # starting east of the diagonal, position 1 is contractible
         assert validate("ENNE", (1, 2), {1}).decorations == frozenset({1})
-
-    def test_monomial(self, small_path):
-        assert monomial(small_path) == {1: 1, 2: 1, 3: 1}
 
 
 class TestValidation:

@@ -162,8 +162,8 @@ def test_area_shards_partition_seeds_and_cycles(n):
             assert set(cutting.sched_one_members(cutting.CuttingCycle(members))) <= seeds
     merged = Counter()
     for j in range(n):
-        merged.update(bridge.class_areas(n, j))
-    assert merged == bridge.class_areas(n)
+        merged.update(bridge.classes(n, j))
+    assert merged == bridge.classes(n)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -195,6 +195,45 @@ def test_cancellation_path_streams_each_seed_once(monkeypatch):
     monkeypatch.setattr(bridge, "schedule_one_paths", counting)
     assert all(verify.check_cancellation_path(5, shard) is None for shard in range(5))
     assert len(seen) == len(set(seen)) == 480
+
+
+def _drop_a_class(classes):
+    del classes[min(classes, key=str)]
+
+
+def _miscount_a_class(classes):
+    classes[min(classes, key=str)] += 1
+
+
+def _split_a_class(classes):
+    # another member of a cutting cycle has the same diagonal word
+    for canon in sorted(classes, key=str):
+        others = cutting.cutting_cycle(canon).members - {canon}
+        if others:
+            classes[min(others, key=str)] = 1
+            return
+
+
+@pytest.mark.parametrize(
+    "fault, witness",
+    [
+        (_drop_a_class, "names no class"),
+        (_miscount_a_class, "schedule-one members for"),
+        (_split_a_class, "names two classes"),
+    ],
+    ids=["drop", "miscount", "split"],
+)
+def test_cancellation_path_catches_a_broken_class(monkeypatch, fault, witness):
+    original = bridge.classes
+
+    def broken(n, shard=None):
+        classes = original(n, shard)
+        fault(classes)
+        return classes
+
+    monkeypatch.setattr(bridge, "classes", broken)
+    report = list(run_suite("cancellation-path", 4, jobs=1))[-1]
+    assert not report.ok and witness in report.witness
 
 
 @pytest.mark.parametrize("check_id", sorted(SHARDED))
