@@ -1,16 +1,17 @@
 """Words with all-ones schedules, decorating algorithms, and fast enumerators.
 
-A decorated permutation is *all-ones realizable* (AOR) when some shift gives
-it the all-ones schedule word; the witness records every such shift, all
-found in one pass over the word's runs (:func:`pathlab.schedule.ones_shifts`).
-The *flat* ones (DAOR) are those realizable at shift zero.  Two decorating
-algorithms attach a canonical decoration set to any plain permutation; a
-toggle on the first letter connects the two outputs, and an affine extension
-step sends flat words of size n-1 to all-ones words of size n.  Together they
-turn the signed path enumerators into explicit sums of t^revmaj over words.
-An insertion DP computes those sums in time polynomial in n (n = 20 takes
-under a second); decorating all n! permutations, its test oracle, stops near
-n = 9.
+A decorated permutation is an *ADR* word, or all-ones realizable, when some
+shift gives it the all-ones schedule word; the witness records every such
+shift, all found in one pass over the word's runs
+(:func:`pathlab.schedule.ones_shifts`).  :func:`adr_decorations` lists every
+ADR decoration of one permutation.  The *flat* ADR words are those
+realizable at shift zero.  Two decorating algorithms attach a canonical
+decoration set to any plain permutation; a toggle on the first letter
+connects the two outputs, and an affine extension step sends flat words of
+size n-1 to ADR words of size n.  Together they turn the signed path
+enumerators into explicit sums of t^revmaj over words.  An insertion DP
+computes those sums in time polynomial in n (n = 20 takes under a
+second); decorating all n! permutations, its test oracle, stops near n = 9.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import AbstractSet
+from typing import AbstractSet, Iterator, Sequence
 
 from .poly import TPoly, t_analog, euler_t
 from .schedule import (
@@ -28,6 +29,7 @@ from .schedule import (
     lmcr_start,
     make_perm,
     ones_shifts,
+    ones_shifts_by_runs,
     revmaj,
 )
 
@@ -50,6 +52,22 @@ def is_adr(word: DecoratedPermutation) -> ADRWitness:
     one pass over its runs by :func:`~pathlab.schedule.ones_shifts`.  The
     empty word is all ones at shift 0."""
     return ADRWitness(word, ones_shifts(word))
+
+
+def adr_decorations(values: Sequence[int]) -> Iterator[ADRWitness]:
+    """Every ADR decoration of the permutation, with its witness, by size of
+    the decoration set and then lexicographically.  The runs are found once
+    and each decoration set is tested on them by
+    :func:`~pathlab.schedule.ones_shifts_by_runs`; a fully decorated nonempty
+    word is never ADR."""
+    values = tuple(values)
+    runs = decreasing_runs(values)
+    positions = range(1, len(values) + 1)
+    for r in range(len(values) + 1):
+        for combo in itertools.combinations(positions, r):
+            shifts = ones_shifts_by_runs(runs, {values[p - 1] for p in combo})
+            if shifts:
+                yield ADRWitness(DecoratedPermutation(values, frozenset(combo)), shifts)
 
 
 def is_flat_adr(word: DecoratedPermutation) -> bool:
@@ -283,13 +301,11 @@ def euler_specialization(n: int) -> TPoly:
 
 
 def all_adrs(n: int, k: int) -> tuple[ADRWitness, ...]:
-    """Every all-ones realizable decorated permutation of size n with k
-    decorations, with its shift witness, by brute sweep."""
-    out = []
-    for values in itertools.permutations(range(1, n + 1)):
-        for combo in itertools.combinations(range(1, n + 1), k):
-            word = DecoratedPermutation(values, frozenset(combo))
-            witness = is_adr(word)
-            if witness:
-                out.append(witness)
-    return tuple(out)
+    """Every ADR word of size n with k decorations, with its shift witness,
+    permutations in lexicographic order."""
+    return tuple(
+        witness
+        for values in itertools.permutations(range(1, n + 1))
+        for witness in adr_decorations(values)
+        if len(witness.word.decorated) == k
+    )

@@ -112,26 +112,6 @@ def check_cancellation_word(n: int) -> str | None:
     return None
 
 
-def _all_ones_words(
-    n: int, shard: int | None = None
-) -> Iterator[tuple[schedule.DecoratedPermutation, frozenset[int]]]:
-    """(word, its all-ones shifts) for every all-ones word of size n with
-    fewer than n decorations; with a shard j, only the words whose revmaj is
-    j mod n.  Each permutation of the shard has its runs found once, and
-    every decoration set is tested on them."""
-    positions = range(1, n + 1)
-    for values in itertools.permutations(positions):
-        if shard is not None and schedule.revmaj(values) % n != shard:
-            continue
-        runs = schedule.decreasing_runs(values)
-        for r in range(n):
-            for combo in itertools.combinations(positions, r):
-                decorated = {values[p - 1] for p in combo}
-                shifts = schedule.ones_shifts_by_runs(runs, decorated)
-                if shifts:
-                    yield schedule.DecoratedPermutation(values, frozenset(combo)), shifts
-
-
 def check_cancellation_path(n: int, shard: int | None = None) -> str | None:
     """The cutting-cycle classes of schedule-one paths match the all-ones
     words, and give the brute signed square sums:
@@ -139,14 +119,16 @@ def check_cancellation_path(n: int, shard: int | None = None) -> str | None:
     - no two classes share a diagonal word, and each class's area is its
       word's revmaj;
     - each class has one schedule-one member per all-ones shift of its word;
-    - the class words are exactly the all-ones words with fewer than n
-      decorations;
+    - the class words are exactly the all-ones (ADR) words of size n;
     - the brute sum S(n, k) is one t^area per class with k decorations
       (n - k odd).
 
     Sharded by area mod n, which is revmaj mod n on the word side: a shard
     takes its classes from one schedule-one stream for all k, and sweeps the
-    permutations whose revmaj falls in it."""
+    permutations whose revmaj falls in it.  The word sweep needs no cap at
+    n - 1 decorations, the most a path carries: a decorated letter must have
+    low schedule value 1, and in a fully decorated word every letter's is
+    0, so no such word is ADR."""
     classes = bridge.classes(n, shard)
     members = {}
     for canon, count in classes.items():
@@ -156,12 +138,16 @@ def check_cancellation_path(n: int, shard: int | None = None) -> str | None:
         if paths.area(canon) != schedule.revmaj(word):
             return f"{canon} area is not revmaj of {word}"
         members[word] = count
-    for word, shifts in _all_ones_words(n, shard):
-        count = members.pop(word, None)
-        if count is None:
-            return f"{word} names no class"
-        if count != len(shifts):
-            return f"{word} has {count} schedule-one members for {len(shifts)} shifts"
+    for values in _permutations(n):
+        if shard is not None and schedule.revmaj(values) % n != shard:
+            continue
+        for witness in adr.adr_decorations(values):
+            word, shifts = witness.word, witness.valid_shifts
+            count = members.pop(word, None)
+            if count is None:
+                return f"{word} names no class"
+            if count != len(shifts):
+                return f"{word} has {count} schedule-one members for {len(shifts)} shifts"
     if members:
         return f"{next(iter(members))} is not an all-ones word"
     for k in range(n):
@@ -264,17 +250,10 @@ def check_decorate_unique(n: int, shard: int | None = None) -> str | None:
     odd number of undecorated letters, and it is the parity-algorithm output;
     exactly one yields a flat ADR word, the shift-zero-algorithm output.
     Sharded by first letter."""
-    positions = list(range(1, n + 1))
     for values in _permutations(n, shard):
-        odd, flat = [], []
-        for r in range(n + 1):
-            for combo in itertools.combinations(positions, r):
-                word = schedule.DecoratedPermutation(values, frozenset(combo))
-                witness = adr.is_adr(word)
-                if witness and word.undecorated_count() % 2 == 1:
-                    odd.append(word)
-                if 0 in witness.valid_shifts:
-                    flat.append(word)
+        witnesses = list(adr.adr_decorations(values))
+        odd = [w.word for w in witnesses if w.word.undecorated_count() % 2 == 1]
+        flat = [w.word for w in witnesses if 0 in w.valid_shifts]
         if odd != [adr.parity_decorate(values)]:
             return f"{values}: odd {odd}"
         if flat != [adr.dyck_decorate(values)]:

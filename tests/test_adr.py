@@ -18,6 +18,7 @@ from pathlab.adr import (
     S_fast,
     _fast_sums,
     _sweep_sums,
+    adr_decorations,
     all_adrs,
     dyck_decorate,
     euler_specialization,
@@ -47,10 +48,26 @@ class TestMembership:
         empty = DecoratedPermutation((), frozenset())
         assert is_adr(empty).valid_shifts == frozenset({0})
         assert is_flat_adr(empty)
+        assert list(adr_decorations(())) == [is_adr(empty)]
 
     def test_dyck_representative(self):
         word = parse_perm("8 5* 2* 9 6* 1 7* 4* 3")
         assert 0 in is_adr(word).valid_shifts
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_decorations_match_the_per_word_sweep(self, n):
+        # every decoration set by size, then lexicographically, each word
+        # tested on its own
+        positions = range(1, n + 1)
+        for values in itertools.permutations(positions):
+            words = (
+                DecoratedPermutation(values, frozenset(combo))
+                for r in range(n + 1)
+                for combo in itertools.combinations(positions, r)
+            )
+            got = list(adr_decorations(values))
+            assert got == [witness for witness in map(is_adr, words) if witness]
+            assert all(len(witness.word.decorated) < n for witness in got)
 
     def test_all_adrs_counts(self):
         # representatives with an odd number of undecorated letters are in

@@ -13,6 +13,33 @@ from pathlab.schedule import DecoratedPermutation
 from pathlab.verify import CHECKS, SHARDED, run_suite
 
 
+class InlinePool:
+    """A stand-in for verify's process pool that maps in this process and
+    records the size of each pool made."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, cells):
+        return map(fn, cells)
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Runs verify's pool inline; returns the list of pool sizes."""
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
+    return InlinePool.sizes
+
+
 @pytest.mark.parametrize("check_id", sorted(CHECKS))
 def test_suite_passes_up_to_four(check_id):
     reports = list(run_suite(check_id, 4, jobs=1))
@@ -96,26 +123,26 @@ def test_all_ones_searches_build_no_schedule_words():
     assert len(set(bare)) == len(bare) <= 5**5
 
 
-def test_workers_capped_at_cell_count(monkeypatch):
-    # a stand-in pool that records its size and maps in this process
-    sizes = []
+def test_decorate_unique_finds_each_permutations_runs_once():
+    # counted by code object: the decoration sweep and the shift-zero
+    # algorithm each find the runs of every permutation of n = 5 once
+    calls = []
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is schedule.decreasing_runs.__code__:
+            calls.append(frame.f_locals.get("word"))
 
-        def __enter__(self):
-            return self
+    sys.setprofile(hook)
+    try:
+        assert verify.check_decorate_unique(5) is None
+    finally:
+        sys.setprofile(None)
+    assert len(calls) <= 2 * 120
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, cells):
-            return map(fn, cells)
-
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
+def test_workers_capped_at_cell_count(inline_pool):
     reports = list(run_suite("euler", 3, jobs=64))
-    assert sizes == [3]
+    assert inline_pool == [3]
     assert [r.line() for r in reports] == [f"euler[n={n}] PASS" for n in (1, 2, 3)]
 
 
@@ -244,26 +271,10 @@ def test_reports_do_not_depend_on_jobs(check_id):
     assert [r.shards for r in serial] == [r.shards for r in pooled] == [1, 2, 3, 4, 5]
 
 
-def test_lowest_failing_shard_names_the_witness(monkeypatch):
-    sizes = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, cells):
-            return map(fn, cells)
-
+def test_lowest_failing_shard_names_the_witness(monkeypatch, inline_pool):
     def fails_in_two_shards(n, shard=None):
         return f"shard {shard}" if n == 3 and shard in (0, 1) else None
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setitem(CHECKS, "interval", (fails_in_two_shards, 3))
     expected = [
         "interval[n=1] PASS",
@@ -272,4 +283,4 @@ def test_lowest_failing_shard_names_the_witness(monkeypatch):
     ]
     for jobs in (1, 3):
         assert [r.line() for r in run_suite("interval", jobs=jobs)] == expected
-    assert sizes == [3]
+    assert inline_pool == [3]
