@@ -154,8 +154,9 @@ def cmd_cycle(args) -> int:
     path = parse_path(args.path)
     cycle = cutting_cycle(path)
     canonical = canonical_rep(path)
-    members = sorted(cycle.members, key=lambda q: (dinv(q), format_path(q)))
-    marked = set(sched_one_members(cycle))
+    scores = {q: dinv(q) for q in cycle.members}
+    members = sorted(scores, key=lambda q: (scores[q], format_path(q)))
+    marked = sched_one_members(cycle)
     if args.format == "json":
         payload = {
             "size": len(members),
@@ -163,7 +164,7 @@ def cmd_cycle(args) -> int:
             "members": [
                 {
                     "path": format_path(q),
-                    "dinv": dinv(q),
+                    "dinv": scores[q],
                     "area": area(q),
                     "schedule_one": q in marked,
                 }
@@ -179,7 +180,7 @@ def cmd_cycle(args) -> int:
             if q in marked:
                 flags.append("schedule-one")
             suffix = f"  [{', '.join(flags)}]" if flags else ""
-            print(f"dinv={dinv(q)} area={area(q)} {format_path(q)}{suffix}")
+            print(f"dinv={scores[q]} area={area(q)} {format_path(q)}{suffix}")
     return 0
 
 

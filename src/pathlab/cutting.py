@@ -45,13 +45,16 @@ class CuttingCycle:
     members: frozenset[DecoratedLabeledPath]
 
     def ladder(self) -> tuple[DecoratedLabeledPath, ...]:
-        """Members sorted by dinv, checked to ladder from 0 upward.
+        """Members sorted by dinv, checked to ladder from 0 upward; each
+        member's dinv is computed once.
 
         Raises :class:`LadderViolation` when the dinv values are not exactly
         0, 1, ..., size - 1 (they always are for cycles of paths whose
-        schedule word is all ones)."""
-        members = sorted(self.members, key=dinv)
-        values = [dinv(q) for q in members]
+        schedule word is all ones), ties included: the sort compares dinv
+        values only, never the paths."""
+        scores = {q: dinv(q) for q in self.members}
+        members = sorted(scores, key=scores.__getitem__)
+        values = [scores[q] for q in members]
         if values != list(range(len(members))):
             raise LadderViolation(f"cycle of {members[0]} has dinv values {values}")
         return tuple(members)
@@ -61,8 +64,9 @@ def psi(path: DecoratedLabeledPath, i: int) -> DecoratedLabeledPath | None:
     """Cut after the i-th east step and swap the two pieces.
 
     Returns the resulting path, or None when the rearranged word is not a
-    valid decorated labeled path (the decorations must land on contractible
-    valleys and the merged columns must stay increasing).
+    valid decorated labeled path.  Both pieces end in an east step, so no
+    column is merged and the labels stay increasing up each column: a cut
+    fails only when a decoration lands off a contractible valley.
     """
     n = path.n
     if not 1 <= i <= n:
@@ -188,18 +192,17 @@ def ordered_cycle(path: DecoratedLabeledPath) -> tuple[DecoratedLabeledPath, ...
 def sched_one_members(
     cycle: CuttingCycle,
     words: Mapping[DecoratedLabeledPath, ShiftedDiagonalWord] | None = None,
-) -> tuple[DecoratedLabeledPath, ...]:
-    """Members whose schedule word is all ones, in dinv order.  ``words`` may
-    hold members' diagonal words that the caller already has; the others are
-    computed here."""
+) -> frozenset[DecoratedLabeledPath]:
+    """Members whose schedule word is all ones.  ``words`` may hold members'
+    diagonal words that the caller already has; the others are computed
+    here."""
     words = words or {}
-    out = [
+    return frozenset(
         q
         for q in cycle.members
         if (sdw := words[q] if q in words else diagonal_word(q)).shift
         in ones_shifts(sdw.word)
-    ]
-    return tuple(sorted(out, key=dinv))
+    )
 
 
 @dataclass(frozen=True)

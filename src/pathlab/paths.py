@@ -120,7 +120,8 @@ def attack_pairs(path: DecoratedLabeledPath) -> frozenset[AttackPair]:
 
     For i < j with i undecorated: a primary pair has equal starting diagonals
     and increasing labels; a secondary pair has step i one diagonal above step
-    j and decreasing labels.
+    j and decreasing labels.  This listing is the oracle for :func:`dinv`,
+    which counts the same pairs without building them.
     """
     a = area_word(path)
     w = path.labels
@@ -139,10 +140,28 @@ def attack_pairs(path: DecoratedLabeledPath) -> frozenset[AttackPair]:
 
 def dinv(path: DecoratedLabeledPath) -> int:
     """Attack pairs, plus a bonus for each north step strictly below the main
-    diagonal, minus the number of decorations."""
+    diagonal, minus the number of decorations.
+
+    The pairs are counted, not listed (:func:`attack_pairs` lists them and
+    is the oracle): scanning right to left, each undecorated step i counts
+    the later labels that are larger on its own diagonal and smaller one
+    diagonal lower."""
     a = area_word(path)
-    bonus = sum(1 for v in a if v < 0)
-    return len(attack_pairs(path)) + bonus - len(path.decorations)
+    w = path.labels
+    dv = path.decorations
+    later: dict[int, list[int]] = {}  # diagonal -> labels of the steps after i
+    count = 0
+    for i in range(len(w), 0, -1):
+        ai, wi = a[i - 1], w[i - 1]
+        if i not in dv:
+            for v in later.get(ai, ()):
+                if wi < v:
+                    count += 1
+            for v in later.get(ai - 1, ()):
+                if wi > v:
+                    count += 1
+        later.setdefault(ai, []).append(wi)
+    return count + sum(1 for v in a if v < 0) - len(dv)
 
 
 def is_dyck(path: DecoratedLabeledPath) -> bool:

@@ -202,7 +202,7 @@ def _ladder_cycle_witness(
     if geometric != list(ladder):
         return "geometric order differs"
     listed = cutting.sched_one_members(cycle, words)
-    criterion = [
+    criterion = {
         q
         for q in ladder
         if sum(
@@ -211,8 +211,8 @@ def _ladder_cycle_witness(
             if d == 0 and i not in q.decorations
         )
         == 1
-    ]
-    if sorted(map(str, listed)) != sorted(map(str, criterion)):
+    }
+    if listed != criterion:
         return "schedule-one members differ"
     return None
 

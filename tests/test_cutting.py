@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import sys
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from pathlab import cutting
 from pathlab.cutting import (
+    LadderViolation,
     Stretches,
     breaking_step,
     canonical_rep,
@@ -35,6 +39,12 @@ class TestPsi:
         results = [psi(p, i) for i in range(1, 4)]
         assert any(q is None for q in results)
 
+    def test_every_cut_of_an_undecorated_path_is_admitted(self):
+        # both pieces end in an east step, so only a decoration can be refused
+        for n in range(1, 6):
+            for p in generate(PathFamily(n, 0, "square")):
+                assert all(psi(p, i) is not None for i in range(1, n + 1)), p
+
     def test_psi_preserves_area_and_word(self, big_cycle_paths):
         base = big_cycle_paths[0]
         sdw = diagonal_word(base)
@@ -56,6 +66,22 @@ class TestBigCycle:
         ordered = ordered_cycle(big_cycle_paths[0])
         assert ordered == big_cycle_paths
         assert [dinv(p) for p in ordered] == [0, 1, 2, 3, 4, 5]
+
+    def test_ladder_scores_each_member_once(self, big_cycle_paths):
+        # counted by code object, so every route to dinv is seen
+        calls = []
+
+        def hook(frame, event, arg):
+            if event == "call" and frame.f_code is dinv.__code__:
+                calls.append(frame.f_locals["path"])
+
+        cycle = cutting_cycle(big_cycle_paths[0])
+        sys.setprofile(hook)
+        try:
+            cycle.ladder()
+        finally:
+            sys.setprofile(None)
+        assert sorted(calls, key=str) == sorted(big_cycle_paths, key=str)
 
     def test_geometric_order_matches_ladder(self, big_cycle_paths):
         canon = big_cycle_paths[0]
@@ -125,6 +151,12 @@ class TestCycleInvariants:
         p = big_cycle_paths[2]
         assert cutting_cycle(p).members == frozenset(big_cycle_paths)
         assert sorted(cuts) == list(range(1, p.n + 1))
+
+    def test_ladder_tie_is_a_violation(self):
+        # a cycle with no schedule-one member: two members share dinv 2
+        cycle = cutting_cycle(parse_path("NNEENE:1,3,2:"))
+        with pytest.raises(LadderViolation, match=r"dinv values \[0, 2, 2\]"):
+            cycle.ladder()
 
     def test_schedule_one_canonical_shared_dinv_zero(self):
         # all schedule-one members of a cycle break to the same

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import random
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pathlab.enumeration import PathFamily, generate
+from pathlab.enumeration import KINDS, PathFamily, generate
 from pathlab.paths import (
     AttackPair,
     ColumnOrderViolation,
@@ -30,6 +33,26 @@ SMALL_CORPUS = tuple(
     for k in range(n)
     for p in generate(PathFamily(n, k, "square"))
 )
+
+
+def random_square_path(rng: random.Random, n: int):
+    """A standard square path of size n: a random step word ending east,
+    labels increasing up each column, and about half of its contractible
+    valleys decorated (at most n - 1)."""
+    norths = set(rng.sample(range(2 * n - 1), n))
+    steps = "".join("N" if i in norths else "E" for i in range(2 * n - 1)) + "E"
+    letters = rng.sample(range(1, n + 1), n)
+    labels = []
+    for column in steps.split("E"):
+        labels.extend(sorted(letters[len(labels) : len(labels) + len(column)]))
+    valleys = sorted(contractible_valleys(validate(steps, labels)))
+    return validate(steps, labels, [v for v in valleys if rng.random() < 0.5][: n - 1])
+
+
+def dinv_by_listing(p) -> int:
+    """dinv from the attack-pair listing, the oracle of the counting kernel."""
+    bonus = sum(1 for a in area_word(p) if a < 0)
+    return len(attack_pairs(p)) + bonus - len(p.decorations)
 
 
 class TestSmallPathStatistics:
@@ -112,3 +135,36 @@ class TestStatisticProperties:
     def test_dyck_paths_have_shift_zero(self, p):
         if is_dyck(p):
             assert shift(p) == 0 and min(area_word(p)) >= 0
+
+
+class TestDinvCounting:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_listing_on_every_small_path(self, kind):
+        for n in range(1, 6):
+            for k in range(n):
+                for p in generate(PathFamily(n, k, kind)):
+                    assert dinv(p) == dinv_by_listing(p), p
+
+    def test_matches_listing_on_random_large_paths(self):
+        rng = random.Random(20240)
+        corpus = [random_square_path(rng, 10 + i % 11) for i in range(2000)]
+        assert sum(1 for p in corpus if p.decorations) > 1000
+        for p in corpus:
+            assert dinv(p) == dinv_by_listing(p), p
+
+    def test_counts_without_listing(self):
+        # counted by code object, so every route to the functions is seen
+        calls = {attack_pairs.__code__: 0, area_word.__code__: 0}
+
+        def hook(frame, event, arg):
+            if event == "call" and frame.f_code in calls:
+                calls[frame.f_code] += 1
+
+        sys.setprofile(hook)
+        try:
+            values = [dinv(p) for p in SMALL_CORPUS]
+        finally:
+            sys.setprofile(None)
+        assert len(values) == len(SMALL_CORPUS)
+        assert calls[attack_pairs.__code__] == 0
+        assert calls[area_word.__code__] == len(SMALL_CORPUS)
