@@ -2,7 +2,7 @@
 
 The i-th cut swaps the prefix ending at the i-th east step with the remaining
 suffix.  Labels and decorations travel with their north steps; the move is
-only admitted when the result is again a valid decorated labeled path.  The
+only admitted when every decoration still sits on a contractible valley.  The
 set of admitted images of a path, the path's cutting cycle, shares one
 diagonal word and one area; for cycles containing a path with all-ones
 schedule word the members' dinv values ladder from 0 to cycle size minus one.
@@ -13,13 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .paths import (
-    DecoratedLabeledPath,
-    PathError,
-    area_word,
-    dinv,
-    validate,
-)
+from .paths import DecoratedLabeledPath, area_word, contractible_valleys, dinv
 from .schedule import ShiftedDiagonalWord, diagonal_word, ones_shifts
 
 
@@ -60,40 +54,35 @@ class CuttingCycle:
         return tuple(members)
 
 
+def _positions(steps: str, step: str) -> list[int]:
+    """0-based positions of every ``step`` ("N" or "E") in a step word."""
+    return [pos for pos, s in enumerate(steps) if s == step]
+
+
 def psi(path: DecoratedLabeledPath, i: int) -> DecoratedLabeledPath | None:
     """Cut after the i-th east step and swap the two pieces.
 
-    Returns the resulting path, or None when the rearranged word is not a
-    valid decorated labeled path.  Both pieces end in an east step, so no
-    column is merged and the labels stay increasing up each column: a cut
-    fails only when a decoration lands off a contractible valley.
+    Returns the resulting path, or None when a decoration lands off a
+    contractible valley.  The path must be valid.  Both pieces end in an
+    east step, so the image keeps the original's columns, labels, step
+    counts and final east step: the decorations are all there is to check.
     """
     n = path.n
     if not 1 <= i <= n:
         raise ValueError(f"cut position must be in 1..{n}, got {i}")
     if i == n:
         return path
-    east_seen = 0
-    cut = len(path.steps)
-    for pos, step in enumerate(path.steps):
-        if step == "E":
-            east_seen += 1
-            if east_seen == i:
-                cut = pos + 1
-                break
-    prefix, suffix = path.steps[:cut], path.steps[cut:]
-    norths_prefix = prefix.count("N")
-    norths_suffix = n - norths_prefix
-    steps = suffix + prefix
-    labels = path.labels[norths_prefix:] + path.labels[:norths_prefix]
-    decorations = frozenset(
-        j - norths_prefix if j > norths_prefix else j + norths_suffix
-        for j in path.decorations
+    steps = path.steps
+    cut = _positions(steps, "E")[i - 1] + 1
+    m = cut - i  # north steps before the cut
+    image = DecoratedLabeledPath(
+        steps[cut:] + steps[:cut],
+        path.labels[m:] + path.labels[:m],
+        frozenset((j - m - 1) % n + 1 for j in path.decorations),
     )
-    try:
-        return validate(steps, labels, decorations)
-    except PathError:
+    if image.decorations and not image.decorations <= contractible_valleys(image):
         return None
+    return image
 
 
 def cutting_cycle(path: DecoratedLabeledPath) -> CuttingCycle:
@@ -127,15 +116,8 @@ def breaking_step(path: DecoratedLabeledPath) -> int:
     else:
         decorated = [i for i, d in enumerate(a, start=1) if d == bottom]
         target, back = decorated[0], 2
-    # position of the target north step within the full step word (1-based)
-    norths = 0
-    for pos, step in enumerate(path.steps, start=1):
-        if step == "N":
-            norths += 1
-            if norths == target:
-                word_pos = pos
-                break
-    cut_pos = (word_pos - back - 1) % len(path.steps) + 1
+    word_pos = _positions(path.steps, "N")[target - 1]  # 0-based
+    cut_pos = (word_pos - back) % len(path.steps) + 1
     if path.steps[cut_pos - 1] != "E":
         raise CycleError(
             f"breaking step landed on a north step of {path} at {cut_pos}"
@@ -175,7 +157,7 @@ def geometric_order(path: DecoratedLabeledPath) -> tuple[int, ...]:
         east_seen += 1
         follower_decorated = False
         if pos + 1 < len(steps) and steps[pos + 1] == "N":
-            follower = steps[: pos + 1].count("N") + 1
+            follower = pos + 2 - east_seen  # north steps so far, plus one
             follower_decorated = follower in path.decorations
         if not follower_decorated:
             entries.append((y - 1 - x, -x, east_seen))
@@ -225,8 +207,7 @@ def shape_stretches(path: DecoratedLabeledPath) -> Stretches:
     if not undecorated:
         raise ShapeViolation(f"{path}: no undecorated north step")
     first_u, last_u = undecorated[0], undecorated[-1]
-    # word positions (0-based) of the relevant north steps
-    norths = [pos for pos, step in enumerate(path.steps) if step == "N"]
+    norths = _positions(path.steps, "N")
     body_start = norths[first_u - 1]
     after_last = norths[last_u - 1] + 1
     if after_last >= len(path.steps) or path.steps[after_last] != "E":

@@ -19,6 +19,7 @@ spread over worker processes and merged back into one report per size.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import time
@@ -385,20 +386,14 @@ CHECKS: dict[str, tuple[Callable[..., str | None], int]] = {
 }
 
 
-# suites whose size n runs as n cells, check(n, shard) for shard in 0..n-1;
-# the others run check(n) as one cell per size
-SHARDED = frozenset({
-    "schedule-formula",
-    "interval",
-    "cancellation-path",
-    "dinv-ladder",
-    "shape",
-    "partition",
-    "decorate-unique",
-    "phi-bijection",
-    "delta-bijection",
-    "sdw-area",
-})
+# suites whose size n runs as n cells, check(n, shard) for shard in 0..n-1,
+# exactly those whose check takes a shard; the others run check(n) as one
+# cell per size
+SHARDED = frozenset(
+    check_id
+    for check_id, (check, _) in CHECKS.items()
+    if "shard" in inspect.signature(check).parameters
+)
 
 
 def _run_cell(args: tuple[str, int, int | None]) -> Report:

@@ -7,10 +7,12 @@ hand-checked against the step diagrams; tests pin them as literals.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from pathlab.enumeration import PathFamily, generate
-from pathlab.paths import parse_path
+from pathlab.paths import contractible_valleys, parse_path, validate
 from pathlab.schedule import parse_perm
 
 # a size-3 Dyck path with one decorated valley and dinv 0
@@ -35,6 +37,20 @@ BIG_SCHED_ONE = (BIG_CYCLE[2], BIG_CYCLE[3])
 # a size-7 word whose fiber at shift 1 holds 16 paths
 FIBER_WORD = "4 1* 6 5 3* 2* 7"
 FIBER_SHIFT = 1
+
+
+def random_square_path(rng: random.Random, n: int):
+    """A standard square path of size n: a random step word ending east,
+    labels increasing up each column, and about half of its contractible
+    valleys decorated (at most n - 1)."""
+    norths = set(rng.sample(range(2 * n - 1), n))
+    steps = "".join("N" if i in norths else "E" for i in range(2 * n - 1)) + "E"
+    letters = rng.sample(range(1, n + 1), n)
+    labels = []
+    for column in steps.split("E"):
+        labels.extend(sorted(letters[len(labels) : len(labels) + len(column)]))
+    valleys = sorted(contractible_valleys(validate(steps, labels)))
+    return validate(steps, labels, [v for v in valleys if rng.random() < 0.5][: n - 1])
 
 
 @pytest.fixture

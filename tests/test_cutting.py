@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import sys
 
 import pytest
@@ -22,10 +23,49 @@ from pathlab.cutting import (
     shape_stretches,
 )
 from pathlab.enumeration import PathFamily, generate, schedule_one_paths
-from pathlab.paths import area, dinv, format_path, parse_path
+from pathlab.paths import (
+    PathError,
+    area,
+    contractible_valleys,
+    dinv,
+    format_path,
+    parse_path,
+    validate,
+)
 from pathlab.schedule import diagonal_word
 
-from conftest import BIG_SCHED_ONE
+from conftest import BIG_SCHED_ONE, random_square_path
+
+
+def _psi_by_validate(path, i):
+    """The cut by its definition, the oracle of :func:`psi`: swap the pieces
+    at the i-th east step and keep the result if it validates in full."""
+    cut = next(c for c in range(1, len(path.steps) + 1) if path.steps[:c].count("E") == i)
+    prefix, suffix = path.steps[:cut], path.steps[cut:]
+    m = prefix.count("N")
+    labels = path.labels[m:] + path.labels[:m]
+    decorations = {j - m if j > m else j + path.n - m for j in path.decorations}
+    try:
+        return validate(suffix + prefix, labels, decorations)
+    except PathError:
+        return None
+
+
+def _calls(code, fn, *args):
+    """How many times ``code`` runs during ``fn(*args)``, counted by code
+    object so every route to it is seen."""
+    calls = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(frame)
+
+    sys.setprofile(hook)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return len(calls)
 
 
 class TestPsi:
@@ -44,6 +84,21 @@ class TestPsi:
         for n in range(1, 6):
             for p in generate(PathFamily(n, 0, "square")):
                 assert all(psi(p, i) is not None for i in range(1, n + 1)), p
+
+    def test_matches_validate_on_every_small_path(self):
+        for n in range(1, 6):
+            for k in range(n):
+                for p in generate(PathFamily(n, k, "square")):
+                    for i in range(1, n + 1):
+                        assert psi(p, i) == _psi_by_validate(p, i), (p, i)
+
+    def test_matches_validate_on_random_large_paths(self):
+        rng = random.Random(4127)
+        corpus = [random_square_path(rng, 10 + i % 11) for i in range(2000)]
+        assert sum(1 for p in corpus if p.decorations) > 1000
+        for p in corpus:
+            for i in range(1, p.n + 1):
+                assert psi(p, i) == _psi_by_validate(p, i), (p, i)
 
     def test_psi_preserves_area_and_word(self, big_cycle_paths):
         base = big_cycle_paths[0]
@@ -151,6 +206,14 @@ class TestCycleInvariants:
         p = big_cycle_paths[2]
         assert cutting_cycle(p).members == frozenset(big_cycle_paths)
         assert sorted(cuts) == list(range(1, p.n + 1))
+
+    def test_cycle_makes_no_validate_call(self, big_cycle_paths):
+        assert _calls(validate.__code__, cutting_cycle, big_cycle_paths[2]) == 0
+
+    def test_undecorated_cycle_scans_no_valleys(self):
+        code = contractible_valleys.__code__
+        for p in generate(PathFamily(4, 0, "square")):
+            assert _calls(code, cutting_cycle, p) == 0, p
 
     def test_ladder_tie_is_a_violation(self):
         # a cycle with no schedule-one member: two members share dinv 2

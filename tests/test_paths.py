@@ -27,26 +27,14 @@ from pathlab.paths import (
     validate,
 )
 
+from conftest import random_square_path
+
 SMALL_CORPUS = tuple(
     p
     for n in range(1, 5)
     for k in range(n)
     for p in generate(PathFamily(n, k, "square"))
 )
-
-
-def random_square_path(rng: random.Random, n: int):
-    """A standard square path of size n: a random step word ending east,
-    labels increasing up each column, and about half of its contractible
-    valleys decorated (at most n - 1)."""
-    norths = set(rng.sample(range(2 * n - 1), n))
-    steps = "".join("N" if i in norths else "E" for i in range(2 * n - 1)) + "E"
-    letters = rng.sample(range(1, n + 1), n)
-    labels = []
-    for column in steps.split("E"):
-        labels.extend(sorted(letters[len(labels) : len(labels) + len(column)]))
-    valleys = sorted(contractible_valleys(validate(steps, labels)))
-    return validate(steps, labels, [v for v in valleys if rng.random() < 0.5][: n - 1])
 
 
 def dinv_by_listing(p) -> int:
