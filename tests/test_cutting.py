@@ -54,18 +54,19 @@ def _psi_by_validate(path, i):
 def _calls(code, fn, *args):
     """How many times ``code`` runs during ``fn(*args)``, counted by code
     object so every route to it is seen."""
-    calls = []
+    count = 0
 
     def hook(frame, event, arg):
+        nonlocal count
         if event == "call" and frame.f_code is code:
-            calls.append(frame)
+            count += 1
 
     sys.setprofile(hook)
     try:
         fn(*args)
     finally:
         sys.setprofile(None)
-    return len(calls)
+    return count
 
 
 class TestPsi:
