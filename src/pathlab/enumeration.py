@@ -6,12 +6,13 @@ lexicographic order of their sorted tuples.  The generators are desk-scale by
 design; the signed/weighted sums stream over the generated families without
 materializing them.
 
-The streams work in two levels.  What a step word fixes for all of its
-labelings (the area word, which pairs of north steps can attack, which steps
-are valleys whatever the labels) is its profile, derived once per step word
-by :func:`_step_profile`.  The labelings of a column composition are listed
-once per call, in a dict that lives as long as the call.  Per (steps, labels)
-pair only label comparisons remain.  The definitional forms in
+Every stream is one walk over labeled paths, :func:`_labeled_step_words`,
+in two levels.  What a step word fixes for all of its labelings (the area
+word, which pairs of north steps can attack, which steps are valleys
+whatever the labels) is its profile, derived once per step word by
+:func:`_step_profile`.  The labelings of a column composition are listed
+once per walk, in a dict that lives as long as the walk.  Per (steps,
+labels) pair only label comparisons remain.  The definitional forms in
 :mod:`pathlab.paths` (``attack_pairs``, ``contractible_valleys``, ``dinv``)
 are the oracle the tests hold the profile to.
 """
@@ -27,7 +28,6 @@ from .paths import (
     DecoratedLabeledPath,
     area,
     area_word,
-    contractible_valleys,
     dinv,
     word_shift,
 )
@@ -99,23 +99,6 @@ def standard_labelings(steps: str) -> Iterator[tuple[int, ...]]:
     yield from _composition_labelings(column_sizes(steps))
 
 
-def _labeled_step_words(
-    n: int, kind: str, shard: int | None = None
-) -> Iterator[tuple[str, list[tuple[int, ...]]]]:
-    """Each step word of size n with its standard labelings; with a shard j,
-    only the step words whose area is j mod n.  The labelings of a column
-    composition are listed once and shared by every step word with that
-    composition; the dict holding them goes when the generator does."""
-    by_sizes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for steps in step_words(n, kind):
-        if shard is not None and area(DecoratedLabeledPath(steps, ())) % n != shard:
-            continue
-        sizes = column_sizes(steps)
-        if sizes not in by_sizes:
-            by_sizes[sizes] = _composition_labelings(sizes)
-        yield steps, by_sizes[sizes]
-
-
 class _StepProfile(NamedTuple):
     """What a step word fixes for every labeling of it.
 
@@ -172,26 +155,37 @@ def _valleys(profile: _StepProfile, w: tuple[int, ...]) -> list[int]:
     return sorted(profile.valleys + tuple(i for i in profile.ties if w[i - 1] < w[i]))
 
 
-def bare_paths(n: int, kind: str = "square") -> Iterator[DecoratedLabeledPath]:
-    """Every undecorated standard path of size n: step words in order, then
-    label words in order."""
-    for steps, labelings in _labeled_step_words(n, kind):
-        for labels in labelings:
-            yield DecoratedLabeledPath(steps, labels)
+def _labeled_step_words(
+    n: int, kind: str, shard: int | None = None
+) -> Iterator[tuple[str, _StepProfile, list[tuple[int, ...]]]]:
+    """Each step word of size n with its profile and its standard labelings;
+    with a shard j, only the step words whose area is j mod n, and only they
+    get a profile.  The labelings of a column composition are listed once
+    and shared by every step word with that composition; the dict holding
+    them goes when the generator does."""
+    by_sizes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for steps in step_words(n, kind):
+        if shard is not None and area(DecoratedLabeledPath(steps, ())) % n != shard:
+            continue
+        sizes = column_sizes(steps)
+        if sizes not in by_sizes:
+            by_sizes[sizes] = _composition_labelings(sizes)
+        yield steps, _step_profile(steps), by_sizes[sizes]
 
 
 def bare_path_count(n: int, kind: str = "square") -> int:
-    """How many paths :func:`bare_paths` yields: n^n square paths and
+    """How many paths :func:`generate` yields at k = 0: n^n square paths and
     (n + 1)^(n - 1) Dyck paths (the parking functions)."""
     return n**n if kind == "square" else (n + 1) ** (n - 1)
 
 
 def generate(family: PathFamily) -> Iterator[DecoratedLabeledPath]:
     """Every path in the family, in the canonical deterministic order."""
-    for base in bare_paths(family.n, family.kind):
-        valleys = sorted(contractible_valleys(base))
-        for combo in itertools.combinations(valleys, family.k):
-            yield DecoratedLabeledPath(base.steps, base.labels, frozenset(combo))
+    for steps, profile, labelings in _labeled_step_words(family.n, family.kind):
+        for labels in labelings:
+            valleys = _valleys(profile, (0,) + labels)
+            for combo in itertools.combinations(valleys, family.k):
+                yield DecoratedLabeledPath(steps, labels, frozenset(combo))
 
 
 @lru_cache(maxsize=None)
@@ -212,8 +206,7 @@ def _signed_sums(n: int, kind: str, shard: int | None) -> tuple[TPoly, ...]:
     indexed by k.
     """
     acc: list[dict[int, int]] = [dict() for _ in range(n)]
-    for steps, labelings in _labeled_step_words(n, kind, shard):
-        profile = _step_profile(steps)
+    for _, profile, labelings in _labeled_step_words(n, kind, shard):
         by_k = [0] * n
         for labels in labelings:
             w = (0,) + labels
@@ -293,8 +286,7 @@ def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLa
     whether the bare shift gives all ones.  The bare path's attack pairs and
     valleys come from its step word's profile.
     """
-    for steps, labelings in _labeled_step_words(n, "square", shard):
-        profile = _step_profile(steps)
+    for steps, profile, labelings in _labeled_step_words(n, "square", shard):
         for labels in labelings:
             w = (0,) + labels
             pairs = _attack_pairs(profile, w)

@@ -8,6 +8,9 @@ hand-checked against the step diagrams; tests pin them as literals.
 from __future__ import annotations
 
 import random
+import sys
+from types import CodeType
+from typing import NamedTuple
 
 import pytest
 
@@ -37,6 +40,36 @@ BIG_SCHED_ONE = (BIG_CYCLE[2], BIG_CYCLE[3])
 # a size-7 word whose fiber at shift 1 holds 16 paths
 FIBER_WORD = "4 1* 6 5 3* 2* 7"
 FIBER_SHIFT = 1
+
+
+class Call(NamedTuple):
+    """One call seen by :func:`profiled_calls`."""
+
+    code: CodeType  # the function called
+    caller: CodeType  # the nearest calling function, past comprehensions
+    locals: dict  # its arguments, as the call began
+
+
+def profiled_calls(codes, fn, *args):
+    """Run ``fn(*args)`` under ``sys.setprofile``; return its result and the
+    calls it made to any of the code objects ``codes``, in call order.
+    Matching by code object sees every route to a function, whatever name
+    it was reached by."""
+    calls = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            caller = frame.f_back
+            while caller.f_code.co_name.startswith("<"):  # a comprehension
+                caller = caller.f_back
+            calls.append(Call(frame.f_code, caller.f_code, dict(frame.f_locals)))
+
+    sys.setprofile(hook)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, calls
 
 
 def random_square_path(rng: random.Random, n: int):

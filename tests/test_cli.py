@@ -64,7 +64,7 @@ class TestVerify:
         assert "elapsed" in err and "elapsed" not in out
 
     def test_stderr_counts_shards(self, capsys):
-        code, out, err = run(capsys, "verify", "sdw-area", "--max-n", "3", "--jobs", "2")
+        code, out, err = run(capsys, "verify", "partition", "--max-n", "3", "--jobs", "2")
         assert code == 0 and "shard" not in out
         counts = [line.rsplit(" in ", 1)[1] for line in err.splitlines()]
         assert counts == ["1 shard", "2 shards", "3 shards"]

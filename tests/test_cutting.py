@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-import sys
 
 import pytest
 from hypothesis import given
@@ -34,7 +33,7 @@ from pathlab.paths import (
 )
 from pathlab.schedule import diagonal_word
 
-from conftest import BIG_SCHED_ONE, random_square_path
+from conftest import BIG_SCHED_ONE, profiled_calls, random_square_path
 
 
 def _psi_by_validate(path, i):
@@ -49,24 +48,6 @@ def _psi_by_validate(path, i):
         return validate(suffix + prefix, labels, decorations)
     except PathError:
         return None
-
-
-def _calls(code, fn, *args):
-    """How many times ``code`` runs during ``fn(*args)``, counted by code
-    object so every route to it is seen."""
-    count = 0
-
-    def hook(frame, event, arg):
-        nonlocal count
-        if event == "call" and frame.f_code is code:
-            count += 1
-
-    sys.setprofile(hook)
-    try:
-        fn(*args)
-    finally:
-        sys.setprofile(None)
-    return count
 
 
 class TestPsi:
@@ -124,20 +105,10 @@ class TestBigCycle:
         assert [dinv(p) for p in ordered] == [0, 1, 2, 3, 4, 5]
 
     def test_ladder_scores_each_member_once(self, big_cycle_paths):
-        # counted by code object, so every route to dinv is seen
-        calls = []
-
-        def hook(frame, event, arg):
-            if event == "call" and frame.f_code is dinv.__code__:
-                calls.append(frame.f_locals["path"])
-
         cycle = cutting_cycle(big_cycle_paths[0])
-        sys.setprofile(hook)
-        try:
-            cycle.ladder()
-        finally:
-            sys.setprofile(None)
-        assert sorted(calls, key=str) == sorted(big_cycle_paths, key=str)
+        _, calls = profiled_calls({dinv.__code__}, cycle.ladder)
+        scored = [call.locals["path"] for call in calls]
+        assert sorted(scored, key=str) == sorted(big_cycle_paths, key=str)
 
     def test_geometric_order_matches_ladder(self, big_cycle_paths):
         canon = big_cycle_paths[0]
@@ -209,12 +180,14 @@ class TestCycleInvariants:
         assert sorted(cuts) == list(range(1, p.n + 1))
 
     def test_cycle_makes_no_validate_call(self, big_cycle_paths):
-        assert _calls(validate.__code__, cutting_cycle, big_cycle_paths[2]) == 0
+        _, calls = profiled_calls({validate.__code__}, cutting_cycle, big_cycle_paths[2])
+        assert len(calls) == 0
 
     def test_undecorated_cycle_scans_no_valleys(self):
-        code = contractible_valleys.__code__
+        codes = {contractible_valleys.__code__}
         for p in generate(PathFamily(4, 0, "square")):
-            assert _calls(code, cutting_cycle, p) == 0, p
+            _, calls = profiled_calls(codes, cutting_cycle, p)
+            assert len(calls) == 0, p
 
     def test_ladder_tie_is_a_violation(self):
         # a cycle with no schedule-one member: two members share dinv 2

@@ -15,7 +15,6 @@ from pathlab.enumeration import (
     _step_profile,
     _valleys,
     bare_path_count,
-    bare_paths,
     column_sizes,
     fibers_by_sdw,
     generate,
@@ -83,7 +82,8 @@ class TestStepWords:
         # n^n square and (n + 1)^(n - 1) Dyck pairs, checked for n <= 5
         for n in range(1, 6):
             for kind in KINDS:
-                assert sum(1 for _ in bare_paths(n, kind)) == bare_path_count(n, kind)
+                family = PathFamily(n, 0, kind)
+                assert sum(1 for _ in generate(family)) == bare_path_count(n, kind)
 
 
 class TestStepProfile:
@@ -208,12 +208,12 @@ class TestScheduleOnePaths:
             assert fast == naive
 
     def test_order_matches_naive_stream(self):
-        """Bare paths in bare_paths order, each with its decoration sets by
-        size, then lexicographically; checked for n <= 5."""
+        """Bare paths in the order of generate at k = 0, each with its
+        decoration sets by size, then lexicographically; checked for n <= 5."""
         for n in range(1, 6):
             candidates = (
                 DecoratedLabeledPath(bare.steps, bare.labels, frozenset(dv))
-                for bare in bare_paths(n)
+                for bare in generate(PathFamily(n, 0, "square"))
                 for r in range(n)
                 for dv in itertools.combinations(sorted(contractible_valleys(bare)), r)
             )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -27,7 +27,7 @@ from pathlab.paths import (
     validate,
 )
 
-from conftest import random_square_path
+from conftest import profiled_calls, random_square_path
 
 SMALL_CORPUS = tuple(
     p
@@ -141,18 +141,11 @@ class TestDinvCounting:
             assert dinv(p) == dinv_by_listing(p), p
 
     def test_counts_without_listing(self):
-        # counted by code object, so every route to the functions is seen
-        calls = {attack_pairs.__code__: 0, area_word.__code__: 0}
-
-        def hook(frame, event, arg):
-            if event == "call" and frame.f_code in calls:
-                calls[frame.f_code] += 1
-
-        sys.setprofile(hook)
-        try:
-            values = [dinv(p) for p in SMALL_CORPUS]
-        finally:
-            sys.setprofile(None)
+        values, calls = profiled_calls(
+            {attack_pairs.__code__, area_word.__code__},
+            lambda: [dinv(p) for p in SMALL_CORPUS],
+        )
+        counts = Counter(call.code for call in calls)
         assert len(values) == len(SMALL_CORPUS)
-        assert calls[attack_pairs.__code__] == 0
-        assert calls[area_word.__code__] == len(SMALL_CORPUS)
+        assert counts[attack_pairs.__code__] == 0
+        assert counts[area_word.__code__] == len(SMALL_CORPUS)

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import itertools
-import sys
 from collections import Counter
 
 import pytest
 
 from pathlab import adr, bridge, cutting, enumeration, paths, poly, schedule, verify
-from pathlab.schedule import DecoratedPermutation
 from pathlab.verify import CHECKS, SHARDED, run_suite
+
+from conftest import profiled_calls
 
 
 class InlinePool:
@@ -47,10 +47,19 @@ def test_suite_passes_up_to_four(check_id):
 
 
 def test_euler_checks_even_sizes(monkeypatch):
-    monkeypatch.setattr(
-        adr, "parity_decorate", lambda values: DecoratedPermutation(tuple(values), frozenset())
-    )
+    # a DP that counts one undecorated parity output at every size
+    monkeypatch.setattr(adr, "_fast_sums", lambda n, flat: (poly.TPoly.one(),) * n)
     assert verify.check_euler(2) is not None
+
+
+def test_shape_fails_on_a_path_that_is_not_schedule_one(monkeypatch):
+    # its middle stretch holds two consecutive east steps
+    def not_schedule_one(n, shard=None):
+        yield paths.parse_path("NNEENE:1,2,3:")
+
+    monkeypatch.setattr(enumeration, "schedule_one_paths", not_schedule_one)
+    report = list(run_suite("shape", 3, jobs=1))[-1]
+    assert not report.ok and report.witness.startswith("ShapeViolation:")
 
 
 def test_dinv_ladder_builds_each_cycle_once(monkeypatch):
@@ -81,40 +90,27 @@ def test_dinv_ladder_checks_each_cycle_once(monkeypatch):
 
 
 def test_dinv_ladder_computes_each_members_word_once():
-    # counted by code object over the five area shards of n = 5; the seed
-    # stream makes one call per bare path it tests, the ladders one per member
-    callers = []
-
-    def hook(frame, event, arg):
-        if event == "call" and frame.f_code is schedule.diagonal_word.__code__:
-            caller = frame.f_back
-            while caller.f_code.co_name.startswith("<"):  # a comprehension
-                caller = caller.f_back
-            callers.append(caller.f_code)
-
-    sys.setprofile(hook)
-    try:
-        assert all(verify.check_dinv_ladder(5, shard) is None for shard in range(5))
-    finally:
-        sys.setprofile(None)
+    # counted over the five area shards of n = 5; the seed stream makes one
+    # call per bare path it tests, the ladders one per member
+    passed, calls = profiled_calls(
+        {schedule.diagonal_word.__code__},
+        lambda: all(verify.check_dinv_ladder(5, shard) is None for shard in range(5)),
+    )
+    assert passed
+    callers = [call.caller for call in calls]
     assert len(callers) <= 2841
     assert cutting.sched_one_members.__code__ not in callers
 
 
 def test_all_ones_searches_build_no_schedule_words():
-    # counted by code object, so every route to the functions is seen
     counted = {schedule.schedule_numbers.__code__: [], schedule.diagonal_word.__code__: []}
-
-    def hook(frame, event, arg):
-        if event == "call" and frame.f_code in counted:
-            counted[frame.f_code].append(frame.f_locals.get("path"))
-
-    sys.setprofile(hook)
-    try:
-        assert verify.check_decorate_unique(5) is None
-        seeds = list(enumeration.schedule_one_paths(5))
-    finally:
-        sys.setprofile(None)
+    (unique, seeds), calls = profiled_calls(
+        counted,
+        lambda: (verify.check_decorate_unique(5), list(enumeration.schedule_one_paths(5))),
+    )
+    for call in calls:
+        counted[call.code].append(call.locals.get("path"))
+    assert unique is None
     assert len(seeds) == 480
     assert counted[schedule.schedule_numbers.__code__] == []
     # one diagonal word per bare labeled path, at most 5^5 of them
@@ -124,19 +120,12 @@ def test_all_ones_searches_build_no_schedule_words():
 
 
 def test_decorate_unique_finds_each_permutations_runs_once():
-    # counted by code object: the decoration sweep and the shift-zero
-    # algorithm each find the runs of every permutation of n = 5 once
-    calls = []
-
-    def hook(frame, event, arg):
-        if event == "call" and frame.f_code is schedule.decreasing_runs.__code__:
-            calls.append(frame.f_locals.get("word"))
-
-    sys.setprofile(hook)
-    try:
-        assert verify.check_decorate_unique(5) is None
-    finally:
-        sys.setprofile(None)
+    # the decoration sweep and the shift-zero algorithm each find the runs
+    # of every permutation of n = 5 once
+    witness, calls = profiled_calls(
+        {schedule.decreasing_runs.__code__}, verify.check_decorate_unique, 5
+    )
+    assert witness is None
     assert len(calls) <= 2 * 120
 
 
@@ -160,7 +149,6 @@ def test_battery_suites_are_sharded():
         "decorate-unique",
         "phi-bijection",
         "delta-bijection",
-        "sdw-area",
     }
 
 
@@ -215,7 +203,7 @@ def test_area_shards_split_brute_sums(n):
 
 def test_area_shards_split_bare_paths_evenly():
     sizes = [
-        sum(len(labels) for _, labels in enumeration._labeled_step_words(6, "square", j))
+        sum(len(labels) for _, _, labels in enumeration._labeled_step_words(6, "square", j))
         for j in range(6)
     ]
     assert sizes == [7776] * 6
@@ -274,12 +262,13 @@ def test_cancellation_path_catches_a_broken_class(monkeypatch, fault, witness):
     assert not report.ok and witness in report.witness
 
 
-@pytest.mark.parametrize("check_id", sorted(SHARDED))
+@pytest.mark.parametrize("check_id", sorted(CHECKS))
 def test_reports_do_not_depend_on_jobs(check_id):
     serial = list(run_suite(check_id, 5, jobs=1))
     pooled = list(run_suite(check_id, 5, jobs=2))
     assert [r.line() for r in serial] == [r.line() for r in pooled]
-    assert [r.shards for r in serial] == [r.shards for r in pooled] == [1, 2, 3, 4, 5]
+    shards = [n if check_id in SHARDED else 1 for n in range(1, 6)]
+    assert [r.shards for r in serial] == [r.shards for r in pooled] == shards
 
 
 def test_lowest_failing_shard_names_the_witness(monkeypatch, inline_pool):
