@@ -15,7 +15,14 @@ import sys
 from . import __version__
 from .adr import D_fast, S_fast, S_recursive, dyck_decorate, is_adr, parity_decorate
 from .bridge import path_from_sdw
-from .cutting import CycleError, canonical_rep, cutting_cycle, sched_one_members
+from .cutting import (
+    CuttingCycle,
+    CycleError,
+    canonical_rep,
+    cutting_cycle,
+    cycle_dinvs,
+    sched_one_members,
+)
 from .enumeration import D_brute, PathFamily, S_brute, bare_path_count, generate
 from .paths import (
     area,
@@ -152,11 +159,10 @@ def cmd_inspect(args) -> int:
 
 def cmd_cycle(args) -> int:
     path = parse_path(args.path)
-    cycle = cutting_cycle(path)
+    scores = cycle_dinvs(path)
     canonical = canonical_rep(path)
-    scores = {q: dinv(q) for q in cycle.members}
     members = sorted(scores, key=lambda q: (scores[q], format_path(q)))
-    marked = sched_one_members(cycle)
+    marked = sched_one_members(CuttingCycle(frozenset(scores)))
     if args.format == "json":
         payload = {
             "size": len(members),

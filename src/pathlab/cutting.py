@@ -6,14 +6,24 @@ only admitted when every decoration still sits on a contractible valley.  The
 set of admitted images of a path, the path's cutting cycle, shares one
 diagonal word and one area; for cycles containing a path with all-ones
 schedule word the members' dinv values ladder from 0 to cycle size minus one.
+
+Both facts come from one rotation.  With m north steps before the i-th cut,
+the image lists the original's north steps as m + 1, ..., n, 1, ..., m, and
+its area word is the original's rotated by m, plus the constant i - m.  Only
+the image's first north step can stop being a valley, so a cut is refused
+just when that step is decorated and starts on the main diagonal
+(:func:`psi`, :func:`cutting_cycle`).  The attack pairs of each image follow
+from the path's own area word and labels by rotating them, so one area word
+scores a whole cycle (:func:`cycle_dinvs`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping
 
-from .paths import DecoratedLabeledPath, area_word, contractible_valleys, dinv
+from .paths import DecoratedLabeledPath, _attack_count, area_word
 from .schedule import ShiftedDiagonalWord, diagonal_word, ones_shifts
 
 
@@ -39,19 +49,31 @@ class CuttingCycle:
     members: frozenset[DecoratedLabeledPath]
 
     def ladder(self) -> tuple[DecoratedLabeledPath, ...]:
-        """Members sorted by dinv, checked to ladder from 0 upward; each
-        member's dinv is computed once.
+        """Members sorted by dinv, checked to ladder from 0 upward; the dinv
+        values come from :func:`cycle_dinvs` of one member.  An empty cycle
+        ladders to ``()``.
 
-        Raises :class:`LadderViolation` when the dinv values are not exactly
-        0, 1, ..., size - 1 (they always are for cycles of paths whose
-        schedule word is all ones), ties included: the sort compares dinv
-        values only, never the paths."""
-        scores = {q: dinv(q) for q in self.members}
-        members = sorted(scores, key=scores.__getitem__)
-        values = [scores[q] for q in members]
-        if values != list(range(len(members))):
-            raise LadderViolation(f"cycle of {members[0]} has dinv values {values}")
-        return tuple(members)
+        Raises :class:`CycleError` when the members are not that member's
+        cycle, and :class:`LadderViolation` when the dinv values are not
+        exactly 0, 1, ..., size - 1 (they always are for cycles of paths
+        whose schedule word is all ones), ties included: the sort compares
+        dinv values only, never the paths."""
+        if not self.members:
+            return ()
+        member = next(iter(self.members))
+        scores = cycle_dinvs(member)
+        if scores.keys() != self.members:
+            raise CycleError(f"the members given with {member} are not its cycle")
+        return _ladder(scores)
+
+
+def _ladder(scores: dict[DecoratedLabeledPath, int]) -> tuple[DecoratedLabeledPath, ...]:
+    """The scored members in dinv order; see :meth:`CuttingCycle.ladder`."""
+    members = sorted(scores, key=scores.__getitem__)
+    values = [scores[q] for q in members]
+    if values != list(range(len(members))):
+        raise LadderViolation(f"cycle of {members[0]} has dinv values {values}")
+    return tuple(members)
 
 
 def _positions(steps: str, step: str) -> list[int]:
@@ -59,30 +81,43 @@ def _positions(steps: str, step: str) -> list[int]:
     return [pos for pos, s in enumerate(steps) if s == step]
 
 
+def _cut(path: DecoratedLabeledPath, i: int, cut: int) -> DecoratedLabeledPath | None:
+    """The i-th cut of a valid path, which ends at word position ``cut``.
+    Returns the image, or None when a decoration lands off a contractible
+    valley.
+
+    With m = cut - i north steps before the cut, the image lists the
+    original's north steps as m + 1, ..., n, 1, ..., m.  Every step but the
+    first keeps the north step before it and the east steps between them,
+    so it keeps its valley.  (Step 1 now follows step n across east steps
+    alone: the original's last one, and its first one, which a decorated
+    step 1 starts after.)  Only the image's first step can lose it: when
+    the image starts with a north step, that step is original step m + 1,
+    and it starts on the main diagonal.  Both pieces end in an east step, so
+    the image keeps the original's columns, labels, step counts and final
+    east step.
+    """
+    m = cut - i
+    steps = path.steps
+    if cut < len(steps) and steps[cut] == "N" and m + 1 in path.decorations:
+        return None
+    return DecoratedLabeledPath(
+        steps[cut:] + steps[:cut],
+        path.labels[m:] + path.labels[:m],
+        frozenset((j - m - 1) % path.n + 1 for j in path.decorations),
+    )
+
+
 def psi(path: DecoratedLabeledPath, i: int) -> DecoratedLabeledPath | None:
     """Cut after the i-th east step and swap the two pieces.
 
     Returns the resulting path, or None when a decoration lands off a
-    contractible valley.  The path must be valid.  Both pieces end in an
-    east step, so the image keeps the original's columns, labels, step
-    counts and final east step: the decorations are all there is to check.
+    contractible valley.  The path must be valid; see :func:`_cut`.
     """
     n = path.n
     if not 1 <= i <= n:
         raise ValueError(f"cut position must be in 1..{n}, got {i}")
-    if i == n:
-        return path
-    steps = path.steps
-    cut = _positions(steps, "E")[i - 1] + 1
-    m = cut - i  # north steps before the cut
-    image = DecoratedLabeledPath(
-        steps[cut:] + steps[:cut],
-        path.labels[m:] + path.labels[:m],
-        frozenset((j - m - 1) % n + 1 for j in path.decorations),
-    )
-    if image.decorations and not image.decorations <= contractible_valleys(image):
-        return None
-    return image
+    return _cut(path, i, _positions(path.steps, "E")[i - 1] + 1)
 
 
 def cutting_cycle(path: DecoratedLabeledPath) -> CuttingCycle:
@@ -91,9 +126,49 @@ def cutting_cycle(path: DecoratedLabeledPath) -> CuttingCycle:
     :func:`canonical_rep`."""
     return CuttingCycle(
         frozenset(
-            image for i in range(1, path.n + 1) if (image := psi(path, i)) is not None
+            image
+            for i, pos in enumerate(_positions(path.steps, "E"), start=1)
+            if (image := _cut(path, i, pos + 1)) is not None
         )
     )
+
+
+def cycle_dinvs(path: DecoratedLabeledPath) -> dict[DecoratedLabeledPath, int]:
+    """Every member of the path's cutting cycle, with its dinv.
+
+    A member cut with m north steps before its cut lists the original steps
+    in the order m + 1, ..., n, 1, ..., m, with diagonals shifted by i - m.
+    The shift leaves attack pairs alone, so the member has P(m) of them,
+    where P(m) counts the pairs in that order.  P(0) is the path's own
+    count.  Moving step m + 1 from the front to the back gives P(m + 1):
+    the pairs it leads (when it is undecorated) go, and the pairs it now
+    closes behind an undecorated step come.  The member's dinv is then P(m),
+    plus the steps with a_j < m - i, which the shift takes below the main
+    diagonal, minus the k decorations."""
+    a, w, dv = area_word(path), path.labels, path.decorations
+    labels: dict[int, list[int]] = {}  # diagonal -> labels of its steps
+    undecorated: dict[int, list[int]] = {}  # the same, undecorated steps only
+    for j, (d, label) in enumerate(zip(a, w), start=1):
+        labels.setdefault(d, []).append(label)
+        if j not in dv:
+            undecorated.setdefault(d, []).append(label)
+    low = sorted(a)
+    pairs = _attack_count(a, w, dv)  # P(m), starting at m = 0
+    m = 0
+    scores = {}
+    for i, pos in enumerate(_positions(path.steps, "E"), start=1):
+        while m < pos + 1 - i:  # move step m + 1 to the back
+            d, label = a[m], w[m]
+            pairs += sum(1 for v in undecorated.get(d, ()) if v < label)
+            pairs += sum(1 for v in undecorated.get(d + 1, ()) if v > label)
+            if m + 1 not in dv:
+                pairs -= sum(1 for v in labels[d] if v > label)
+                pairs -= sum(1 for v in labels.get(d - 1, ()) if v < label)
+            m += 1
+        image = _cut(path, i, pos + 1)
+        if image is not None:
+            scores[image] = pairs + bisect_left(low, m - i) - len(dv)
+    return scores
 
 
 def breaking_step(path: DecoratedLabeledPath) -> int:
@@ -168,7 +243,7 @@ def geometric_order(path: DecoratedLabeledPath) -> tuple[int, ...]:
 
 def ordered_cycle(path: DecoratedLabeledPath) -> tuple[DecoratedLabeledPath, ...]:
     """The path's cycle members in dinv order; see :meth:`CuttingCycle.ladder`."""
-    return cutting_cycle(path).ladder()
+    return _ladder(cycle_dinvs(path))
 
 
 def sched_one_members(

@@ -143,17 +143,24 @@ def dinv(path: DecoratedLabeledPath) -> int:
     diagonal, minus the number of decorations.
 
     The pairs are counted, not listed (:func:`attack_pairs` lists them and
-    is the oracle): scanning right to left, each undecorated step i counts
-    the later labels that are larger on its own diagonal and smaller one
-    diagonal lower."""
+    is the oracle); see :func:`_attack_count`."""
     a = area_word(path)
-    w = path.labels
     dv = path.decorations
+    return _attack_count(a, path.labels, dv) + sum(1 for v in a if v < 0) - len(dv)
+
+
+def _attack_count(
+    word: Sequence[int], labels: Sequence[int], decorations: frozenset[int]
+) -> int:
+    """Attack pairs of the path with this area word, labels and decorations.
+
+    Scanning right to left, each undecorated step i counts the later labels
+    that are larger on its own diagonal and smaller one diagonal lower."""
     later: dict[int, list[int]] = {}  # diagonal -> labels of the steps after i
     count = 0
-    for i in range(len(w), 0, -1):
-        ai, wi = a[i - 1], w[i - 1]
-        if i not in dv:
+    for i in range(len(labels), 0, -1):
+        ai, wi = word[i - 1], labels[i - 1]
+        if i not in decorations:
             for v in later.get(ai, ()):
                 if wi < v:
                     count += 1
@@ -161,7 +168,7 @@ def dinv(path: DecoratedLabeledPath) -> int:
                 if wi > v:
                     count += 1
         later.setdefault(ai, []).append(wi)
-    return count + sum(1 for v in a if v < 0) - len(dv)
+    return count
 
 
 def is_dyck(path: DecoratedLabeledPath) -> bool:

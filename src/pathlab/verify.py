@@ -195,10 +195,14 @@ def _ladder_cycle_witness(
     cycle: cutting.CuttingCycle, ladder: tuple[paths.DecoratedLabeledPath, ...]
 ) -> str | None:
     """The per-cycle part of :func:`check_dinv_ladder`; each member's
-    diagonal word is computed once."""
+    diagonal word is computed once, and its ladder position, which comes
+    from :func:`~pathlab.cutting.cycle_dinvs`, is checked against
+    :func:`~pathlab.paths.dinv`."""
     base = ladder[0]
     words = {member: schedule.diagonal_word(member) for member in ladder}
-    for member in ladder:
+    for position, member in enumerate(ladder):
+        if paths.dinv(member) != position:
+            return "ladder differs from dinv"
         if words[member].word != words[base].word:
             return "word not constant"
         if paths.area(member) != paths.area(base):

@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 
 from pathlab import cutting
 from pathlab.cutting import (
+    CuttingCycle,
+    CycleError,
     LadderViolation,
     Stretches,
     breaking_step,
     canonical_rep,
     cutting_cycle,
+    cycle_dinvs,
     geometric_order,
     ordered_cycle,
     psi,
@@ -25,6 +28,7 @@ from pathlab.enumeration import PathFamily, generate, schedule_one_paths
 from pathlab.paths import (
     PathError,
     area,
+    area_word,
     contractible_valleys,
     dinv,
     format_path,
@@ -34,6 +38,22 @@ from pathlab.paths import (
 from pathlab.schedule import diagonal_word
 
 from conftest import BIG_SCHED_ONE, profiled_calls, random_square_path
+
+
+def _small_paths():
+    """Every square path with n <= 5, for every k."""
+    for n in range(1, 6):
+        for k in range(n):
+            yield from generate(PathFamily(n, k, "square"))
+
+
+def _large_paths():
+    """2,000 seeded random square paths with n from 10 to 20, more than
+    half of them decorated."""
+    rng = random.Random(5281)
+    corpus = [random_square_path(rng, 10 + i % 11) for i in range(2000)]
+    assert sum(1 for p in corpus if p.decorations) > 1000
+    return corpus
 
 
 def _psi_by_validate(path, i):
@@ -105,10 +125,21 @@ class TestBigCycle:
         assert [dinv(p) for p in ordered] == [0, 1, 2, 3, 4, 5]
 
     def test_ladder_scores_each_member_once(self, big_cycle_paths):
+        # the ladder reads every member's dinv off one area word
         cycle = cutting_cycle(big_cycle_paths[0])
-        _, calls = profiled_calls({dinv.__code__}, cycle.ladder)
-        scored = [call.locals["path"] for call in calls]
-        assert sorted(scored, key=str) == sorted(big_cycle_paths, key=str)
+        ladder, calls = profiled_calls({dinv.__code__, area_word.__code__}, cycle.ladder)
+        assert ladder == big_cycle_paths
+        assert [call.code for call in calls] == [area_word.__code__]
+
+    def test_empty_cycle_ladders_to_nothing(self):
+        assert CuttingCycle(frozenset()).ladder() == ()
+
+    def test_foreign_members_are_not_a_cycle(self, big_cycle_paths, small_path):
+        members = frozenset(big_cycle_paths) | {small_path}
+        with pytest.raises(CycleError, match="are not its cycle"):
+            CuttingCycle(members).ladder()
+        with pytest.raises(CycleError, match="are not its cycle"):
+            CuttingCycle(frozenset(big_cycle_paths[1:])).ladder()
 
     def test_geometric_order_matches_ladder(self, big_cycle_paths):
         canon = big_cycle_paths[0]
@@ -165,19 +196,42 @@ class TestCycleInvariants:
 
     def test_cycle_makes_n_cuts_only(self, big_cycle_paths, monkeypatch):
         cuts = []
+        cut = cutting._cut
 
-        def counting_psi(path, i):
+        def counting_cut(path, i, position):
             cuts.append(i)
-            return psi(path, i)
+            return cut(path, i, position)
 
         def no_canonical(path):
             raise AssertionError("cutting_cycle computed a canonical member")
 
-        monkeypatch.setattr(cutting, "psi", counting_psi)
+        monkeypatch.setattr(cutting, "_cut", counting_cut)
         monkeypatch.setattr(cutting, "canonical_rep", no_canonical)
         p = big_cycle_paths[2]
         assert cutting_cycle(p).members == frozenset(big_cycle_paths)
         assert sorted(cuts) == list(range(1, p.n + 1))
+
+    def test_members_match_validate_on_every_small_path(self):
+        for p in _small_paths():
+            expected = {_psi_by_validate(p, i) for i in range(1, p.n + 1)} - {None}
+            assert cutting_cycle(p).members == expected, p
+
+    def test_members_match_validate_on_random_large_paths(self):
+        for p in _large_paths():
+            expected = {_psi_by_validate(p, i) for i in range(1, p.n + 1)} - {None}
+            assert cutting_cycle(p).members == expected, p
+
+    def test_cycle_dinvs_match_dinv_on_every_small_path(self):
+        for p in _small_paths():
+            scores = cycle_dinvs(p)
+            assert scores.keys() == cutting_cycle(p).members, p
+            assert scores == {q: dinv(q) for q in scores}, p
+
+    def test_cycle_dinvs_match_dinv_on_random_large_paths(self):
+        for p in _large_paths():
+            scores = cycle_dinvs(p)
+            assert scores.keys() == cutting_cycle(p).members, p
+            assert scores == {q: dinv(q) for q in scores}, p
 
     def test_cycle_makes_no_validate_call(self, big_cycle_paths):
         _, calls = profiled_calls({validate.__code__}, cutting_cycle, big_cycle_paths[2])

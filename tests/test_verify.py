@@ -102,6 +102,21 @@ def test_dinv_ladder_computes_each_members_word_once():
     assert cutting.sched_one_members.__code__ not in callers
 
 
+def test_dinv_ladder_checks_the_ladder_against_dinv(monkeypatch):
+    # scores that swap each cycle's dinv-0 and dinv-1 members still ladder
+    original = cutting.cycle_dinvs
+
+    def swapped(path):
+        scores = original(path)
+        if len(scores) > 1:
+            first, second = sorted(scores, key=scores.__getitem__)[:2]
+            scores[first], scores[second] = 1, 0
+        return scores
+
+    monkeypatch.setattr(cutting, "cycle_dinvs", swapped)
+    assert verify.check_dinv_ladder(3).endswith(" ladder differs from dinv")
+
+
 def test_all_ones_searches_build_no_schedule_words():
     counted = {schedule.schedule_numbers.__code__: [], schedule.diagonal_word.__code__: []}
     (unique, seeds), calls = profiled_calls(
