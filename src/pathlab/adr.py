@@ -299,13 +299,3 @@ def euler_specialization(n: int) -> TPoly:
     tail = TPoly.one() if n == 1 else euler_t(n - 1)
     return t_analog(n) * TPoly.monomial((n - 1) ** 2 // 4) * tail
 
-
-def all_adrs(n: int, k: int) -> tuple[ADRWitness, ...]:
-    """Every ADR word of size n with k decorations, with its shift witness,
-    permutations in lexicographic order."""
-    return tuple(
-        witness
-        for values in itertools.permutations(range(1, n + 1))
-        for witness in adr_decorations(values)
-        if len(witness.word.decorated) == k
-    )

@@ -7,7 +7,8 @@ path, reconstructed here directly: decorated letters below the main diagonal
 form the opening stretch (diagonal descending, labels ascending), the
 undecorated letters climb diagonal by diagonal (labels descending inside a
 diagonal), and the remaining decorated letters close the path (diagonal
-descending, labels ascending).
+descending, labels ascending).  The tests hold it to :func:`_fiber_paths`,
+which finds a fiber by trying every ordering of the letters.
 """
 
 from __future__ import annotations
@@ -84,11 +85,10 @@ def path_from_sdw(word: DecoratedPermutation, shift: int) -> DecoratedLabeledPat
     return path
 
 
-def fiber_paths(
-    word: DecoratedPermutation, shift: int
-) -> tuple[DecoratedLabeledPath, ...]:
+def _fiber_paths(word: DecoratedPermutation, shift: int) -> tuple[DecoratedLabeledPath, ...]:
     """Every path with the given shifted diagonal word, by trying all
-    orderings of the letters as north steps (a test oracle, O(n!))."""
+    orderings of the letters as north steps: the O(n!) test oracle for
+    :func:`path_from_sdw`."""
     sdw = ShiftedDiagonalWord(word, shift)
     diag_of = letter_diagonals(sdw)
     decorated_values = word.decorated_values

@@ -16,7 +16,6 @@ from . import __version__
 from .adr import D_fast, S_fast, S_recursive, dyck_decorate, is_adr, parity_decorate
 from .bridge import path_from_sdw
 from .cutting import (
-    CuttingCycle,
     CycleError,
     canonical_rep,
     cutting_cycle,
@@ -162,7 +161,7 @@ def cmd_cycle(args) -> int:
     scores = cycle_dinvs(path)
     canonical = canonical_rep(path)
     members = sorted(scores, key=lambda q: (scores[q], format_path(q)))
-    marked = sched_one_members(CuttingCycle(frozenset(scores)))
+    marked = sched_one_members(scores)
     if args.format == "json":
         payload = {
             "size": len(members),

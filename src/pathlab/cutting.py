@@ -14,14 +14,15 @@ the image's first north step can stop being a valley, so a cut is refused
 just when that step is decorated and starts on the main diagonal
 (:func:`psi`, :func:`cutting_cycle`).  The attack pairs of each image follow
 from the path's own area word and labels by rotating them, so one area word
-scores a whole cycle (:func:`cycle_dinvs`).
+scores a whole cycle (:func:`cycle_dinvs`), and :func:`ordered_cycle` sorts
+it into the ladder.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .paths import DecoratedLabeledPath, _attack_count, area_word
 from .schedule import ShiftedDiagonalWord, diagonal_word, ones_shifts
@@ -47,33 +48,6 @@ class CuttingCycle:
     from (the ``partition`` verify suite checks this)."""
 
     members: frozenset[DecoratedLabeledPath]
-
-    def ladder(self) -> tuple[DecoratedLabeledPath, ...]:
-        """Members sorted by dinv, checked to ladder from 0 upward; the dinv
-        values come from :func:`cycle_dinvs` of one member.  An empty cycle
-        ladders to ``()``.
-
-        Raises :class:`CycleError` when the members are not that member's
-        cycle, and :class:`LadderViolation` when the dinv values are not
-        exactly 0, 1, ..., size - 1 (they always are for cycles of paths
-        whose schedule word is all ones), ties included: the sort compares
-        dinv values only, never the paths."""
-        if not self.members:
-            return ()
-        member = next(iter(self.members))
-        scores = cycle_dinvs(member)
-        if scores.keys() != self.members:
-            raise CycleError(f"the members given with {member} are not its cycle")
-        return _ladder(scores)
-
-
-def _ladder(scores: dict[DecoratedLabeledPath, int]) -> tuple[DecoratedLabeledPath, ...]:
-    """The scored members in dinv order; see :meth:`CuttingCycle.ladder`."""
-    members = sorted(scores, key=scores.__getitem__)
-    values = [scores[q] for q in members]
-    if values != list(range(len(members))):
-        raise LadderViolation(f"cycle of {members[0]} has dinv values {values}")
-    return tuple(members)
 
 
 def _positions(steps: str, step: str) -> list[int]:
@@ -242,21 +216,33 @@ def geometric_order(path: DecoratedLabeledPath) -> tuple[int, ...]:
 
 
 def ordered_cycle(path: DecoratedLabeledPath) -> tuple[DecoratedLabeledPath, ...]:
-    """The path's cycle members in dinv order; see :meth:`CuttingCycle.ladder`."""
-    return _ladder(cycle_dinvs(path))
+    """The path's cycle members sorted by dinv, checked to ladder from 0
+    upward; the dinv values come from :func:`cycle_dinvs`, so one area word
+    scores the whole cycle.
+
+    Raises :class:`LadderViolation` when the dinv values are not exactly
+    0, 1, ..., size - 1 (they always are for cycles of paths whose schedule
+    word is all ones), ties included: the sort compares dinv values only,
+    never the paths."""
+    scores = cycle_dinvs(path)
+    members = sorted(scores, key=scores.__getitem__)
+    values = [scores[q] for q in members]
+    if values != list(range(len(members))):
+        raise LadderViolation(f"cycle of {members[0]} has dinv values {values}")
+    return tuple(members)
 
 
 def sched_one_members(
-    cycle: CuttingCycle,
+    members: Iterable[DecoratedLabeledPath],
     words: Mapping[DecoratedLabeledPath, ShiftedDiagonalWord] | None = None,
 ) -> frozenset[DecoratedLabeledPath]:
-    """Members whose schedule word is all ones.  ``words`` may hold members'
-    diagonal words that the caller already has; the others are computed
-    here."""
+    """The given members whose schedule word is all ones.  ``words`` may
+    hold members' diagonal words that the caller already has; the others
+    are computed here."""
     words = words or {}
     return frozenset(
         q
-        for q in cycle.members
+        for q in members
         if (sdw := words[q] if q in words else diagonal_word(q)).shift
         in ones_shifts(sdw.word)
     )

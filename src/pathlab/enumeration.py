@@ -32,7 +32,12 @@ from .paths import (
     word_shift,
 )
 from .poly import QTPoly, TPoly
-from .schedule import decreasing_runs, diagonal_word, ones_shifts_by_runs
+from .schedule import (
+    ShiftedDiagonalWord,
+    decreasing_runs,
+    diagonal_word,
+    ones_shifts_by_runs,
+)
 
 KINDS = ("square", "dyck")
 
@@ -246,25 +251,21 @@ def D_brute(n: int, k: int) -> TPoly:
     return _signed_sums(n, "dyck", None)[k]
 
 
+def fibers_by_sdw(family: PathFamily) -> dict[ShiftedDiagonalWord, QTPoly]:
+    """Group the family by shifted diagonal word: each realized word's fiber
+    as its sum of q^dinv t^area.  A fiber's size is that sum at q = t = 1."""
+    acc: dict[ShiftedDiagonalWord, dict] = {}
+    for path in generate(family):
+        terms = acc.setdefault(diagonal_word(path), {})
+        key = (dinv(path), area(path))
+        terms[key] = terms.get(key, 0) + 1
+    return {sdw: QTPoly(terms) for sdw, terms in acc.items()}
+
+
 def qt_enumerator(family: PathFamily) -> QTPoly:
-    """Unsigned (q, t)-enumerator: sum of q^dinv t^area over the family."""
-    acc: dict[tuple[int, int], int] = {}
-    for path in generate(family):
-        key = (dinv(path), area(path))
-        acc[key] = acc.get(key, 0) + 1
-    return QTPoly(acc)
-
-
-def fibers_by_sdw(family: PathFamily) -> dict:
-    """Group the family by shifted diagonal word; values are (count, QTPoly)."""
-    out: dict = {}
-    for path in generate(family):
-        sdw = diagonal_word(path)
-        count, acc = out.get(sdw, (0, {}))
-        key = (dinv(path), area(path))
-        acc[key] = acc.get(key, 0) + 1
-        out[sdw] = (count + 1, acc)
-    return {sdw: (count, QTPoly(acc)) for sdw, (count, acc) in out.items()}
+    """Unsigned (q, t)-enumerator: sum of q^dinv t^area over the family, the
+    sum of its fibers."""
+    return sum(fibers_by_sdw(family).values(), QTPoly())
 
 
 def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLabeledPath]:

@@ -75,14 +75,15 @@ def _permutations(n: int, shard: int | None = None) -> Iterator[tuple[int, ...]]
 
 def check_schedule_formula(n: int, shard: int | None = None) -> str | None:
     """Fiberwise: for every realized shifted diagonal word, the (q, t) sum of
-    q^dinv t^area over its fiber equals the closed form, and the fiber size
-    equals the product of the schedule numbers.  Sharded by k."""
+    q^dinv t^area over its fiber equals the closed form, and the fiber size,
+    that sum's value at q = t = 1, equals the product of the schedule
+    numbers.  Sharded by k."""
     for k in _keys(n, shard):
         fibers = enumeration.fibers_by_sdw(enumeration.PathFamily(n, k, "square"))
-        for sdw, (count, qt) in fibers.items():
+        for sdw, qt in fibers.items():
             if qt != schedule.schedule_rhs(sdw):
                 return f"{sdw} qt mismatch"
-            if count != schedule.count_by_sdw(sdw):
+            if qt.eval_q(1)(1) != schedule.count_by_sdw(sdw):
                 return f"{sdw} count mismatch"
     return None
 
@@ -167,10 +168,11 @@ def check_cancellation_path(n: int, shard: int | None = None) -> str | None:
 def check_dinv_ladder(n: int, shard: int | None = None) -> str | None:
     """Every schedule-one path lies in its own cycle, which has size n - k,
     and its canonical member is the cycle's dinv-0 member.  Each such cycle
-    is checked once, however many schedule-one members it has: dinv values
-    ladder 0..size-1, area and diagonal word are constant, and the geometric
-    ordering from the dinv-0 member reproduces the ladder.  Sharded by area
-    mod n, which keeps every cycle inside one shard."""
+    is checked once, however many schedule-one members it has: the ladder
+    holds exactly the cycle's members, their dinv values are 0..size-1,
+    area and diagonal word are constant, and the geometric ordering from the
+    dinv-0 member reproduces the ladder.  Sharded by area mod n, which keeps
+    every cycle inside one shard."""
     ladders: dict[frozenset, tuple[paths.DecoratedLabeledPath, ...]] = {}
     for seed in enumeration.schedule_one_paths(n, shard):
         k = len(seed.decorations)
@@ -181,8 +183,10 @@ def check_dinv_ladder(n: int, shard: int | None = None) -> str | None:
             return f"{seed} not in its own cycle"
         ladder = ladders.get(cycle.members)
         if ladder is None:
-            ladder = cycle.ladder()
-            witness = _ladder_cycle_witness(cycle, ladder)
+            ladder = cutting.ordered_cycle(seed)
+            if set(ladder) != cycle.members:
+                return f"{seed} ladder members differ from its cycle"
+            witness = _ladder_cycle_witness(ladder)
             if witness is not None:
                 return f"{seed} {witness}"
             ladders[cycle.members] = ladder
@@ -191,9 +195,7 @@ def check_dinv_ladder(n: int, shard: int | None = None) -> str | None:
     return None
 
 
-def _ladder_cycle_witness(
-    cycle: cutting.CuttingCycle, ladder: tuple[paths.DecoratedLabeledPath, ...]
-) -> str | None:
+def _ladder_cycle_witness(ladder: tuple[paths.DecoratedLabeledPath, ...]) -> str | None:
     """The per-cycle part of :func:`check_dinv_ladder`; each member's
     diagonal word is computed once, and its ladder position, which comes
     from :func:`~pathlab.cutting.cycle_dinvs`, is checked against
@@ -210,7 +212,7 @@ def _ladder_cycle_witness(
     geometric = [cutting.psi(base, i) for i in cutting.geometric_order(base)]
     if geometric != list(ladder):
         return "geometric order differs"
-    listed = cutting.sched_one_members(cycle, words)
+    listed = cutting.sched_one_members(ladder, words)
     criterion = {
         q
         for q in ladder

@@ -7,6 +7,7 @@ hand-checked against the step diagrams; tests pin them as literals.
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 from types import CodeType
@@ -14,6 +15,7 @@ from typing import NamedTuple
 
 import pytest
 
+from pathlab.adr import ADRWitness, adr_decorations
 from pathlab.enumeration import PathFamily, generate
 from pathlab.paths import contractible_valleys, parse_path, validate
 from pathlab.schedule import parse_perm
@@ -84,6 +86,17 @@ def random_square_path(rng: random.Random, n: int):
         labels.extend(sorted(letters[len(labels) : len(labels) + len(column)]))
     valleys = sorted(contractible_valleys(validate(steps, labels)))
     return validate(steps, labels, [v for v in valleys if rng.random() < 0.5][: n - 1])
+
+
+def all_adrs(n: int, k: int) -> tuple[ADRWitness, ...]:
+    """Every ADR word of size n with k decorations, with its shift witness,
+    permutations in lexicographic order."""
+    return tuple(
+        witness
+        for values in itertools.permutations(range(1, n + 1))
+        for witness in adr_decorations(values)
+        if len(witness.word.decorated) == k
+    )
 
 
 @pytest.fixture

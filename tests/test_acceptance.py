@@ -18,12 +18,14 @@ import sys
 import time
 from contextlib import contextmanager
 
-from pathlab.adr import S_fast, all_adrs, delta, parity_decorate, phi
-from pathlab.bridge import fiber_paths
+from pathlab.adr import S_fast, delta, parity_decorate, phi
+from pathlab.bridge import _fiber_paths as fiber_paths
 from pathlab.enumeration import D_brute, S_brute
 from pathlab.poly import TPoly
 from pathlab.schedule import make_perm, parse_perm, revmaj
 from pathlab.verify import run_suite
+
+from conftest import all_adrs
 
 
 @contextmanager

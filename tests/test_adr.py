@@ -19,7 +19,6 @@ from pathlab.adr import (
     _fast_sums,
     _sweep_sums,
     adr_decorations,
-    all_adrs,
     dyck_decorate,
     euler_specialization,
     is_adr,
@@ -29,6 +28,8 @@ from pathlab.adr import (
 )
 from pathlab.poly import TPoly, t_factorial
 from pathlab.schedule import DecoratedPermutation, make_perm, parse_perm
+
+from conftest import all_adrs
 
 
 class TestMembership:

@@ -7,13 +7,12 @@ from collections import Counter
 
 import pytest
 
-from pathlab.adr import all_adrs
-from pathlab.bridge import ScheduleNotOne, classes, fiber_paths, path_from_sdw
+from pathlab.bridge import ScheduleNotOne, _fiber_paths, classes, path_from_sdw
 from pathlab.cutting import canonical_rep
 from pathlab.paths import area, format_path, parse_path
 from pathlab.schedule import diagonal_word, make_perm, parse_perm, schedule_numbers
 
-from conftest import BIG_CYCLE, FIBER_SHIFT, FIBER_WORD
+from conftest import BIG_CYCLE, FIBER_SHIFT, FIBER_WORD, all_adrs
 
 
 class TestPathFromSdw:
@@ -43,7 +42,7 @@ class TestPathFromSdw:
             for k in range(n):
                 for witness in all_adrs(n, k):
                     for s in witness.valid_shifts:
-                        fiber = fiber_paths(witness.word, s)
+                        fiber = _fiber_paths(witness.word, s)
                         assert fiber == (path_from_sdw(witness.word, s),)
 
     def test_two_shifts_share_canonical(self, big_word):
@@ -55,7 +54,7 @@ class TestPathFromSdw:
 class TestFiberPaths:
     def test_sixteen_path_fiber(self):
         word = parse_perm(FIBER_WORD)
-        fiber = fiber_paths(word, FIBER_SHIFT)
+        fiber = _fiber_paths(word, FIBER_SHIFT)
         assert len(fiber) == 16
         assert len(set(fiber)) == 16
 

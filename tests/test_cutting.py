@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from pathlab import cutting
 from pathlab.cutting import (
-    CuttingCycle,
-    CycleError,
     LadderViolation,
     Stretches,
     breaking_step,
@@ -126,20 +124,10 @@ class TestBigCycle:
 
     def test_ladder_scores_each_member_once(self, big_cycle_paths):
         # the ladder reads every member's dinv off one area word
-        cycle = cutting_cycle(big_cycle_paths[0])
-        ladder, calls = profiled_calls({dinv.__code__, area_word.__code__}, cycle.ladder)
+        codes = {dinv.__code__, area_word.__code__}
+        ladder, calls = profiled_calls(codes, ordered_cycle, big_cycle_paths[0])
         assert ladder == big_cycle_paths
         assert [call.code for call in calls] == [area_word.__code__]
-
-    def test_empty_cycle_ladders_to_nothing(self):
-        assert CuttingCycle(frozenset()).ladder() == ()
-
-    def test_foreign_members_are_not_a_cycle(self, big_cycle_paths, small_path):
-        members = frozenset(big_cycle_paths) | {small_path}
-        with pytest.raises(CycleError, match="are not its cycle"):
-            CuttingCycle(members).ladder()
-        with pytest.raises(CycleError, match="are not its cycle"):
-            CuttingCycle(frozenset(big_cycle_paths[1:])).ladder()
 
     def test_geometric_order_matches_ladder(self, big_cycle_paths):
         canon = big_cycle_paths[0]
@@ -154,15 +142,15 @@ class TestBigCycle:
             assert psi(p, breaking_step(p)) == canon
 
     def test_schedule_one_members(self, big_cycle_paths):
-        cycle = cutting_cycle(big_cycle_paths[0])
-        got = {format_path(p) for p in sched_one_members(cycle)}
+        members = cutting_cycle(big_cycle_paths[0]).members
+        got = {format_path(p) for p in sched_one_members(members)}
         assert got == set(BIG_SCHED_ONE)
 
     def test_schedule_one_members_from_given_words(self, big_cycle_paths, monkeypatch):
-        cycle = cutting_cycle(big_cycle_paths[0])
-        words = {q: diagonal_word(q) for q in cycle.members}
+        members = cutting_cycle(big_cycle_paths[0]).members
+        words = {q: diagonal_word(q) for q in members}
         monkeypatch.setattr(cutting, "diagonal_word", None)  # a call would raise
-        got = {format_path(p) for p in sched_one_members(cycle, words)}
+        got = {format_path(p) for p in sched_one_members(members, words)}
         assert got == set(BIG_SCHED_ONE)
 
     def test_shape_of_canonical(self, big_cycle_paths):
@@ -245,9 +233,8 @@ class TestCycleInvariants:
 
     def test_ladder_tie_is_a_violation(self):
         # a cycle with no schedule-one member: two members share dinv 2
-        cycle = cutting_cycle(parse_path("NNEENE:1,3,2:"))
         with pytest.raises(LadderViolation, match=r"dinv values \[0, 2, 2\]"):
-            cycle.ladder()
+            ordered_cycle(parse_path("NNEENE:1,3,2:"))
 
     def test_schedule_one_canonical_shared_dinv_zero(self):
         # all schedule-one members of a cycle break to the same

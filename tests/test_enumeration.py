@@ -177,20 +177,27 @@ class TestSignedSums:
                 assert qt_enumerator(PathFamily(n, k, "dyck")).eval_q(-1) == D_brute(n, k)
 
 
-class TestFibers:
-    def test_fiber_sizes_sum_to_family(self):
-        fam = PathFamily(4, 1, "square")
-        fibers = fibers_by_sdw(fam)
-        assert sum(count for count, _ in fibers.values()) == len(
-            list(generate(fam))
-        )
+def _families_up_to_four():
+    for n in range(1, 5):
+        for k in range(n):
+            for kind in KINDS:
+                yield PathFamily(n, k, kind)
 
-    def test_fiber_polynomials_sum_to_enumerator(self):
-        fam = PathFamily(4, 2, "square")
-        total = QTPoly()
-        for _, qt in fibers_by_sdw(fam).values():
-            total = total + qt
-        assert total == qt_enumerator(fam)
+
+class TestFibers:
+    def test_fibers_group_the_family(self):
+        for fam in _families_up_to_four():
+            grouped: dict = {}
+            for p in generate(fam):
+                qt = QTPoly.monomial(dinv(p), area(p))
+                sdw = diagonal_word(p)
+                grouped[sdw] = grouped.get(sdw, QTPoly()) + qt
+            assert fibers_by_sdw(fam) == grouped, fam
+
+    def test_fiber_sizes_sum_to_family(self):
+        for fam in _families_up_to_four():
+            sizes = [qt.eval_q(1)(1) for qt in fibers_by_sdw(fam).values()]
+            assert sum(sizes) == sum(1 for _ in generate(fam)), fam
 
 
 class TestScheduleOnePaths:

@@ -117,6 +117,19 @@ def test_dinv_ladder_checks_the_ladder_against_dinv(monkeypatch):
     assert verify.check_dinv_ladder(3).endswith(" ladder differs from dinv")
 
 
+def test_dinv_ladder_checks_the_ladder_against_the_cycle(monkeypatch):
+    # scores that drop each cycle's top member still ladder 0..size-2
+    original = cutting.cycle_dinvs
+
+    def dropped(path):
+        scores = original(path)
+        del scores[max(scores, key=scores.__getitem__)]
+        return scores
+
+    monkeypatch.setattr(cutting, "cycle_dinvs", dropped)
+    assert verify.check_dinv_ladder(3).endswith(" ladder members differ from its cycle")
+
+
 def test_all_ones_searches_build_no_schedule_words():
     counted = {schedule.schedule_numbers.__code__: [], schedule.diagonal_word.__code__: []}
     (unique, seeds), calls = profiled_calls(
@@ -200,7 +213,7 @@ def test_area_shards_partition_seeds_and_cycles(n):
         for seed in shard:
             members = cutting.cutting_cycle(seed).members
             assert all(paths.area(q) % n == j for q in members)
-            assert set(cutting.sched_one_members(cutting.CuttingCycle(members))) <= seeds
+            assert set(cutting.sched_one_members(members)) <= seeds
     merged = Counter()
     for j in range(n):
         merged.update(bridge.classes(n, j))
