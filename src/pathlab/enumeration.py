@@ -99,11 +99,6 @@ def _composition_labelings(sizes: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [head for head, _ in partial]
 
 
-def standard_labelings(steps: str) -> Iterator[tuple[int, ...]]:
-    """Permutations of 1..n increasing inside each column, lexicographically."""
-    yield from _composition_labelings(column_sizes(steps))
-
-
 class _StepProfile(NamedTuple):
     """What a step word fixes for every labeling of it.
 
@@ -114,8 +109,6 @@ class _StepProfile(NamedTuple):
     by i, then j.
     """
 
-    word: tuple[int, ...]  # area word a_1..a_n
-    shift: int
     area: int
     bonus: int  # north steps strictly below the main diagonal
     candidates: tuple[tuple[int, int, int, int], ...]
@@ -137,8 +130,6 @@ def _step_profile(steps: str) -> _StepProfile:
         elif a[j - 1] + 1 == a[i - 1]:
             candidates.append((i, j, j, i))
     return _StepProfile(
-        word=a,
-        shift=s,
         area=sum(v + s for v in a),
         bonus=sum(1 for v in a if v < 0),
         candidates=tuple(candidates),

@@ -329,15 +329,6 @@ def u_statistic(sdw: ShiftedDiagonalWord) -> int:
     )
 
 
-def count_by_sdw(sdw: ShiftedDiagonalWord) -> int:
-    """Number of paths sharing this shifted diagonal word: the product of the
-    schedule numbers."""
-    total = 1
-    for w in schedule_numbers(sdw):
-        total *= w
-    return total
-
-
 def schedule_rhs(sdw: ShiftedDiagonalWord) -> QTPoly:
     """Closed form for the (q, t)-enumerator of the fiber of a shifted
     diagonal word: t^revmaj * q^u * product of q-analogs of the schedules."""

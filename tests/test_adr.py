@@ -19,6 +19,7 @@ from pathlab.adr import (
     _fast_sums,
     _sweep_sums,
     adr_decorations,
+    delta,
     dyck_decorate,
     euler_specialization,
     is_adr,
@@ -105,8 +106,25 @@ class TestDecoratingAlgorithms:
 
 class TestPhi:
     def test_rejects_non_members(self):
-        with pytest.raises(NotAnADR):
-            phi(parse_perm("2 1 3"))  # even undecorated count
+        # three undecorated letters, but no all-ones shift
+        with pytest.raises(NotAnADR, match="admits no all-ones shift"):
+            phi(parse_perm("2 1 3"))
+
+    def test_rejects_an_even_undecorated_count(self):
+        with pytest.raises(NotAnADR, match="even number of undecorated letters"):
+            phi(parse_perm("2 1"))
+
+
+class TestDelta:
+    @pytest.mark.parametrize("m", [0, 4])
+    def test_rejects_m_outside_one_to_n(self, m):
+        # a flat word of size 2 extends to size 3
+        with pytest.raises(ValueError, match=r"m must be in 1\.\.3"):
+            delta(m, dyck_decorate((2, 1)))
+
+    def test_rejects_a_word_that_is_not_flat(self, big_word):
+        with pytest.raises(NotAnADR, match="not all-ones realizable at shift zero"):
+            delta(1, big_word)
 
 
 class TestFastSums:

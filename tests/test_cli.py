@@ -14,7 +14,7 @@ from pathlab import cli, verify
 from pathlab.cli import main
 from pathlab.cutting import CycleError, LadderViolation
 
-from conftest import BIG_CYCLE, BIG_WORD, SMALL_PATH
+from conftest import BIG_CYCLE, BIG_SCHED_ONE, BIG_WORD, SMALL_PATH
 
 
 def run(capsys, *argv):
@@ -97,6 +97,27 @@ class TestInspect:
         assert info["shift"] == 0 and info["dinv"] == 0 and info["area"] == 1
         assert info["cycle_size"] == 2
 
+    def test_path_report_text(self, capsys):
+        code, out, err = run(capsys, "inspect", SMALL_PATH)
+        assert code == 0 and err == ""
+        assert out.splitlines() == [
+            "kind: path",
+            "text: NNEENE:1,2,3:3",
+            "n: 3",
+            "k: 1",
+            "dyck: True",
+            "area_word: [0, 1, 0]",
+            "shift: 0",
+            "area: 1",
+            "dinv: 0",
+            "contractible_valleys: [3]",
+            "attack_pairs: [[1, 3, 'primary']]",
+            "diagonal_word: 3* 1 2",
+            "schedule_word: [1, 1, 1]",
+            "cycle_size: 2",
+            "cycle_canonical: NNEENE:1,2,3:3",
+        ]
+
     def test_word_report(self, capsys):
         code, out, _ = run(capsys, "inspect", BIG_WORD, "--format", "json")
         assert code == 0
@@ -137,6 +158,16 @@ class TestCycle:
         assert [m["path"] for m in payload["members"]] == list(BIG_CYCLE)
         assert [m["schedule_one"] for m in payload["members"]] == [
             False, False, True, True, False, False,
+        ]
+
+    def test_members_in_dinv_order_text(self, capsys):
+        code, out, _ = run(capsys, "cycle", BIG_CYCLE[2])
+        assert code == 0
+        flags = {BIG_CYCLE[0]: "  [canonical]"}
+        flags.update(dict.fromkeys(BIG_SCHED_ONE, "  [schedule-one]"))
+        assert out.splitlines() == [
+            f"dinv={d} area=16 {member}{flags.get(member, '')}"
+            for d, member in enumerate(BIG_CYCLE)
         ]
 
     def test_cycle_without_ladder(self, capsys):
@@ -214,12 +245,15 @@ class TestDomain:
             (("verify", "euler", "--max-n", "2", "--jobs", "-5"), "at least 1"),
             (("verify", "euler", "--max-n", "2", "--jobs", "0"), "at least 1"),
             (("build", "2 1", "--shift", "-1"), "shift must be at least 0"),
+            (("inspect", "NE:0:"), "labels must be positive integers"),
+            (("inspect", "NE:x:"), "malformed numeric field in 'NE:x:'"),
         ],
     )
     def test_out_of_domain_input_exits_two(self, capsys, argv, message):
         code, _, err = run(capsys, *argv)
-        assert code == 2 and "error:" in err and message in err
-        assert "Traceback" not in err
+        assert code == 2 and message in err
+        # one error line, no traceback
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
     @settings(deadline=None)
     @given(

@@ -72,6 +72,11 @@ class TestPsi:
     def test_last_cut_is_identity(self, small_path):
         assert psi(small_path, small_path.n) == small_path
 
+    @pytest.mark.parametrize("i", [0, 4])
+    def test_cut_outside_one_to_n_raises(self, small_path, i):
+        with pytest.raises(ValueError, match=r"cut position must be in 1\.\.3"):
+            psi(small_path, i)
+
     def test_invalid_cut_returns_none(self):
         # cutting NNEENE:1,2,3:3 after its first east step produces a path
         # whose decoration is no longer on a contractible valley

@@ -12,7 +12,7 @@ from pathlab.enumeration import (
     PathFamily,
     S_brute,
     _attack_pairs,
-    _step_profile,
+    _labeled_step_words,
     _valleys,
     bare_path_count,
     column_sizes,
@@ -20,17 +20,14 @@ from pathlab.enumeration import (
     generate,
     qt_enumerator,
     schedule_one_paths,
-    standard_labelings,
     step_words,
 )
 from pathlab.paths import (
     DecoratedLabeledPath,
     area,
-    area_word,
     attack_pairs,
     contractible_valleys,
     dinv,
-    shift,
     validate,
 )
 from pathlab.poly import QTPoly, TPoly
@@ -64,7 +61,7 @@ class TestStepWords:
         for n in range(1, 6):
             perms = list(itertools.permutations(range(1, n + 1)))
             for kind in KINDS:
-                for w in step_words(n, kind):
+                for w, _, labelings in _labeled_step_words(n, kind):
                     blocks = list(
                         itertools.accumulate(column_sizes(w), initial=0)
                     )
@@ -76,7 +73,7 @@ class TestStepWords:
                             for lo, hi in zip(blocks, blocks[1:])
                         )
                     ]
-                    assert list(standard_labelings(w)) == expected
+                    assert labelings == expected
 
     def test_bare_path_count(self):
         # n^n square and (n + 1)^(n - 1) Dyck pairs, checked for n <= 5
@@ -89,16 +86,13 @@ class TestStepWords:
 class TestStepProfile:
     def test_matches_definitional_forms(self):
         """For every (steps, labels) pair of both kinds with n <= 5, the
-        profile gives the area word, shift, area, attack pairs (so the count
-        per left index) and contractible valleys of paths.py."""
+        profile gives the area, attack pairs (so the count per left index)
+        and contractible valleys of paths.py."""
         for n in range(1, 6):
             for kind in KINDS:
-                for w in step_words(n, kind):
-                    profile = _step_profile(w)
-                    for labels in standard_labelings(w):
+                for w, profile, labelings in _labeled_step_words(n, kind):
+                    for labels in labelings:
                         base = validate(w, labels)
-                        assert profile.word == area_word(base)
-                        assert profile.shift == shift(base)
                         assert profile.area == area(base)
                         assert profile.bonus + len(attack_pairs(base)) == dinv(base)
                         padded = (0,) + labels
@@ -118,8 +112,8 @@ class TestGenerate:
                 len(list(generate(PathFamily(n, k, "square")))) for k in range(n)
             )
             naive = 0
-            for w in step_words(n, "square"):
-                for labels in standard_labelings(w):
+            for w, _, labelings in _labeled_step_words(n, "square"):
+                for labels in labelings:
                     base = validate(w, labels)
                     v = len(contractible_valleys(base))
                     naive += sum(

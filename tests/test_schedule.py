@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given
@@ -13,7 +14,6 @@ from pathlab.schedule import (
     DecoratedPermutation,
     ShiftedDiagonalWord,
     _is_cyclic_run_by_rotation,
-    count_by_sdw,
     decreasing_runs,
     descents,
     diagonal_word,
@@ -159,12 +159,23 @@ class TestProductFormula:
         sdw = ShiftedDiagonalWord(word, FIBER_SHIFT)
         assert schedule_numbers(sdw) == (2, 2, 1, 2, 1, 1, 2)
         assert u_statistic(sdw) == 1
-        assert count_by_sdw(sdw) == 16
         # q * t^6 * (1 + q)^4
         assert schedule_rhs(sdw) == QTPoly(
             {(1, 6): 1, (2, 6): 4, (3, 6): 6, (4, 6): 4, (5, 6): 1}
         )
+        assert schedule_rhs(sdw).eval_q(1)(1) == 16
 
     def test_count_is_product_of_schedules(self, big_word):
-        sdw = ShiftedDiagonalWord(big_word, 2)
-        assert count_by_sdw(sdw) == 1
+        # the closed form at q = t = 1, so a fiber's size, is the product of
+        # the schedule numbers: checked for every shifted diagonal word with
+        # n <= 4, and for the all-ones big word
+        for n in range(1, 5):
+            for values in itertools.permutations(range(1, n + 1)):
+                for r in range(n + 1):
+                    for decorated in itertools.combinations(range(1, n + 1), r):
+                        word = DecoratedPermutation(values, frozenset(decorated))
+                        for s in range(len(decreasing_runs(word)) + 1):
+                            sdw = ShiftedDiagonalWord(word, s)
+                            product = math.prod(schedule_numbers(sdw))
+                            assert schedule_rhs(sdw).eval_q(1)(1) == product
+        assert schedule_rhs(ShiftedDiagonalWord(big_word, 2)).eval_q(1)(1) == 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 
 import pytest
@@ -71,7 +72,7 @@ def test_dinv_ladder_builds_each_cycle_once(monkeypatch):
         return original(path)
 
     monkeypatch.setattr(cutting, "cutting_cycle", counting_cycle)
-    assert verify.check_dinv_ladder(5) is None
+    assert all(verify.check_dinv_ladder(5, shard) is None for shard in range(5))
     assert len(calls) == 480
 
 
@@ -85,7 +86,7 @@ def test_dinv_ladder_checks_each_cycle_once(monkeypatch):
         return original(path)
 
     monkeypatch.setattr(cutting, "geometric_order", counting_order)
-    assert verify.check_dinv_ladder(5) is None
+    assert all(verify.check_dinv_ladder(5, shard) is None for shard in range(5))
     assert len(calls) == 226
 
 
@@ -114,7 +115,8 @@ def test_dinv_ladder_checks_the_ladder_against_dinv(monkeypatch):
         return scores
 
     monkeypatch.setattr(cutting, "cycle_dinvs", swapped)
-    assert verify.check_dinv_ladder(3).endswith(" ladder differs from dinv")
+    report = list(run_suite("dinv-ladder", 3, jobs=1))[-1]
+    assert not report.ok and report.witness.endswith(" ladder differs from dinv")
 
 
 def test_dinv_ladder_checks_the_ladder_against_the_cycle(monkeypatch):
@@ -127,18 +129,23 @@ def test_dinv_ladder_checks_the_ladder_against_the_cycle(monkeypatch):
         return scores
 
     monkeypatch.setattr(cutting, "cycle_dinvs", dropped)
-    assert verify.check_dinv_ladder(3).endswith(" ladder members differ from its cycle")
+    report = list(run_suite("dinv-ladder", 3, jobs=1))[-1]
+    assert not report.ok
+    assert report.witness.endswith(" ladder members differ from its cycle")
 
 
 def test_all_ones_searches_build_no_schedule_words():
     counted = {schedule.schedule_numbers.__code__: [], schedule.diagonal_word.__code__: []}
     (unique, seeds), calls = profiled_calls(
         counted,
-        lambda: (verify.check_decorate_unique(5), list(enumeration.schedule_one_paths(5))),
+        lambda: (
+            [verify.check_decorate_unique(5, shard) for shard in range(5)],
+            list(enumeration.schedule_one_paths(5)),
+        ),
     )
     for call in calls:
         counted[call.code].append(call.locals.get("path"))
-    assert unique is None
+    assert unique == [None] * 5
     assert len(seeds) == 480
     assert counted[schedule.schedule_numbers.__code__] == []
     # one diagonal word per bare labeled path, at most 5^5 of them
@@ -150,10 +157,11 @@ def test_all_ones_searches_build_no_schedule_words():
 def test_decorate_unique_finds_each_permutations_runs_once():
     # the decoration sweep and the shift-zero algorithm each find the runs
     # of every permutation of n = 5 once
-    witness, calls = profiled_calls(
-        {schedule.decreasing_runs.__code__}, verify.check_decorate_unique, 5
+    witnesses, calls = profiled_calls(
+        {schedule.decreasing_runs.__code__},
+        lambda: [verify.check_decorate_unique(5, shard) for shard in range(5)],
     )
-    assert witness is None
+    assert witnesses == [None] * 5
     assert len(calls) <= 2 * 120
 
 
@@ -185,21 +193,25 @@ def test_permutation_shards_partition_in_order(n):
     # shard j holds the permutations that start with j + 1, so the shards in
     # order are the lexicographic stream
     whole = list(itertools.permutations(range(1, n + 1)))
-    assert list(verify._permutations(n)) == whole
     assert [p for j in range(n) for p in verify._permutations(n, j)] == whole
-    assert [list(verify._keys(n, j)) for j in range(n)] == [[j] for j in range(n)]
-    assert list(verify._keys(n, None)) == list(range(n))
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_delta_shards_partition_images(n):
-    whole = [image for _, _, image in verify._delta_images(n)]
-    shards = [
-        [image for _, _, image in verify._delta_images(n, j)] for j in range(n)
+    # shard j maps every flat ADR source of size n - 1 by delta(j + 1, .);
+    # the shards' images are n! distinct words, those of shard j starting
+    # with j + 1
+    sources = [
+        adr.dyck_decorate(values) if n > 1 else schedule.DecoratedPermutation(())
+        for values in itertools.permutations(range(1, n))
     ]
-    assert sorted(map(str, whole)) == sorted(str(i) for shard in shards for i in shard)
-    for j, shard in enumerate(shards):
-        assert all(image.values[0] == j + 1 for image in shard)
+    images = set()
+    for j in range(n):
+        shard = list(verify._delta_images(n, j))
+        assert shard == [(source, adr.delta(j + 1, source)) for source in sources]
+        assert all(image.values[0] == j + 1 for _, image in shard)
+        images.update(image for _, image in shard)
+    assert len(images) == math.factorial(n)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -290,6 +302,75 @@ def test_cancellation_path_catches_a_broken_class(monkeypatch, fault, witness):
     assert not report.ok and witness in report.witness
 
 
+def test_schedule_formula_catches_a_wrong_closed_form(monkeypatch):
+    original = schedule.schedule_rhs
+    q = poly.QTPoly.monomial(1, 0)
+    monkeypatch.setattr(schedule, "schedule_rhs", lambda sdw: original(sdw) * q)
+    report = list(run_suite("schedule-formula", 2, jobs=1))[0]
+    assert not report.ok and report.witness.endswith(" qt mismatch")
+
+
+def test_phi_bijection_catches_moved_letters(monkeypatch):
+    def swapped(word):
+        values = word.values[1::-1] + word.values[2:]
+        return schedule.DecoratedPermutation(values, word.decorated)
+
+    monkeypatch.setattr(adr, "phi", swapped)
+    report = list(run_suite("phi-bijection", 2, jobs=1))[-1]
+    assert not report.ok and report.witness.endswith(" letters changed")
+
+
+def _delta_of_the_identity(original):
+    # the image of the identity source, whatever nonempty source it is given
+    def delta(m, word):
+        if word.n:
+            word = adr.dyck_decorate(tuple(range(1, word.n + 1)))
+        return original(m, word)
+
+    return delta
+
+
+def _delta_of_a_revmaj_twin(original):
+    # the image of the least source with the same revmaj: revmaj still
+    # rises by n - m, but two sources share an image
+    def delta(m, word):
+        if word.n:
+            twins = (
+                values
+                for values in itertools.permutations(range(1, word.n + 1))
+                if schedule.revmaj(values) == schedule.revmaj(word)
+            )
+            word = adr.dyck_decorate(next(twins))
+        return original(m, word)
+
+    return delta
+
+
+def _delta_with_a_toggled_decoration(original):
+    # the last letter's decoration flips; the images stay distinct and keep
+    # their revmaj, but are no longer the parity-algorithm outputs
+    def delta(m, word):
+        image = original(m, word)
+        return schedule.DecoratedPermutation(image.values, image.decorated ^ {image.n})
+
+    return delta
+
+
+@pytest.mark.parametrize(
+    "fault, witness",
+    [
+        (_delta_of_the_identity, " revmaj"),
+        (_delta_of_a_revmaj_twin, " hit twice"),
+        (_delta_with_a_toggled_decoration, "image set differs"),
+    ],
+    ids=["identity", "twin", "toggle"],
+)
+def test_delta_bijection_catches_a_broken_delta(monkeypatch, fault, witness):
+    monkeypatch.setattr(adr, "delta", fault(adr.delta))
+    report = list(run_suite("delta-bijection", 4, jobs=1))[-1]
+    assert not report.ok and report.witness.endswith(witness)
+
+
 @pytest.mark.parametrize("check_id", sorted(CHECKS))
 def test_reports_do_not_depend_on_jobs(check_id):
     serial = list(run_suite(check_id, 5, jobs=1))
@@ -300,7 +381,7 @@ def test_reports_do_not_depend_on_jobs(check_id):
 
 
 def test_lowest_failing_shard_names_the_witness(monkeypatch, inline_pool):
-    def fails_in_two_shards(n, shard=None):
+    def fails_in_two_shards(n, shard):
         return f"shard {shard}" if n == 3 and shard in (0, 1) else None
 
     monkeypatch.setitem(CHECKS, "interval", (fails_in_two_shards, 3))
