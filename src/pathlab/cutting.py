@@ -12,10 +12,10 @@ the image lists the original's north steps as m + 1, ..., n, 1, ..., m, and
 its area word is the original's rotated by m, plus the constant i - m.  Only
 the image's first north step can stop being a valley, so a cut is refused
 just when that step is decorated and starts on the main diagonal
-(:func:`psi`, :func:`cutting_cycle`).  The attack pairs of each image follow
-from the path's own area word and labels by rotating them, so one area word
-scores a whole cycle (:func:`cycle_dinvs`), and :func:`ordered_cycle` sorts
-it into the ladder.
+(:func:`psi`, :func:`cutting_cycle`).  The raise by i - m leaves attack pairs
+alone, so each image is scored on the rotated area word, and one area word
+scores a whole cycle (:func:`cycle_dinvs`), which :func:`ordered_cycle` sorts
+into the ladder.
 """
 
 from __future__ import annotations
@@ -110,38 +110,21 @@ def cutting_cycle(path: DecoratedLabeledPath) -> CuttingCycle:
 def cycle_dinvs(path: DecoratedLabeledPath) -> dict[DecoratedLabeledPath, int]:
     """Every member of the path's cutting cycle, with its dinv.
 
-    A member cut with m north steps before its cut lists the original steps
-    in the order m + 1, ..., n, 1, ..., m, with diagonals shifted by i - m.
-    The shift leaves attack pairs alone, so the member has P(m) of them,
-    where P(m) counts the pairs in that order.  P(0) is the path's own
-    count.  Moving step m + 1 from the front to the back gives P(m + 1):
-    the pairs it leads (when it is undecorated) go, and the pairs it now
-    closes behind an undecorated step come.  The member's dinv is then P(m),
-    plus the steps with a_j < m - i, which the shift takes below the main
-    diagonal, minus the k decorations."""
-    a, w, dv = area_word(path), path.labels, path.decorations
-    labels: dict[int, list[int]] = {}  # diagonal -> labels of its steps
-    undecorated: dict[int, list[int]] = {}  # the same, undecorated steps only
-    for j, (d, label) in enumerate(zip(a, w), start=1):
-        labels.setdefault(d, []).append(label)
-        if j not in dv:
-            undecorated.setdefault(d, []).append(label)
+    A member cut at the i-th east step, with m north steps before its cut,
+    has the path's area word rotated by m and raised by i - m, and the
+    raise leaves attack pairs alone.  So the member's dinv is the attack
+    count of the rotated word with the member's own labels and decorations,
+    plus the steps with a_j < m - i, which the raise takes below the main
+    diagonal, minus the k decorations.  One area word scores the cycle."""
+    a, k = area_word(path), len(path.decorations)
     low = sorted(a)
-    pairs = _attack_count(a, w, dv)  # P(m), starting at m = 0
-    m = 0
     scores = {}
     for i, pos in enumerate(_positions(path.steps, "E"), start=1):
-        while m < pos + 1 - i:  # move step m + 1 to the back
-            d, label = a[m], w[m]
-            pairs += sum(1 for v in undecorated.get(d, ()) if v < label)
-            pairs += sum(1 for v in undecorated.get(d + 1, ()) if v > label)
-            if m + 1 not in dv:
-                pairs -= sum(1 for v in labels[d] if v > label)
-                pairs -= sum(1 for v in labels.get(d - 1, ()) if v < label)
-            m += 1
         image = _cut(path, i, pos + 1)
         if image is not None:
-            scores[image] = pairs + bisect_left(low, m - i) - len(dv)
+            m = pos + 1 - i
+            pairs = _attack_count(a[m:] + a[:m], image.labels, image.decorations)
+            scores[image] = pairs + bisect_left(low, m - i) - k
     return scores
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 
@@ -31,16 +32,16 @@ def _join_terms(parts: list[tuple[str, str]]) -> str:
     return lead + "".join(f" {sign} {body}" for sign, body in rest)
 
 
+@dataclass(frozen=True, slots=True)
 class TPoly:
-    """Polynomial in t with int coefficients, stored densely in ascending order."""
+    """Polynomial in t with int coefficients, stored densely in ascending order.
+    Built from any iterable of ints, kept as a tuple with trailing zeros
+    trimmed."""
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple[int, ...] = ()
 
-    def __init__(self, coeffs: Iterable[int] = ()):
-        object.__setattr__(self, "coeffs", _trim(coeffs))
-
-    def __setattr__(self, name, value):  # immutable
-        raise AttributeError("TPoly is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", _trim(self.coeffs))
 
     @classmethod
     def zero(cls) -> "TPoly":
@@ -72,14 +73,6 @@ class TPoly:
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("TPoly", self.coeffs))
 
     def __add__(self, other) -> "TPoly":
         if not isinstance(other, TPoly):
@@ -129,30 +122,25 @@ class TPoly:
             parts.append((sign, body))
         return _join_terms(parts)
 
-    def __repr__(self) -> str:
-        return f"TPoly({list(self.coeffs)!r})"
-
     def to_json(self) -> dict:
         return {"var": "t", "coeffs": list(self.coeffs)}
 
 
+@dataclass(frozen=True, slots=True)
 class QTPoly:
-    """Polynomial in q and t, stored sparsely as {(q_deg, t_deg): coeff}."""
+    """Polynomial in q and t, stored sparsely as {(q_deg, t_deg): coeff}.
+    Built from any such mapping, kept without its zero terms."""
 
-    __slots__ = ("terms",)
+    terms: dict[tuple[int, int], int] = field(default_factory=dict)
 
-    def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
+    def __post_init__(self):
         clean = {}
-        if terms:
-            for (dq, dt), c in terms.items():
-                if c:
-                    if dq < 0 or dt < 0:
-                        raise ValueError("exponents must be nonnegative")
-                    clean[(int(dq), int(dt))] = int(c)
+        for (dq, dt), c in self.terms.items():
+            if c:
+                if dq < 0 or dt < 0:
+                    raise ValueError("exponents must be nonnegative")
+                clean[(int(dq), int(dt))] = int(c)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QTPoly is immutable")
 
     @classmethod
     def monomial(cls, q_deg: int, t_deg: int, coeff: int = 1) -> "QTPoly":
@@ -161,13 +149,8 @@ class QTPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QTPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(("QTPoly", frozenset(self.terms.items())))
+    def __hash__(self) -> int:  # the field is a dict
+        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other) -> "QTPoly":
         if not isinstance(other, QTPoly):
@@ -216,9 +199,6 @@ class QTPoly:
                 factors.append("t" if dt == 1 else f"t^{dt}")
             parts.append(("-" if c < 0 else "+", "*".join(factors)))
         return _join_terms(parts)
-
-    def __repr__(self) -> str:
-        return f"QTPoly({self.terms!r})"
 
     def to_json(self) -> dict:
         return {"vars": ["q", "t"], "terms": [list(t) for t in self.sorted_terms()]}

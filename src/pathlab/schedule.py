@@ -219,22 +219,18 @@ def schedule_numbers(sdw: ShiftedDiagonalWord) -> tuple[int, ...]:
     if s >= len(runs):
         return (0,) * word.n
     decorated = word.decorated_values
-    undec = [tuple(v for v in run if v not in decorated) for run in runs]
-    diag_of = letter_diagonals(sdw)
+    undec = [tuple(v for v in run if v not in decorated) for run in runs] + [()]
     out = []
-    for pos, c in enumerate(word.values, start=1):
-        diag = diag_of[c]
-        i = diag + s
-        dec = pos in word.decorated
-        if diag < 0 or dec:
-            above = undec[i + 1] if i + 1 < len(runs) else ()
-            w = sum(1 for d in undec[i] if d < c) + sum(1 for d in above if d > c)
-        elif diag == 0:
-            w = sum(1 for d in undec[i] if d > c) + 1
-        else:
-            below = undec[i - 1]
-            w = sum(1 for d in undec[i] if d > c) + sum(1 for d in below if d < c)
-        out.append(w)
+    for i, run in enumerate(runs):
+        here, above, below = undec[i], undec[i + 1], undec[i - 1]
+        for c in run:
+            if i < s or c in decorated:  # low
+                w = sum(1 for d in here if d < c) + sum(1 for d in above if d > c)
+            elif i == s:  # zero
+                w = sum(1 for d in here if d > c) + 1
+            else:  # high: i > s >= 0, so below is a run of the word
+                w = sum(1 for d in here if d > c) + sum(1 for d in below if d < c)
+            out.append(w)
     return tuple(out)
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from pathlab import cutting
 from pathlab.cutting import (
     LadderViolation,
+    ShapeViolation,
     Stretches,
     breaking_step,
     canonical_rep,
@@ -24,6 +25,7 @@ from pathlab.cutting import (
 )
 from pathlab.enumeration import PathFamily, generate, schedule_one_paths
 from pathlab.paths import (
+    DecoratedLabeledPath,
     PathError,
     area,
     area_word,
@@ -162,6 +164,28 @@ class TestBigCycle:
         assert shape_stretches(big_cycle_paths[0]) == Stretches(
             head="EN", body="NENNNNENE", tail="EEENE"
         )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("NE:1:1", "no undecorated north step"),
+            ("NNEE:1,2:2", "last undecorated north step not followed by east"),
+            ("NNNEEE:1,2,3:2", "decorated step inside the middle stretch"),
+            ("NNEE:1,2:1", "head decoration on a nonnegative diagonal"),
+            ("NEEN:1,2:2", "tail decoration on a negative diagonal"),
+        ],
+    )
+    def test_shape_violations(self, text, message):
+        # built field by field, since some of these are not valid paths
+        steps, labels, decorations = text.split(":")
+        path = DecoratedLabeledPath(
+            steps,
+            tuple(int(v) for v in labels.split(",")),
+            frozenset(int(j) for j in decorations.split(",")),
+        )
+        with pytest.raises(ShapeViolation) as caught:
+            shape_stretches(path)
+        assert str(caught.value) == f"{text}: {message}"
 
 
 class TestCycleInvariants:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -64,6 +65,13 @@ class TestTPoly:
         assert TPoly.from_counts({0: 1, 3: 0}).coeffs == (1,)
         assert TPoly.from_counts({1: -2, 2: 1}) == TPoly([0, -2, 1])
 
+    def test_value_semantics(self):
+        assert not TPoly() and TPoly([1])
+        assert hash(TPoly([1, 2, 0])) == hash(TPoly([1, 2]))
+        with pytest.raises(AttributeError):
+            TPoly([1]).coeffs = (2,)
+        assert TPoly([1]) != QTPoly({(0, 0): 1})
+
 
 class TestQTPoly:
     def test_zero_terms_dropped(self):
@@ -85,6 +93,16 @@ class TestQTPoly:
     def test_json_sorted(self):
         p = QTPoly({(1, 0): 2, (0, 1): 3})
         assert p.to_json() == {"vars": ["q", "t"], "terms": [[0, 1, 3], [1, 0, 2]]}
+
+    def test_value_semantics(self):
+        assert not QTPoly() and QTPoly({(0, 0): 1})
+        assert hash(QTPoly({(1, 1): 0, (1, 0): 2})) == hash(QTPoly({(1, 0): 2}))
+        with pytest.raises(AttributeError):
+            QTPoly().terms = {(0, 0): 1}
+
+    def test_str(self):
+        p = QTPoly({(0, 0): 1, (1, 2): -2, (0, 1): 3, (2, 0): -1})
+        assert str(p) == "1 + 3*t - 2*q*t^2 - q^2"
 
 
 class TestSpecialPolynomials:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -299,6 +300,62 @@ def test_cancellation_path_catches_a_broken_class(monkeypatch, fault, witness):
 
     monkeypatch.setattr(bridge, "classes", broken)
     report = list(run_suite("cancellation-path", 4, jobs=1))[-1]
+    assert not report.ok and witness in report.witness
+
+
+def _on_positive_dinv(change):
+    """A fault that passes a path's result through ``change`` when the path
+    has dinv > 0, so a ladder's dinv-0 member keeps the true value."""
+
+    def fault(original):
+        def broken(path):
+            out = original(path)
+            return change(out) if paths.dinv(path) > 0 else out
+
+        return broken
+
+    return fault
+
+
+def _reversed_word(sdw):
+    return replace(sdw, word=replace(sdw.word, values=sdw.word.values[::-1]))
+
+
+@pytest.mark.parametrize(
+    "module, name, fault, witness",
+    [
+        (
+            cutting,
+            "cutting_cycle",
+            lambda original: lambda path: cutting.CuttingCycle(frozenset({path})),
+            "size",
+        ),
+        (
+            cutting,
+            "canonical_rep",
+            lambda original: lambda path: path,
+            "canonical is not the dinv-0 member",
+        ),
+        (schedule, "diagonal_word", _on_positive_dinv(_reversed_word), "word not constant"),
+        (paths, "area", _on_positive_dinv(lambda a: a + 1), "area not constant"),
+        (
+            cutting,
+            "geometric_order",
+            lambda original: lambda path: original(path)[::-1],
+            "geometric order differs",
+        ),
+        (
+            cutting,
+            "sched_one_members",
+            lambda original: lambda members, words=None: frozenset(),
+            "schedule-one members differ",
+        ),
+    ],
+    ids=["one-member", "canonical", "word", "area", "geometric", "schedule-one"],
+)
+def test_dinv_ladder_catches_a_broken_invariant(monkeypatch, module, name, fault, witness):
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    report = list(run_suite("dinv-ladder", 4, jobs=1))[-1]
     assert not report.ok and witness in report.witness
 
 
