@@ -32,12 +32,7 @@ from .paths import (
     word_shift,
 )
 from .poly import QTPoly, TPoly
-from .schedule import (
-    ShiftedDiagonalWord,
-    decreasing_runs,
-    diagonal_word,
-    ones_shifts_by_runs,
-)
+from .schedule import ShiftedDiagonalWord, diagonal_word, ones_shifts_by_runs
 
 KINDS = ("square", "dyck")
 
@@ -271,26 +266,58 @@ def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLa
     Such a path has no attack pair between two undecorated steps, so only
     decoration sets touching every attack pair of the bare path need to be
     tried (checked against the naive filter in the tests).  Decorating steps
-    changes neither the letters of the diagonal word nor the shift, so each
-    bare path that can be covered gets its diagonal word and that word's
-    runs once; a candidate only names its decorated letters (the labels of
-    its steps) and asks :func:`~pathlab.schedule.ones_shifts_by_runs`
-    whether the bare shift gives all ones.  The bare path's attack pairs and
-    valleys come from its step word's profile.
+    changes neither the letters of the diagonal word nor the shift, so a
+    candidate only names its decorated letters (the labels of its steps) and
+    asks :func:`~pathlab.schedule.ones_shifts_by_runs` whether the bare
+    shift gives all ones.  The bare path's attack pairs and valleys come
+    from its step word's profile.  Two facts let the stream skip most of
+    that work:
+
+    * Each decreasing run of the diagonal word is one diagonal, so run r is
+      diagonal r - shift, and run ``shift`` is diagonal 0.  An area word
+      rises only through two north steps of one column, a_{i+1} <= a_i + 1
+      with equality only then, and a column's labels increase, so each rise
+      from diagonal d to d + 1 puts a smaller label on d under a larger one
+      on d + 1.  The path ends east, so a_1 <= a_n and the wrap from step n
+      to step 1 never rises.  Every pair of adjacent occupied diagonals
+      therefore meets at an ascent, and each diagonal reads as a decreasing
+      run.  So the runs are each diagonal's labels in decreasing order,
+      grouped once per step word, and no diagonal word is built.
+    * At most one undecorated step of an all-ones path lies on diagonal 0.
+      An undecorated letter of run ``shift`` has zero value #{larger
+      undecorated letters in that run} + 1, so an all-ones word has at most
+      one undecorated letter there.  Only contractible valleys take a
+      decoration, and a step in neither ``profile.valleys`` nor
+      ``profile.ties`` is a valley under no labeling.  So a step word with
+      two such steps on diagonal 0 is skipped before its labelings, and a
+      labeling with two non-valleys there before its attack pairs.
+
+    A decoration set covers the attack pairs when it meets the bitmask of
+    valleys in each pair; sets are tried by size, then lexicographically.
     """
     for steps, profile, labelings in _labeled_step_words(n, "square", shard):
+        a = area_word(DecoratedLabeledPath(steps, ()))
+        s = word_shift(a)
+        diagonals: list[list[int]] = [[] for _ in range(max(a) + s + 1)]
+        for i, d in enumerate(a, start=1):
+            diagonals[d + s].append(i)
+        zero = diagonals[s]
+        if sum(1 for i in zero if i not in profile.valleys + profile.ties) > 1:
+            continue
         for labels in labelings:
             w = (0,) + labels
-            pairs = _attack_pairs(profile, w)
             valleys = _valleys(profile, w)
-            if any(i not in valleys and j not in valleys for i, j in pairs):
+            if sum(1 for i in zero if i not in valleys) > 1:
                 continue
-            bare = diagonal_word(DecoratedLabeledPath(steps, labels))
-            runs = decreasing_runs(bare.word)
+            bit = {v: 1 << b for b, v in enumerate(valleys)}
+            masks = [bit.get(i, 0) | bit.get(j, 0) for i, j in _attack_pairs(profile, w)]
+            if 0 in masks:
+                continue
+            runs = [sorted((w[i] for i in diagonal), reverse=True) for diagonal in diagonals]
             for r in range(min(len(valleys), n - 1) + 1):
                 for dv in itertools.combinations(valleys, r):
-                    cover = set(dv)
-                    if any(i not in cover and j not in cover for i, j in pairs):
-                        continue
-                    if bare.shift in ones_shifts_by_runs(runs, {w[i] for i in dv}):
+                    cover = sum(bit[i] for i in dv)
+                    if all(m & cover for m in masks) and s in ones_shifts_by_runs(
+                        runs, {w[i] for i in dv}
+                    ):
                         yield DecoratedLabeledPath(steps, labels, frozenset(dv))

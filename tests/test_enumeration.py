@@ -25,13 +25,14 @@ from pathlab.enumeration import (
 from pathlab.paths import (
     DecoratedLabeledPath,
     area,
+    area_word,
     attack_pairs,
     contractible_valleys,
     dinv,
     validate,
 )
 from pathlab.poly import QTPoly, TPoly
-from pathlab.schedule import diagonal_word, schedule_numbers
+from pathlab.schedule import decreasing_runs, diagonal_word, schedule_numbers
 
 
 class TestStepWords:
@@ -224,3 +225,35 @@ class TestScheduleOnePaths:
     def test_known_counts(self):
         assert sum(1 for _ in schedule_one_paths(3)) == 16
         assert sum(1 for _ in schedule_one_paths(4)) == 80
+        assert sum(1 for _ in schedule_one_paths(5)) == 480
+        by_shard = [sum(1 for _ in schedule_one_paths(6, j)) for j in range(6)]
+        assert by_shard == [554, 554, 564, 570, 562, 556]
+        assert sum(by_shard) == 3360
+
+    def test_each_run_is_one_diagonal(self):
+        """The decreasing runs of a bare path's diagonal word are its occupied
+        diagonals' labels in decreasing order, lowest diagonal first; checked
+        for n <= 5."""
+        for n in range(1, 6):
+            for p in generate(PathFamily(n, 0, "square")):
+                by_diagonal = {}
+                for label, d in zip(p.labels, area_word(p)):
+                    by_diagonal.setdefault(d, []).append(label)
+                expected = tuple(
+                    tuple(sorted(by_diagonal[d], reverse=True)) for d in sorted(by_diagonal)
+                )
+                assert decreasing_runs(diagonal_word(p).word) == expected
+
+    def test_at_most_one_undecorated_step_on_diagonal_zero(self):
+        """Checked over the naive schedule-one set for n <= 5."""
+        for n in range(1, 6):
+            for k in range(n):
+                for p in generate(PathFamily(n, k, "square")):
+                    if schedule_numbers(diagonal_word(p)) != (1,) * n:
+                        continue
+                    zero = [
+                        i
+                        for i, d in enumerate(area_word(p), start=1)
+                        if d == 0 and i not in p.decorations
+                    ]
+                    assert len(zero) <= 1
