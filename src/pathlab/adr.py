@@ -25,11 +25,11 @@ from typing import AbstractSet, Iterator, Sequence
 from .poly import TPoly, t_analog, euler_t
 from .schedule import (
     DecoratedPermutation,
+    LetterTable,
     decreasing_runs,
     lmcr_start,
     make_perm,
     ones_shifts,
-    ones_shifts_by_runs,
     revmaj,
 )
 
@@ -56,16 +56,16 @@ def is_adr(word: DecoratedPermutation) -> ADRWitness:
 
 def adr_decorations(values: Sequence[int]) -> Iterator[ADRWitness]:
     """Every ADR decoration of the permutation, with its witness, by size of
-    the decoration set and then lexicographically.  The runs are found once
-    and each decoration set is tested on them by
-    :func:`~pathlab.schedule.ones_shifts_by_runs`; a fully decorated nonempty
+    the decoration set and then lexicographically.  The runs and their
+    :class:`~pathlab.schedule.LetterTable` are built once, and each
+    decoration set is tested against the table; a fully decorated nonempty
     word is never ADR."""
     values = tuple(values)
-    runs = decreasing_runs(values)
+    table = LetterTable(decreasing_runs(values))
     positions = range(1, len(values) + 1)
     for r in range(len(values) + 1):
         for combo in itertools.combinations(positions, r):
-            shifts = ones_shifts_by_runs(runs, {values[p - 1] for p in combo})
+            shifts = table.ones_shifts(values[p - 1] for p in combo)
             if shifts:
                 yield ADRWitness(DecoratedPermutation(values, frozenset(combo)), shifts)
 

@@ -32,7 +32,7 @@ from .paths import (
     word_shift,
 )
 from .poly import QTPoly, TPoly
-from .schedule import ShiftedDiagonalWord, diagonal_word, ones_shifts_by_runs
+from .schedule import LetterTable, ShiftedDiagonalWord, diagonal_word
 
 KINDS = ("square", "dyck")
 
@@ -266,12 +266,13 @@ def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLa
     Such a path has no attack pair between two undecorated steps, so only
     decoration sets touching every attack pair of the bare path need to be
     tried (checked against the naive filter in the tests).  Decorating steps
-    changes neither the letters of the diagonal word nor the shift, so a
-    candidate only names its decorated letters (the labels of its steps) and
-    asks :func:`~pathlab.schedule.ones_shifts_by_runs` whether the bare
-    shift gives all ones.  The bare path's attack pairs and valleys come
-    from its step word's profile.  Two facts let the stream skip most of
-    that work:
+    changes neither the letters of the diagonal word nor the shift, so each
+    labeling whose attack pairs can be covered builds one
+    :class:`~pathlab.schedule.LetterTable` of its runs, and a candidate only
+    names its decorated letters (the labels of its steps) and asks the
+    table whether the bare shift gives all ones.  The
+    bare path's attack pairs and valleys come from its step word's profile.
+    Two facts let the stream skip most of that work:
 
     * Each decreasing run of the diagonal word is one diagonal, so run r is
       diagonal r - shift, and run ``shift`` is diagonal 0.  An area word
@@ -281,8 +282,9 @@ def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLa
       on d + 1.  The path ends east, so a_1 <= a_n and the wrap from step n
       to step 1 never rises.  Every pair of adjacent occupied diagonals
       therefore meets at an ascent, and each diagonal reads as a decreasing
-      run.  So the runs are each diagonal's labels in decreasing order,
-      grouped once per step word, and no diagonal word is built.
+      run.  So the runs are each diagonal's labels, with the diagonals
+      grouped once per step word, and no diagonal word is built; the table
+      does not need a run's letters in order.
     * At most one undecorated step of an all-ones path lies on diagonal 0.
       An undecorated letter of run ``shift`` has zero value #{larger
       undecorated letters in that run} + 1, so an all-ones word has at most
@@ -313,11 +315,9 @@ def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLa
             masks = [bit.get(i, 0) | bit.get(j, 0) for i, j in _attack_pairs(profile, w)]
             if 0 in masks:
                 continue
-            runs = [sorted((w[i] for i in diagonal), reverse=True) for diagonal in diagonals]
+            table = LetterTable([[w[i] for i in diagonal] for diagonal in diagonals])
             for r in range(min(len(valleys), n - 1) + 1):
                 for dv in itertools.combinations(valleys, r):
                     cover = sum(bit[i] for i in dv)
-                    if all(m & cover for m in masks) and s in ones_shifts_by_runs(
-                        runs, {w[i] for i in dv}
-                    ):
+                    if all(m & cover for m in masks) and s in table.ones_shifts(w[i] for i in dv):
                         yield DecoratedLabeledPath(steps, labels, frozenset(dv))

@@ -155,7 +155,9 @@ def _attack_count(
     """Attack pairs of the path with this area word, labels and decorations.
 
     Scanning right to left, each undecorated step i counts the later labels
-    that are larger on its own diagonal and smaller one diagonal lower."""
+    that are larger on its own diagonal and smaller one diagonal lower.
+    Labels may repeat across columns, so each diagonal keeps its later
+    labels as a list, with their multiplicities, rather than as a bitmask."""
     later: dict[int, list[int]] = {}  # diagonal -> labels of the steps after i
     count = 0
     for i in range(len(labels), 0, -1):

@@ -11,7 +11,7 @@ factor counted by its schedule number.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .paths import DecoratedLabeledPath, NonStandardLabeling, area_word, word_shift
 from .poly import QTPoly, q_analog
@@ -199,6 +199,13 @@ def lmcr_start(values: Sequence[int], j: int) -> int:
     return i
 
 
+def _letter_mask(letters: Iterable[int]) -> int:
+    """Distinct letters as one int S, bit c set for letter c.  Then
+    #{d in S : d > c} is ``(S >> c + 1).bit_count()`` and #{d in S : d < c}
+    is ``(S & (1 << c) - 1).bit_count()``."""
+    return sum(1 << c for c in letters)
+
+
 def schedule_numbers(sdw: ShiftedDiagonalWord) -> tuple[int, ...]:
     """Schedule number of each letter, in word order.
 
@@ -212,31 +219,91 @@ def schedule_numbers(sdw: ShiftedDiagonalWord) -> tuple[int, ...]:
     * negative diagonal, or c decorated:
         #{d in ṙ_i : d < c} + #{d in ṙ_{i+1} : d > c}
 
-    A shift at or past the number of runs zeroes the whole word.
+    Each ṙ_i is a :func:`_letter_mask`, so each count is one popcount.  A
+    shift at or past the number of runs zeroes the whole word.
     """
     word, s = sdw.word, sdw.shift
     runs = decreasing_runs(word)
     if s >= len(runs):
         return (0,) * word.n
-    decorated = word.decorated_values
-    undec = [tuple(v for v in run if v not in decorated) for run in runs] + [()]
+    decorated = _letter_mask(word.decorated_values)
+    undec = [_letter_mask(run) & ~decorated for run in runs] + [0]
     out = []
     for i, run in enumerate(runs):
         here, above, below = undec[i], undec[i + 1], undec[i - 1]
         for c in run:
-            if i < s or c in decorated:  # low
-                w = sum(1 for d in here if d < c) + sum(1 for d in above if d > c)
+            if i < s or decorated >> c & 1:  # low
+                w = (here & (1 << c) - 1).bit_count() + (above >> c + 1).bit_count()
             elif i == s:  # zero
-                w = sum(1 for d in here if d > c) + 1
+                w = (here >> c + 1).bit_count() + 1
             else:  # high: i > s >= 0, so below is a run of the word
-                w = sum(1 for d in here if d > c) + sum(1 for d in below if d < c)
+                w = (here >> c + 1).bit_count() + (below & (1 << c) - 1).bit_count()
             out.append(w)
     return tuple(out)
 
 
+class LetterTable:
+    """The schedule values of one permutation's letters as bitmasks, so that
+    any decoration set is tested for all-ones shifts without recounting.
+
+    Built from the letters of each decreasing run, in run order; the order
+    of letters inside a run does not matter.  For a letter c of run r_i the
+    table holds its *low* mask (letters of r_i below c and of r_{i+1} above
+    c) and its *high* mask (letters of r_i above c and of r_{i-1} below c),
+    and for each run the mask of all its letters.  With the decorated
+    letters as one :func:`_letter_mask` D, c's low or high value is
+    ``(mask & ~D).bit_count()``, and a run meets the zero values when it
+    holds at most one undecorated letter.
+    """
+
+    __slots__ = ("_runs",)
+
+    def __init__(self, runs: Sequence[Sequence[int]]):
+        masks = [_letter_mask(run) for run in runs] + [0]
+        table = []
+        for i, run in enumerate(runs):
+            # masks[-1] is the 0 appended, so run 0 has nothing below it
+            here, above, below = masks[i], masks[i + 1], masks[i - 1]
+            letters = []
+            for c in run:
+                bit = 1 << c
+                under, over = bit - 1, -bit << 1  # the letters below c, above c
+                letters.append((bit, here & under | above & over, here & over | below & under))
+            table.append((here, tuple(letters)))
+        self._runs = tuple(table)
+
+    def ones_shifts(self, decorated: Iterable[int]) -> frozenset[int]:
+        """Every shift at which the word with these decorated letters has
+        the all-ones schedule word: see :func:`ones_shifts`."""
+        if not self._runs:
+            return frozenset((0,))
+        decorated = _letter_mask(decorated)
+        undecorated = ~decorated
+        first_not_low = len(self._runs) - 1  # a valid shift is at most this
+        last_not_high = 0  # and at least this
+        zero_ok = []
+        for i, (run, letters) in enumerate(self._runs):
+            low_ok = high_ok = True
+            for bit, low, high in letters:
+                low_one = (low & undecorated).bit_count() == 1
+                if bit & decorated:
+                    if not low_one:
+                        return frozenset()
+                    continue
+                low_ok = low_ok and low_one
+                high_ok = high_ok and (high & undecorated).bit_count() == 1
+            # zero value 1 for every undecorated letter: at most one in the run
+            zero_ok.append((run & undecorated).bit_count() <= 1)
+            if not low_ok:
+                first_not_low = min(first_not_low, i)
+            if not high_ok:
+                last_not_high = i
+        return frozenset(s for s in range(last_not_high, first_not_low + 1) if zero_ok[s])
+
+
 def ones_shifts(word: DecoratedPermutation) -> frozenset[int]:
-    """Every shift at which the schedule word is all ones, in one pass over
-    the decreasing runs; :func:`schedule_numbers` is the oracle.
+    """Every shift at which the schedule word is all ones, from one
+    :class:`LetterTable` of the word; :func:`schedule_numbers` is the oracle.
 
     None of the three schedule values a letter c of run r_i can take depends
     on the shift: *low* #{d in ṙ_i : d < c} + #{d in ṙ_{i+1} : d > c},
@@ -247,42 +314,7 @@ def ones_shifts(word: DecoratedPermutation) -> frozenset[int]:
     the runs after s.  The empty word is all ones at shift 0 only; a
     nonempty word has no all-ones shift at or past its number of runs.
     """
-    return ones_shifts_by_runs(decreasing_runs(word), word.decorated_values)
-
-
-def ones_shifts_by_runs(
-    runs: Sequence[Sequence[int]], decorated: AbstractSet[int]
-) -> frozenset[int]:
-    """:func:`ones_shifts` of the word with these decreasing runs and these
-    decorated letters, for callers that try many decorations of one word."""
-    if not runs:
-        return frozenset((0,))
-    undec = [tuple(v for v in run if v not in decorated) for run in runs] + [()]
-    first_not_low = len(runs) - 1  # a valid shift is at most this
-    last_not_high = 0  # and at least this
-    zero_ok = []
-    for i, run in enumerate(runs):
-        here, above, below = undec[i], undec[i + 1], undec[i - 1] if i else ()
-        low_ok = high_ok = True
-        greater = 0  # undecorated letters of the run before c, all larger than c
-        for c in run:
-            undecorated = c not in decorated
-            # the run decreases, so its undecorated letters below c follow c
-            low = len(here) - greater - undecorated + sum(1 for d in above if d > c)
-            if not undecorated:
-                if low != 1:
-                    return frozenset()
-                continue
-            low_ok = low_ok and low == 1
-            high_ok = high_ok and greater + sum(1 for d in below if d < c) == 1
-            greater += 1
-        # zero value 1 for every undecorated letter: at most one in the run
-        zero_ok.append(len(here) <= 1)
-        if not low_ok:
-            first_not_low = min(first_not_low, i)
-        if not high_ok:
-            last_not_high = i
-    return frozenset(s for s in range(last_not_high, first_not_low + 1) if zero_ok[s])
+    return LetterTable(decreasing_runs(word)).ones_shifts(word.decorated_values)
 
 
 def schedule_numbers_cyclic(sdw: ShiftedDiagonalWord) -> tuple[int, ...]:

@@ -9,6 +9,7 @@ all permutations."""
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -28,9 +29,15 @@ from pathlab.adr import (
     phi,
 )
 from pathlab.poly import TPoly, t_factorial
-from pathlab.schedule import DecoratedPermutation, make_perm, parse_perm
+from pathlab.schedule import (
+    DecoratedPermutation,
+    LetterTable,
+    decreasing_runs,
+    make_perm,
+    parse_perm,
+)
 
-from conftest import all_adrs
+from conftest import all_adrs, profiled_calls
 
 
 class TestMembership:
@@ -70,6 +77,23 @@ class TestMembership:
             got = list(adr_decorations(values))
             assert got == [witness for witness in map(is_adr, words) if witness]
             assert all(len(witness.word.decorated) < n for witness in got)
+
+    def test_decorations_build_one_letter_table(self):
+        # every decoration set of a permutation is tested against one table
+        # of its runs: one decreasing_runs call and one build per permutation
+        codes = {
+            decreasing_runs.__code__,
+            LetterTable.__init__.__code__,
+            LetterTable.ones_shifts.__code__,
+        }
+        for n in range(1, 6):
+            for values in itertools.permutations(range(1, n + 1)):
+                _, calls = profiled_calls(codes, lambda: list(adr_decorations(values)))
+                assert Counter(call.code for call in calls) == {
+                    decreasing_runs.__code__: 1,
+                    LetterTable.__init__.__code__: 1,
+                    LetterTable.ones_shifts.__code__: 2**n,
+                }, values
 
     def test_all_adrs_counts(self):
         # representatives with an odd number of undecorated letters are in

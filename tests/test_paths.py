@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pathlab.enumeration import KINDS, PathFamily, generate
+from pathlab.enumeration import KINDS, PathFamily, generate, step_words
 from pathlab.paths import (
     AttackPair,
     ColumnOrderViolation,
@@ -139,6 +140,26 @@ class TestDinvCounting:
         assert sum(1 for p in corpus if p.decorations) > 1000
         for p in corpus:
             assert dinv(p) == dinv_by_listing(p), p
+
+    def test_matches_listing_with_repeated_labels(self):
+        # labels need only increase up a column, so one label can sit on
+        # several steps of a diagonal, and each of them counts
+        checked = repeated = 0
+        for n in range(1, 5):
+            for steps in step_words(n):
+                for labels in itertools.product(range(1, n + 1), repeat=n):
+                    try:
+                        bare = validate(steps, labels)
+                    except ColumnOrderViolation:
+                        continue
+                    valleys = sorted(contractible_valleys(bare))
+                    for k in range(min(len(valleys), n - 1) + 1):
+                        for dv in itertools.combinations(valleys, k):
+                            p = validate(steps, labels, dv)
+                            assert dinv(p) == dinv_by_listing(p), p
+                            checked += 1
+                            repeated += len(set(labels)) < n
+        assert repeated > checked // 2
 
     def test_counts_without_listing(self):
         values, calls = profiled_calls(

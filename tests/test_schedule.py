@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from pathlab.poly import QTPoly
 from pathlab.schedule import (
@@ -123,17 +122,27 @@ class TestScheduleNumbers:
             ShiftedDiagonalWord(make_perm((2, 1)), -1)
 
     def test_cyclic_reformulation_matches(self):
-        for n in range(1, 5):
+        """Every decorated word with n <= 5 (n! * 2^n words, 3,840 at
+        n = 5), at every shift from 0 to n, so at and past its number of
+        runs too."""
+        for n in range(1, 6):
             for word in all_decorated_perms(n):
-                for s in range(len(decreasing_runs(word)) + 1):
+                for s in range(n + 1):
                     sdw = ShiftedDiagonalWord(word, s)
-                    assert schedule_numbers(sdw) == schedule_numbers_cyclic(sdw)
+                    assert schedule_numbers(sdw) == schedule_numbers_cyclic(sdw), sdw
 
-    @given(st.permutations(list(range(1, 6))), st.integers(0, 5))
-    def test_cyclic_reformulation_matches_n5(self, values, s):
-        word = make_perm(values)
-        sdw = ShiftedDiagonalWord(word, s)
-        assert schedule_numbers(sdw) == schedule_numbers_cyclic(sdw)
+    def test_cyclic_reformulation_matches_large_words(self):
+        """A seeded corpus of 220 decorated words, n 10 to 20 (the sizes of
+        the benchmark's word queries), each decoration drawn with
+        probability 1/2, at every shift from 0 to the number of runs."""
+        rng = random.Random(19)
+        for i in range(220):
+            n = 10 + i % 11
+            values = tuple(rng.sample(range(1, n + 1), n))
+            word = make_perm(values, (p for p in range(1, n + 1) if rng.random() < 0.5))
+            for s in range(len(decreasing_runs(word)) + 1):
+                sdw = ShiftedDiagonalWord(word, s)
+                assert schedule_numbers(sdw) == schedule_numbers_cyclic(sdw), sdw
 
 
 class TestOnesShifts:
