@@ -270,9 +270,9 @@ def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLa
     labeling whose attack pairs can be covered builds one
     :class:`~pathlab.schedule.LetterTable` of its runs, and a candidate only
     names its decorated letters (the labels of its steps) and asks the
-    table whether the bare shift gives all ones.  The
-    bare path's attack pairs and valleys come from its step word's profile.
-    Two facts let the stream skip most of that work:
+    table whether the bare shift gives all ones.  The bare path's attack
+    pairs and valleys come from its step word's profile.  Two facts let the
+    stream skip most of that work:
 
     * Each decreasing run of the diagonal word is one diagonal, so run r is
       diagonal r - shift, and run ``shift`` is diagonal 0.  An area word
