@@ -7,6 +7,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pathlab.poly import QTPoly
 from pathlab.schedule import (
@@ -130,6 +132,12 @@ class TestScheduleNumbers:
                 for s in range(n + 1):
                     sdw = ShiftedDiagonalWord(word, s)
                     assert schedule_numbers(sdw) == schedule_numbers_cyclic(sdw), sdw
+
+    @given(st.permutations(list(range(1, 6))), st.integers(0, 5))
+    def test_cyclic_reformulation_matches_n5(self, values, s):
+        word = make_perm(values)
+        sdw = ShiftedDiagonalWord(word, s)
+        assert schedule_numbers(sdw) == schedule_numbers_cyclic(sdw)
 
     def test_cyclic_reformulation_matches_large_words(self):
         """A seeded corpus of 220 decorated words, n 10 to 20 (the sizes of
