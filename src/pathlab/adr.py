@@ -56,16 +56,17 @@ def is_adr(word: DecoratedPermutation) -> ADRWitness:
 
 def adr_decorations(values: Sequence[int]) -> Iterator[ADRWitness]:
     """Every ADR decoration of the permutation, with its witness, by size of
-    the decoration set and then lexicographically.  The runs and their
-    :class:`~pathlab.schedule.LetterTable` are built once, and each
-    decoration set is tested against the table; a fully decorated nonempty
-    word is never ADR."""
+    the decoration set and then as ``itertools.combinations`` takes the
+    letters, in word order.  For n <= 8 no permutation has two ADR
+    decorations of one size, so only the size orders them there.  The runs
+    and their :class:`~pathlab.schedule.LetterTable` are built once, and
+    each decoration set is tested against the table; a fully decorated
+    nonempty word is never ADR."""
     values = tuple(values)
     table = LetterTable(decreasing_runs(values))
-    positions = range(1, len(values) + 1)
     for r in range(len(values) + 1):
-        for combo in itertools.combinations(positions, r):
-            shifts = table.ones_shifts(values[p - 1] for p in combo)
+        for combo in itertools.combinations(values, r):
+            shifts = table.ones_shifts(combo)
             if shifts:
                 yield ADRWitness(DecoratedPermutation(values, frozenset(combo)), shifts)
 
@@ -77,44 +78,43 @@ def is_flat_adr(word: DecoratedPermutation) -> bool:
 
 def _chain_decorations(values: tuple[int, ...]) -> set[int]:
     """Shared core of both decorating algorithms: walk leftmost maximal
-    cyclic runs from the right end, decorating their interior positions."""
+    cyclic runs from the right end, decorating their interior letters."""
     decorated: set[int] = set()
     j = len(values)
     while j > 1:
         i = lmcr_start(values, j)
-        decorated.update(range(i + 1, j))
+        decorated.update(values[i : j - 1])
         j = i
     return decorated
 
 
 def _first_run_undecorated(values: tuple[int, ...], decorated: AbstractSet[int]) -> int:
-    """Undecorated letters in the first decreasing run; decorations are positions."""
-    first_run = decreasing_runs(values)[0]
-    return sum(1 for p in range(1, len(first_run) + 1) if p not in decorated)
+    """Undecorated letters in the first decreasing run."""
+    return sum(1 for v in decreasing_runs(values)[0] if v not in decorated)
 
 
 def dyck_decorate(values: tuple[int, ...] | list[int]) -> DecoratedPermutation:
     """Canonical decoration making the word all-ones realizable at shift zero.
 
-    After the cyclic-run walk, the first position is additionally decorated
+    After the cyclic-run walk, the first letter is additionally decorated
     exactly when the first decreasing run still holds two undecorated letters.
     """
     perm = make_perm(values)
     decorated = _chain_decorations(perm.values)
     if _first_run_undecorated(perm.values, decorated) == 2:
-        decorated.add(1)
+        decorated.add(perm.values[0])
     return DecoratedPermutation(perm.values, frozenset(decorated))
 
 
 def parity_decorate(values: tuple[int, ...] | list[int]) -> DecoratedPermutation:
     """Canonical decoration leaving an odd number of undecorated letters.
 
-    Same cyclic-run walk; the first position is additionally decorated
+    Same cyclic-run walk; the first letter is additionally decorated
     exactly when the number of undecorated letters is even."""
     perm = make_perm(values)
     decorated = _chain_decorations(perm.values)
     if (perm.n - len(decorated)) % 2 == 0:
-        decorated.add(1)
+        decorated.add(perm.values[0])
     return DecoratedPermutation(perm.values, frozenset(decorated))
 
 
@@ -131,11 +131,12 @@ def phi(word: DecoratedPermutation) -> DecoratedPermutation:
     if not is_adr(word):
         raise NotAnADR(f"{word} admits no all-ones shift")
     undec_first = _first_run_undecorated(word.values, word.decorated)
+    first = {word.values[0]}
     if undec_first == 0:
-        return DecoratedPermutation(word.values, word.decorated - {1})
+        return DecoratedPermutation(word.values, word.decorated - first)
     if undec_first == 1:
         return word
-    return DecoratedPermutation(word.values, word.decorated | {1})
+    return DecoratedPermutation(word.values, word.decorated | first)
 
 
 def delta(m: int, word: DecoratedPermutation) -> DecoratedPermutation:
@@ -143,18 +144,18 @@ def delta(m: int, word: DecoratedPermutation) -> DecoratedPermutation:
 
     For a flat all-ones word of size n-1 the output is an all-ones word of
     size n whose letters are m, then (v + m) mod n for each input letter v
-    (representatives in 1..n).  Decorations move one position right; the new
-    first letter is decorated exactly when the input had an odd number of
-    undecorated letters.  revmaj grows by n - m."""
+    (representatives in 1..n).  Each decorated letter's image is decorated;
+    the new first letter m is decorated exactly when the input had an odd
+    number of undecorated letters.  revmaj grows by n - m."""
     n = word.n + 1
     if not 1 <= m <= n:
         raise ValueError(f"m must be in 1..{n}, got {m}")
     if not is_flat_adr(word):
         raise NotAnADR(f"{word} is not all-ones realizable at shift zero")
     values = (m,) + tuple((v + m - 1) % n + 1 for v in word.values)
-    decorated = {p + 1 for p in word.decorated}
+    decorated = {(v + m - 1) % n + 1 for v in word.decorated}
     if word.undecorated_count() % 2 == 1:
-        decorated.add(1)
+        decorated.add(m)
     return DecoratedPermutation(values, frozenset(decorated))
 
 

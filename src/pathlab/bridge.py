@@ -51,25 +51,18 @@ def path_from_sdw(word: DecoratedPermutation, shift: int) -> DecoratedLabeledPat
     if shift not in ones_shifts(word):
         raise ScheduleNotOne(f"({word}, {shift}) does not have all-ones schedules")
     diag_of = letter_diagonals(sdw)
-    decorated_values = word.decorated_values
-    head = sorted(
-        ((d, v) for v, d in diag_of.items() if v in decorated_values and d < 0),
-        key=lambda pair: (-pair[0], pair[1]),
-    )
-    body = sorted(
-        ((d, v) for v, d in diag_of.items() if v not in decorated_values),
-        key=lambda pair: (pair[0], -pair[1]),
-    )
-    tail = sorted(
-        ((d, v) for v, d in diag_of.items() if v in decorated_values and d >= 0),
-        key=lambda pair: (-pair[0], pair[1]),
-    )
-    order = head + body + tail
-    labels = tuple(v for _, v in order)
-    decorations = frozenset(
-        i for i, (_, v) in enumerate(order, start=1) if v in decorated_values
-    )
-    steps = _steps_from_diagonals([d for d, _ in order])
+    decorated = word.decorated
+
+    def place(v: int) -> tuple[int, int, int]:
+        # (stretch, then diagonal and label in that stretch's order)
+        d = diag_of[v]
+        if v not in decorated:
+            return 1, d, -v
+        return (0 if d < 0 else 2), -d, v
+
+    labels = tuple(sorted(word.values, key=place))
+    decorations = frozenset(i for i, v in enumerate(labels, start=1) if v in decorated)
+    steps = _steps_from_diagonals([diag_of[v] for v in labels])
     if steps is None:
         raise ScheduleNotOne(f"({word}, {shift}) admits no path-shaped layout")
     try:
@@ -91,15 +84,12 @@ def _fiber_paths(word: DecoratedPermutation, shift: int) -> tuple[DecoratedLabel
     :func:`path_from_sdw`."""
     sdw = ShiftedDiagonalWord(word, shift)
     diag_of = letter_diagonals(sdw)
-    decorated_values = word.decorated_values
     out = []
     for perm in itertools.permutations(word.values):
         steps = _steps_from_diagonals([diag_of[v] for v in perm])
         if steps is None:
             continue
-        decorations = frozenset(
-            i for i, v in enumerate(perm, start=1) if v in decorated_values
-        )
+        decorations = frozenset(i for i, v in enumerate(perm, start=1) if v in word.decorated)
         try:
             path = validate(steps, perm, decorations)
         except PathError:

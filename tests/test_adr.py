@@ -65,18 +65,20 @@ class TestMembership:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_decorations_match_the_per_word_sweep(self, n):
-        # every decoration set by size, then lexicographically, each word
-        # tested on its own
-        positions = range(1, n + 1)
-        for values in itertools.permutations(positions):
+        # every decoration set by size, then as combinations of the letters
+        # in word order, each word tested on its own; no two ADR decorations
+        # share a size, so the sizes strictly increase
+        for values in itertools.permutations(range(1, n + 1)):
             words = (
                 DecoratedPermutation(values, frozenset(combo))
                 for r in range(n + 1)
-                for combo in itertools.combinations(positions, r)
+                for combo in itertools.combinations(values, r)
             )
             got = list(adr_decorations(values))
             assert got == [witness for witness in map(is_adr, words) if witness]
-            assert all(len(witness.word.decorated) < n for witness in got)
+            sizes = [len(witness.word.decorated) for witness in got]
+            assert all(a < b for a, b in zip(sizes, sizes[1:])), values
+            assert all(size < n for size in sizes)
 
     def test_decorations_build_one_letter_table(self):
         # every decoration set of a permutation is tested against one table

@@ -5,6 +5,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,9 @@ from pathlab.cli import main
 from pathlab.cutting import CycleError, LadderViolation
 
 from conftest import BIG_CYCLE, BIG_SCHED_ONE, BIG_WORD, SMALL_PATH
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -268,3 +274,15 @@ class TestDomain:
             argv[1:1] = ["--shift", str(shift)]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 1, 2)
+
+
+def test_readme_examples_exit_zero(capsys):
+    # every pathlab line of the README's sh blocks runs as written
+    blocks = re.findall(r"^```sh\n(.*?)^```$", README.read_text(), re.M | re.S)
+    commands = [
+        line for block in blocks for line in block.splitlines() if line.startswith("pathlab ")
+    ]
+    assert commands
+    for line in commands:
+        assert main(shlex.split(line)[1:]) == 0, line
+        capsys.readouterr()

@@ -37,14 +37,17 @@ from conftest import BIG_WORD, FIBER_SHIFT, FIBER_WORD
 
 
 def all_decorated_perms(n):
+    # decoration sets as combinations of the letters in word order, the
+    # order adr_decorations lists them in
     for values in itertools.permutations(range(1, n + 1)):
         for r in range(n + 1):
-            for dec in itertools.combinations(range(1, n + 1), r):
+            for dec in itertools.combinations(values, r):
                 yield DecoratedPermutation(values, frozenset(dec))
 
 
 class TestWordBasics:
     def test_parse_format_round_trip(self, big_word):
+        assert big_word.decorated == {7, 4}  # the starred letters
         assert format_perm(big_word) == BIG_WORD
         assert parse_perm(format_perm(big_word)) == big_word
 
@@ -53,6 +56,10 @@ class TestWordBasics:
             make_perm((1, 1, 2))
         with pytest.raises(ValueError):
             make_perm((1, 3))
+
+    def test_make_perm_rejects_decorations_outside_the_word(self):
+        with pytest.raises(ValueError):
+            make_perm((1, 2), {3})
 
     def test_runs(self, big_word):
         assert decreasing_runs(big_word) == ((7,), (8, 4, 2), (3,), (5,), (6, 1))
@@ -68,6 +75,7 @@ class TestWordBasics:
     def test_diagonal_word_of_path(self, small_path):
         sdw = diagonal_word(small_path)
         assert format_perm(sdw.word) == "3* 1 2"
+        assert sdw.word.decorated == {3}  # the label of decorated step 3
         assert sdw.shift == 0
 
     def test_cyclic_runs(self):
