@@ -98,10 +98,11 @@ def dyck_decorate(values: tuple[int, ...] | list[int]) -> DecoratedPermutation:
 
     After the cyclic-run walk, the first letter is additionally decorated
     exactly when the first decreasing run still holds two undecorated letters.
+    The empty word has no first run and stays as it is.
     """
     perm = make_perm(values)
     decorated = _chain_decorations(perm.values)
-    if _first_run_undecorated(perm.values, decorated) == 2:
+    if perm.n and _first_run_undecorated(perm.values, decorated) == 2:
         decorated.add(perm.values[0])
     return DecoratedPermutation(perm.values, frozenset(decorated))
 
@@ -110,8 +111,11 @@ def parity_decorate(values: tuple[int, ...] | list[int]) -> DecoratedPermutation
     """Canonical decoration leaving an odd number of undecorated letters.
 
     Same cyclic-run walk; the first letter is additionally decorated
-    exactly when the number of undecorated letters is even."""
+    exactly when the number of undecorated letters is even.  The empty word
+    has no such decoration and raises ValueError."""
     perm = make_perm(values)
+    if not perm.n:
+        raise ValueError("no decoration of the empty word leaves an odd number undecorated")
     decorated = _chain_decorations(perm.values)
     if (perm.n - len(decorated)) % 2 == 0:
         decorated.add(perm.values[0])

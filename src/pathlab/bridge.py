@@ -35,7 +35,9 @@ class ScheduleNotOne(ValueError):
 
 def _steps_from_diagonals(diagonals: list[int]) -> str | None:
     """The step word whose i-th north step starts on ``diagonals[i]``, or
-    None when no path has north steps there."""
+    None when no path has north steps there; the empty path for no steps."""
+    if not diagonals:
+        return ""
     n = len(diagonals)
     xs = [i - d for i, d in enumerate(diagonals)]  # x of the i-th north step
     if xs[0] < 0 or xs[-1] > n - 1 or any(b < a for a, b in zip(xs, xs[1:])):

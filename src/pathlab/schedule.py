@@ -132,7 +132,8 @@ def decreasing_runs(word: DecoratedPermutation | Sequence[int]) -> tuple[tuple[i
             runs[-1].append(v)
         else:
             runs.append([v])
-    return tuple(tuple(r) for r in runs)
+    # a list, not a generator: tuple() of a generator over-allocates and resizes
+    return tuple([tuple(r) for r in runs])
 
 
 def letter_diagonals(sdw: ShiftedDiagonalWord) -> dict[int, int]:

@@ -15,7 +15,8 @@ check already runs: k, the first letter of a permutation, the m of delta, or
 the area mod n of a schedule-one path.  Such a check runs one key,
 ``check(n, shard)``, and a size is its n cells.  A shard may read the key of
 every item to find its own, but it repeats no other shard's work, except in
-``delta-bijection``: every m shard decorates all (n - 1)! sources again.
+``delta-bijection``: every m shard decorates all (n - 1)! sources again,
+since keying it by the source would leave some cells empty.
 Every (check, n, shard) cell is independent and deterministic; a shard
 reuses no result another cell cached, so it does the same work on whichever
 worker runs it.  Cells are spread over worker processes and merged back into
@@ -229,12 +230,14 @@ def check_shape(n: int, shard: int) -> str | None:
 
 
 def check_partition(n: int, shard: int) -> str | None:
-    """Cutting cycles partition every family: members of a cycle have cycles
-    with the same member set, and distinct cycle member sets are disjoint.
-    Sharded by k."""
+    """Cutting cycles partition every family: each path's cycle holds it and
+    has n - k members, members of a cycle have cycles with the same member
+    set, and distinct cycle member sets are disjoint.  Sharded by k."""
     seen: dict[paths.DecoratedLabeledPath, frozenset] = {}
     for path in enumeration.generate(enumeration.PathFamily(n, shard, "square")):
         members = cutting.cutting_cycle(path).members
+        if len(members) != n - shard:
+            return f"{path} cycle size {len(members)}"
         if path not in members:
             return f"{path} not in own cycle"
         for member in members:
@@ -281,35 +284,28 @@ def check_phi_bijection(n: int, shard: int) -> str | None:
     return None
 
 
-def _delta_images(
-    n: int, shard: int
-) -> Iterator[tuple[schedule.DecoratedPermutation, schedule.DecoratedPermutation]]:
-    """(source, delta(shard + 1, source)) for every flat ADR word of size
-    n - 1, sources in lexicographic order of their letters.  Each shard
-    decorates every source, so the n shards of a size decorate each source
-    n times."""
-    empty = schedule.DecoratedPermutation((), frozenset())
-    for values in itertools.permutations(range(1, n)):
-        source = adr.dyck_decorate(values) if n > 1 else empty
-        yield source, adr.delta(shard + 1, source)
-
-
 def check_delta_bijection(n: int, shard: int) -> str | None:
     """delta over all m and all flat ADR words of size n - 1 produces each
     odd-undecorated ADR word of size n exactly once, raising revmaj by n - m.
-    Sharded by m, the first letter of every image, so a shard expects the
-    words that start with m."""
+
+    Sharded by m, and checked word by word: a word w of the shard starts
+    with m, and delta's letter map v -> (v + m - 1) mod n + 1 has the inverse
+    w -> (w - m - 1) mod n + 1, so the letters after m name w's only possible
+    source.  That source's flat decoration must map to the parity-algorithm
+    output of w.  The inverse sends the shard's (n - 1)! words onto all
+    (n - 1)! sources, so the shards together check the bijection.  Keying the
+    shards by the source instead would leave cells empty: by its first
+    letter, shard n - 1 at every n; by its revmaj mod n, one shard at n = 2
+    and one at n = 3."""
     m = shard + 1
-    produced = set()
-    for source, image in _delta_images(n, shard):
+    for values in _permutations(n, shard):
+        source = adr.dyck_decorate(tuple((v - m - 1) % n + 1 for v in values[1:]))
+        image = adr.delta(m, source)
         if schedule.revmaj(image) != schedule.revmaj(source) + n - m:
             return f"delta({m}, {source}) revmaj"
-        if image in produced:
-            return f"{image} hit twice"
-        produced.add(image)
-    expected = {adr.parity_decorate(values) for values in _permutations(n, shard)}
-    if produced != expected:
-        return "image set differs"
+        expected = adr.parity_decorate(values)
+        if image != expected:
+            return f"delta({m}, {source}) is not {expected}"
     return None
 
 

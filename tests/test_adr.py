@@ -129,6 +129,17 @@ class TestDecoratingAlgorithms:
         assert len(parity_decorate((1, 2, 3)).decorated) == 0
         assert len(parity_decorate((3, 2, 1)).decorated) == 2
 
+    def test_dyck_keeps_the_empty_word(self):
+        # the flat source that delta(1, .) extends to the word 1
+        empty = dyck_decorate(())
+        assert empty == DecoratedPermutation((), frozenset())
+        assert is_flat_adr(empty)
+
+    def test_parity_rejects_the_empty_word(self):
+        # no decoration of no letters leaves an odd number undecorated
+        with pytest.raises(ValueError, match="empty word"):
+            parity_decorate(())
+
 
 class TestPhi:
     def test_rejects_non_members(self):

@@ -9,8 +9,14 @@ import pytest
 
 from pathlab.bridge import ScheduleNotOne, _fiber_paths, classes, path_from_sdw
 from pathlab.cutting import canonical_rep
-from pathlab.paths import area, format_path, parse_path
-from pathlab.schedule import diagonal_word, make_perm, parse_perm, schedule_numbers
+from pathlab.paths import DecoratedLabeledPath, area, format_path, parse_path
+from pathlab.schedule import (
+    DecoratedPermutation,
+    diagonal_word,
+    make_perm,
+    parse_perm,
+    schedule_numbers,
+)
 
 from conftest import BIG_CYCLE, FIBER_SHIFT, FIBER_WORD, all_adrs
 
@@ -22,6 +28,12 @@ class TestPathFromSdw:
 
     def test_trivial(self):
         assert format_path(path_from_sdw(make_perm((1,)), 0)) == "NE:1:"
+
+    def test_empty_word_is_the_empty_path(self):
+        # the empty word is all ones at shift 0, and its fiber is the empty path
+        empty = DecoratedPermutation((), frozenset())
+        assert path_from_sdw(empty, 0) == DecoratedLabeledPath("", ())
+        assert _fiber_paths(empty, 0) == (path_from_sdw(empty, 0),)
 
     def test_rejects_other_shifts(self, big_word):
         with pytest.raises(ScheduleNotOne):

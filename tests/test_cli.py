@@ -286,3 +286,24 @@ def test_readme_examples_exit_zero(capsys):
     for line in commands:
         assert main(shlex.split(line)[1:]) == 0, line
         capsys.readouterr()
+
+
+def _names(text):
+    return re.findall(r"`([^`]+)`", text)
+
+
+def test_readme_lists_the_verify_suites():
+    # the suite list, the default sizes and the sharded suites, as written
+    text = " ".join(README.read_text().split())
+    accepted = re.search(r"`verify` accepts: (.*?)\. ", text).group(1)
+    assert _names(accepted) == list(verify.CHECKS)
+    defaults = re.search(r"default size: (.*?`)\. ", text).group(1)
+    sizes = {
+        name: int(size)
+        for part in defaults.split("; ")
+        for size, names in [part.split(" for ", 1)]
+        for name in _names(names)
+    }
+    assert sizes == {check_id: max_n for check_id, (_, max_n) in verify.CHECKS.items()}
+    sharded = re.search(r"Each size of (.*?) runs as n shards", text).group(1)
+    assert set(_names(sharded)) == verify.SHARDED
