@@ -10,9 +10,12 @@ Every stream is one walk over labeled paths, :func:`_labeled_step_words`,
 in two levels.  What a step word fixes for all of its labelings (the area
 word, which pairs of north steps can attack, which steps are valleys
 whatever the labels) is its profile, derived once per step word by
-:func:`_step_profile`.  The labelings of a column composition are listed
-once per walk, in a dict that lives as long as the walk.  Per (steps,
-labels) pair only label comparisons remain.  The definitional forms in
+:func:`_step_profile`.  What a column composition gives all of its step
+words is made once per walk, in a dict that lives as long as the walk: its
+labelings for the generators, which compare labels per (steps, labels)
+pair, and their bit slices (:func:`_label_slices`) for the signed sums,
+which score every labeling of a step word at once with a few big-int
+operations per decoration set.  The definitional forms in
 :mod:`pathlab.paths` (``attack_pairs``, ``contractible_valleys``, ``dinv``)
 are the oracle the tests hold the profile to.
 """
@@ -22,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, TypeVar
 
 from .paths import (
     DecoratedLabeledPath,
@@ -35,6 +38,8 @@ from .poly import QTPoly, TPoly
 from .schedule import LetterTable, ShiftedDiagonalWord, diagonal_word
 
 KINDS = ("square", "dyck")
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -81,17 +86,61 @@ def column_sizes(steps: str) -> tuple[int, ...]:
     return tuple(len(block) for block in steps.split("E") if block)
 
 
+def _composition_columns(sizes: tuple[int, ...]) -> list[bytes]:
+    """The permutations of 1..n increasing inside each block of ``sizes``,
+    lexicographically, as columns: byte l of column x - 1 is w_x of the l-th
+    permutation, so n is at most 255.
+
+    The lexicographic list runs over the first block's label sets in order,
+    each followed by the rest's list relabeled order-preservingly onto the
+    labels left over; each relabeling is one byte translation per column."""
+    n = sum(sizes)
+    if len(sizes) <= 1:
+        return [bytes([v]) for v in range(1, n + 1)]
+    tail = _composition_columns(sizes[1:])
+    m = len(tail[0])
+    parts: list[list[bytes]] = [[] for _ in range(n)]
+    for head in itertools.combinations(range(1, n + 1), sizes[0]):
+        left = bytes(v for v in range(n + 1) if v not in head)  # left[v]: v-th label left
+        relabel = left.ljust(256, b"\0")
+        for x, v in enumerate(head):
+            parts[x].append(bytes([v]) * m)
+        for x, column in enumerate(tail, start=len(head)):
+            parts[x].append(column.translate(relabel))
+    return [b"".join(part) for part in parts]
+
+
 def _composition_labelings(sizes: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Permutations of 1..n increasing inside each block of ``sizes``,
     lexicographically."""
-    partial = [((), tuple(range(1, sum(sizes) + 1)))]  # (labels so far, unused)
-    for size in sizes:
-        partial = [
-            (head + combo, tuple(v for v in rest if v not in combo))
-            for head, rest in partial
-            for combo in itertools.combinations(rest, size)
-        ]
-    return [head for head, _ in partial]
+    return list(zip(*_composition_columns(sizes)))
+
+
+# the byte 16a + b read as "1" when a < b and as "0" otherwise
+_LESS = bytes(b"01"[v >> 4 < v & 15] for v in range(256))
+
+
+def _label_slices(sizes: tuple[int, ...]) -> tuple[int, dict[tuple[int, int], int]]:
+    """The labelings of a column composition as bit slices: with labeling l
+    the l-th of :func:`_composition_labelings`, ``full`` has bits 0..m-1
+    set, and for north steps x < y, ``less[x, y]`` has bit l set when
+    labeling l has w_x < w_y.
+
+    Each column becomes an int with labeling l in byte l; shifting w_x four
+    bits up puts the byte 16 w_x + w_y at every labeling, which a
+    translation reads as one binary digit.  Labels must fit four bits, so n
+    is at most 15 (a brute sum at n = 15 has 15^15 (steps, labels) pairs)."""
+    n = sum(sizes)
+    if n > 15:
+        raise ValueError(f"brute-force sums go up to n = 15, got n = {n}")
+    columns = _composition_columns(sizes)
+    m = len(columns[0])
+    packed = [int.from_bytes(column, "little") for column in columns]
+    less = {
+        (x, y): int((packed[x - 1] << 4 | packed[y - 1]).to_bytes(m, "big").translate(_LESS), 2)
+        for x, y in itertools.combinations(range(1, n + 1), 2)
+    }
+    return (1 << m) - 1, less
 
 
 class _StepProfile(NamedTuple):
@@ -147,20 +196,24 @@ def _valleys(profile: _StepProfile, w: tuple[int, ...]) -> list[int]:
 
 
 def _labeled_step_words(
-    n: int, kind: str, shard: int | None = None
-) -> Iterator[tuple[str, _StepProfile, list[tuple[int, ...]]]]:
-    """Each step word of size n with its profile and its standard labelings;
+    n: int,
+    kind: str,
+    shard: int | None = None,
+    per_composition: Callable[[tuple[int, ...]], _T] = _composition_labelings,
+) -> Iterator[tuple[str, _StepProfile, _T]]:
+    """Each step word of size n with its profile and what ``per_composition``
+    makes of its column composition, by default its standard labelings;
     with a shard j, only the step words whose area is j mod n, and only they
-    get a profile.  The labelings of a column composition are listed once
-    and shared by every step word with that composition; the dict holding
-    them goes when the generator does."""
-    by_sizes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    get a profile.  ``per_composition`` runs once per column composition,
+    and its result is shared by every step word with that composition; the
+    dict holding the results goes when the generator does."""
+    by_sizes: dict[tuple[int, ...], _T] = {}
     for steps in step_words(n, kind):
         if shard is not None and area(DecoratedLabeledPath(steps, ())) % n != shard:
             continue
         sizes = column_sizes(steps)
         if sizes not in by_sizes:
-            by_sizes[sizes] = _composition_labelings(sizes)
+            by_sizes[sizes] = per_composition(sizes)
         yield steps, _step_profile(steps), by_sizes[sizes]
 
 
@@ -184,37 +237,45 @@ def _signed_sums(n: int, kind: str, shard: int | None) -> tuple[TPoly, ...]:
     """For each k, the sum of (-1)^dinv t^area over the size-n family; with
     a shard j, over the paths whose area is j mod n.
 
-    Visits every (steps, labels) pair once.  For a fixed pair, decorating a
-    valley i flips the sign by (-1)^(c_i + 1), where c_i counts the attack
-    pairs with left index i: those pairs vanish and the decoration itself
-    subtracts one from dinv.  Summing the sign over all k-subsets of valleys
-    is therefore the degree-k elementary symmetric function of those flips.
+    Scores every labeling of a step word at once, on the bit slices of
+    :func:`_label_slices`, bit l standing for labeling l.  A primary
+    candidate (i, j) attacks on ``less[i, j]``, a secondary one on its
+    complement, so XOR-ing them by left index gives ``odd[i]``, the
+    labelings with an odd count c_i of attack pairs at i, and their XOR with
+    the bonus parity gives the labelings of negative sign.  A valley is
+    present on every labeling, a tie t on ``less[t - 1, t]``.
 
-    The area, the below-diagonal bonus and the candidate attack pairs come
-    from the step word's profile, computed once per step word; each column
-    composition's labelings are listed once per call.  Area is constant
-    across a step word, so the pairs of one step word add into one vector
-    indexed by k.
+    Decorating a valley i flips the sign by (-1)^(c_i + 1): its c_i attack
+    pairs vanish and the decoration itself subtracts one from dinv.  So a
+    decoration set D is present on the AND of its members' slices, negative
+    on ``neg`` XOR-ed with ``odd[i] ^ full`` for each i in D, and adds
+    present minus twice negative-and-present labelings to the sum at |D|.
+    The sets of at most n - 1 valleys and ties are walked depth first,
+    extending a set only while some labeling has all of its members.  Area
+    is constant across a step word, so its sums add into one vector indexed
+    by k.
     """
     acc: list[dict[int, int]] = [dict() for _ in range(n)]
-    for _, profile, labelings in _labeled_step_words(n, kind, shard):
+    for _, profile, (full, less) in _labeled_step_words(n, kind, shard, _label_slices):
+        odd = [0] * (n + 1)  # by left index: labelings with odd c_i
+        for i, j, lo, _ in profile.candidates:
+            odd[i] ^= less[i, j] if lo == i else less[i, j] ^ full
+        neg = full if profile.bonus % 2 else 0
+        for slice_ in odd:
+            neg ^= slice_
+        choices = [(full, odd[i] ^ full) for i in profile.valleys] + [
+            (less[t - 1, t], odd[t] ^ full) for t in profile.ties
+        ]
         by_k = [0] * n
-        for labels in labelings:
-            w = (0,) + labels
-            counts = [0] * (n + 1)  # attack pairs by left index
-            for i, _ in _attack_pairs(profile, w):
-                counts[i] += 1
-            base_sign = -1 if (sum(counts) + profile.bonus) % 2 else 1
-            # elementary symmetric functions of the sign flips, by k
-            esym = [base_sign] + [0] * (n - 1)
-            top = 0
-            for i in _valleys(profile, w):
-                flip = 1 if counts[i] % 2 else -1
-                top += 1
-                for k in range(min(top, n - 1), 0, -1):
-                    esym[k] += esym[k - 1] * flip
-            for k in range(n):
-                by_k[k] += esym[k]
+        stack = [(0, 0, full, neg)]  # (|D|, next choice, present, negative)
+        while stack:
+            k, start, present, neg = stack.pop()
+            by_k[k] += present.bit_count() - 2 * (present & neg).bit_count()
+            if k < n - 1:
+                for c in range(start, len(choices)):
+                    on, flip = choices[c]
+                    if present & on:
+                        stack.append((k + 1, c + 1, present & on, neg ^ flip))
         for k, contrib in enumerate(by_k):
             if contrib:
                 acc[k][profile.area] = acc[k].get(profile.area, 0) + contrib

@@ -69,18 +69,21 @@ def format_perm(word: DecoratedPermutation) -> str:
     return " ".join(f"{v}*" if v in word.decorated else str(v) for v in word.values)
 
 
+_PERM_FORMAT = "space-separated letters, * marking decorations, e.g. 7* 8 4* 2 3 5 6 1"
+
+
 def parse_perm(text: str) -> DecoratedPermutation:
     """Parse the ``7* 8 4* 2 3 5 6 1`` format."""
     tokens = text.split()
     if not tokens:
-        raise ValueError(
-            "expected a non-empty word of space-separated letters, "
-            "* marking decorations, e.g. 7* 8 4* 2 3 5 6 1"
-        )
+        raise ValueError(f"expected a non-empty word of {_PERM_FORMAT}")
     values = []
     decorated = set()
     for token in tokens:
-        letter = int(token.removesuffix("*"))
+        try:
+            letter = int(token.removesuffix("*"))
+        except ValueError:
+            raise ValueError(f"bad letter {token!r}: expected {_PERM_FORMAT}") from None
         if token.endswith("*"):
             decorated.add(letter)
         values.append(letter)

@@ -253,6 +253,10 @@ class TestDomain:
             (("build", "2 1", "--shift", "-1"), "shift must be at least 0"),
             (("inspect", "NE:0:"), "labels must be positive integers"),
             (("inspect", "NE:x:"), "malformed numeric field in 'NE:x:'"),
+            (("sched", "1**"), "bad letter '1**': expected space-separated letters"),
+            (("sched", "*"), "bad letter '*': expected space-separated letters"),
+            (("sched", "a b"), "bad letter 'a': expected space-separated letters"),
+            (("inspect", "2 1 x*"), "bad letter 'x*': expected space-separated letters"),
         ],
     )
     def test_out_of_domain_input_exits_two(self, capsys, argv, message):

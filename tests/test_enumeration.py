@@ -12,6 +12,8 @@ from pathlab.enumeration import (
     PathFamily,
     S_brute,
     _attack_pairs,
+    _composition_labelings,
+    _label_slices,
     _labeled_step_words,
     _valleys,
     bare_path_count,
@@ -84,6 +86,29 @@ class TestStepWords:
                 assert sum(1 for _ in generate(family)) == bare_path_count(n, kind)
 
 
+class TestLabelSlices:
+    def test_bit_l_compares_labeling_l(self):
+        """For every column composition with n <= 5, bit l of less[x, y] is
+        set exactly when the l-th labeling has w_x < w_y, and full has one
+        bit per labeling."""
+        for n in range(1, 6):
+            compositions = {column_sizes(w) for w in step_words(n)}
+            assert len(compositions) == 2 ** (n - 1)
+            for sizes in compositions:
+                labelings = _composition_labelings(sizes)
+                full, less = _label_slices(sizes)
+                assert full == (1 << len(labelings)) - 1
+                assert sorted(less) == list(itertools.combinations(range(1, n + 1), 2))
+                for (x, y), slice_ in less.items():
+                    assert slice_ == sum(
+                        1 << l for l, w in enumerate(labelings) if w[x - 1] < w[y - 1]
+                    ), (sizes, x, y)
+
+    def test_labels_must_fit_four_bits(self):
+        with pytest.raises(ValueError, match="up to n = 15"):
+            S_brute(16, 0)
+
+
 class TestStepProfile:
     def test_matches_definitional_forms(self):
         """For every (steps, labels) pair of both kinds with n <= 5, the
@@ -144,6 +169,18 @@ class TestGenerate:
             PathFamily(3, 0, "banana")
 
 
+def _naive_signed_sum(paths) -> TPoly:
+    """Sum of (-1)^dinv t^area over the paths, with dinv from paths.py."""
+    acc = {}
+    for p in paths:
+        a = area(p)
+        acc[a] = acc.get(a, 0) + (-1) ** dinv(p)
+    coeffs = [0] * (max(acc, default=-1) + 1)
+    for d, c in acc.items():
+        coeffs[d] = c
+    return TPoly(coeffs)
+
+
 class TestSignedSums:
     def test_brute_sums_match_naive(self):
         """S_brute/D_brute equal (-1)^dinv t^area summed over generate, with
@@ -151,14 +188,17 @@ class TestSignedSums:
         for n in range(1, 6):
             for k in range(n):
                 for fn, kind in ((S_brute, "square"), (D_brute, "dyck")):
-                    acc = {}
-                    for p in generate(PathFamily(n, k, kind)):
-                        a = area(p)
-                        acc[a] = acc.get(a, 0) + (-1) ** dinv(p)
-                    coeffs = [0] * (max(acc, default=-1) + 1)
-                    for d, c in acc.items():
-                        coeffs[d] = c
-                    assert fn(n, k) == TPoly(coeffs)
+                    assert fn(n, k) == _naive_signed_sum(generate(PathFamily(n, k, kind)))
+
+    def test_brute_shards_match_naive(self):
+        """S_brute(n, k, j) is that sum over the paths with area = j mod n,
+        for every n <= 5, k and j."""
+        for n in range(1, 6):
+            for k in range(n):
+                family = list(generate(PathFamily(n, k, "square")))
+                for j in range(n):
+                    shard = (p for p in family if area(p) % n == j)
+                    assert S_brute(n, k, j) == _naive_signed_sum(shard), (n, k, j)
 
     def test_qt_enumerator_frozen_value(self):
         assert qt_enumerator(PathFamily(2, 0, "square")) == QTPoly(
