@@ -60,12 +60,19 @@ def adr_decorations(values: Sequence[int]) -> Iterator[ADRWitness]:
     letters, in word order.  For n <= 8 no permutation has two ADR
     decorations of one size, so only the size orders them there.  The runs
     and their :class:`~pathlab.schedule.LetterTable` are built once, and
-    each decoration set is tested against the table; a fully decorated
-    nonempty word is never ADR."""
+    each decoration set is tested against the table.
+
+    A decorated letter needs low value 1, so a letter whose low mask is
+    empty is never decorated.  That is the word's last letter and no other:
+    any other letter is followed by a smaller letter of its run or by the
+    next run's first letter, which is larger.  So only the other letters are
+    combined, which keeps the order of ``itertools.combinations``, halves
+    the sets tested, and tests no fully decorated nonempty word."""
     values = tuple(values)
     table = LetterTable(decreasing_runs(values))
-    for r in range(len(values) + 1):
-        for combo in itertools.combinations(values, r):
+    letters = values[:-1]
+    for r in range(len(letters) + 1):
+        for combo in itertools.combinations(letters, r):
             shifts = table.ones_shifts(combo)
             if shifts:
                 yield ADRWitness(DecoratedPermutation(values, frozenset(combo)), shifts)

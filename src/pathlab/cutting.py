@@ -13,18 +13,21 @@ its area word is the original's rotated by m, plus the constant i - m.  Only
 the image's first north step can stop being a valley, so a cut is refused
 just when that step is decorated and starts on the main diagonal
 (:func:`psi`, :func:`cutting_cycle`).  The raise by i - m leaves attack pairs
-alone, so each image is scored on the rotated area word, and one area word
-scores a whole cycle (:func:`cycle_dinvs`), which :func:`ordered_cycle` sorts
-into the ladder.
+alone, and the rotation changes the order of a pair of steps p < q just
+when p <= m < q.  So one pass over the pairs of the path's area word fills
+a difference array, indexed by m, of how each pair's attack changes when q
+comes first, and one running sum over it scores a whole cycle
+(:func:`cycle_dinvs`), which :func:`ordered_cycle` sorts into the ladder.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Mapping
 
-from .paths import DecoratedLabeledPath, _attack_count, area_word
+from .paths import DecoratedLabeledPath, area_word
 from .schedule import ShiftedDiagonalWord, diagonal_word, ones_shifts
 
 
@@ -108,23 +111,55 @@ def cutting_cycle(path: DecoratedLabeledPath) -> CuttingCycle:
 
 
 def cycle_dinvs(path: DecoratedLabeledPath) -> dict[DecoratedLabeledPath, int]:
-    """Every member of the path's cutting cycle, with its dinv.
+    """Every member of the path's cutting cycle, with its dinv, from one
+    pass over the path's pairs of north steps.
 
     A member cut at the i-th east step, with m north steps before its cut,
-    has the path's area word rotated by m and raised by i - m, and the
-    raise leaves attack pairs alone.  So the member's dinv is the attack
-    count of the rotated word with the member's own labels and decorations,
-    plus the steps with a_j < m - i, which the raise takes below the main
-    diagonal, minus the k decorations.  One area word scores the cycle."""
-    a, k = area_word(path), len(path.decorations)
-    low = sorted(a)
+    lists the original steps as m + 1, ..., n, 1, ..., m on the path's area
+    word rotated by m and raised by i - m, and the raise leaves attack pairs
+    alone.  For steps p < q with |a_p - a_q| <= 1, let f be 1 when they
+    attack with p first and g when they attack with q first (the first step
+    undecorated, the rules of :func:`~pathlab.paths.attack_pairs`).  q comes
+    first in the member just when p <= m < q, so its attack count is the
+    sum of f plus the sum of g - f over those pairs: the running sum at m
+    of a difference array that adds g - f at p and takes it off at q.  Its
+    dinv adds the steps with a_j < m - i, which the raise takes below the
+    main diagonal, and takes off the k decorations."""
+    a, labels, decorations = area_word(path), path.labels, path.decorations
+    n = len(labels)
+    free = [j not in decorations for j in range(1, n + 1)]
+    # 0-based steps p < q: the pair's g - f counts for m in p + 1..q, and
+    # diff[0] holds the sum of f, so attacks[m] is the sum of diff[:m + 1]
+    diff = [0] * (n + 1)
+    later: dict[int, list[int]] = {}  # diagonal -> 0-based steps after p
+    for p in range(n - 1, -1, -1):
+        ap, wp, p_free = a[p], labels[p], free[p]
+        for q in later.get(ap, ()):  # same diagonal: the smaller label first
+            f = p_free and wp < labels[q]
+            g = free[q] and labels[q] < wp
+            if f or g:
+                diff[0] += f
+                diff[p + 1] += g - f
+                diff[q + 1] -= g - f
+        if p_free:
+            for q in later.get(ap - 1, ()):  # q one diagonal lower: only f
+                if wp > labels[q]:
+                    diff[0] += 1
+                    diff[p + 1] -= 1
+                    diff[q + 1] += 1
+        for q in later.get(ap + 1, ()):  # q one diagonal higher: only g
+            if free[q] and labels[q] > wp:
+                diff[p + 1] += 1
+                diff[q + 1] -= 1
+        later.setdefault(ap, []).append(p)
+    attacks = list(accumulate(diff))
+    low, k = sorted(a), len(decorations)
     scores = {}
     for i, pos in enumerate(_positions(path.steps, "E"), start=1):
         image = _cut(path, i, pos + 1)
         if image is not None:
             m = pos + 1 - i
-            pairs = _attack_count(a[m:] + a[:m], image.labels, image.decorations)
-            scores[image] = pairs + bisect_left(low, m - i) - k
+            scores[image] = attacks[m] + bisect_left(low, m - i) - k
     return scores
 
 
@@ -200,8 +235,8 @@ def geometric_order(path: DecoratedLabeledPath) -> tuple[int, ...]:
 
 def ordered_cycle(path: DecoratedLabeledPath) -> tuple[DecoratedLabeledPath, ...]:
     """The path's cycle members sorted by dinv, checked to ladder from 0
-    upward; the dinv values come from :func:`cycle_dinvs`, so one area word
-    scores the whole cycle.
+    upward; the dinv values come from :func:`cycle_dinvs`, so one pass over
+    the path's pairs of north steps scores the whole cycle.
 
     Raises :class:`LadderViolation` when the dinv values are not exactly
     0, 1, ..., size - 1 (they always are for cycles of paths whose schedule

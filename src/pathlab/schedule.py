@@ -197,6 +197,29 @@ def _letter_mask(letters: Iterable[int]) -> int:
     return sum(1 << c for c in letters)
 
 
+def _undecorated_runs(word: DecoratedPermutation) -> tuple[list[int], list[int], int]:
+    """One scan of the word, a new decreasing run at each ascent: each
+    letter's run index in word order, each run's undecorated letters as one
+    :func:`_letter_mask`, and the decorated letters as one mask."""
+    decorated = _letter_mask(word.decorated)
+    free = ~decorated
+    run_of: list[int] = []
+    undec: list[int] = []
+    run = prev = 0  # prev is below every letter, so the first letter opens run 0
+    i = -1
+    for c in word.values:
+        if c > prev:  # close the open run; the first close is of no run
+            undec.append(run & free)
+            run = 0
+            i += 1
+        prev = c
+        run |= 1 << c
+        run_of.append(i)
+    undec.append(run & free)
+    del undec[0]
+    return run_of, undec, decorated
+
+
 def schedule_numbers(sdw: ShiftedDiagonalWord) -> tuple[int, ...]:
     """Schedule number of each letter, in word order.
 
@@ -210,26 +233,24 @@ def schedule_numbers(sdw: ShiftedDiagonalWord) -> tuple[int, ...]:
     * negative diagonal, or c decorated:
         #{d in ṙ_i : d < c} + #{d in ṙ_{i+1} : d > c}
 
-    Each ṙ_i is a :func:`_letter_mask`, so each count is one popcount.  A
-    shift at or past the number of runs zeroes the whole word.
+    One scan of the word finds each letter's run and each ṙ_i as a
+    :func:`_letter_mask` (:func:`_undecorated_runs`), so each count is one
+    popcount.  A shift at or past the number of runs zeroes the whole word.
     """
     word, s = sdw.word, sdw.shift
-    runs = decreasing_runs(word)
-    if s >= len(runs):
+    run_of, undec, decorated = _undecorated_runs(word)
+    if s >= len(undec):
         return (0,) * word.n
-    decorated = _letter_mask(word.decorated)
-    undec = [_letter_mask(run) & ~decorated for run in runs] + [0]
+    undec.append(0)  # the run after the last holds nothing
     out = []
-    for i, run in enumerate(runs):
-        here, above, below = undec[i], undec[i + 1], undec[i - 1]
-        for c in run:
-            if i < s or decorated >> c & 1:  # low
-                w = (here & (1 << c) - 1).bit_count() + (above >> c + 1).bit_count()
-            elif i == s:  # zero
-                w = (here >> c + 1).bit_count() + 1
-            else:  # high: i > s >= 0, so below is a run of the word
-                w = (here >> c + 1).bit_count() + (below & (1 << c) - 1).bit_count()
-            out.append(w)
+    for c, i in zip(word.values, run_of):
+        if i < s or decorated >> c & 1:  # low
+            w = (undec[i] & (1 << c) - 1).bit_count() + (undec[i + 1] >> c + 1).bit_count()
+        elif i == s:  # zero
+            w = (undec[i] >> c + 1).bit_count() + 1
+        else:  # high: i > s >= 0, so run i - 1 is a run of the word
+            w = (undec[i] >> c + 1).bit_count() + (undec[i - 1] & (1 << c) - 1).bit_count()
+        out.append(w)
     return tuple(out)
 
 
@@ -341,10 +362,8 @@ def schedule_numbers_cyclic(sdw: ShiftedDiagonalWord) -> tuple[int, ...]:
 def u_statistic(sdw: ShiftedDiagonalWord) -> int:
     """Number of undecorated letters strictly below the zero diagonal, i.e.
     in the first `shift` runs."""
-    decorated = sdw.word.decorated
-    return sum(
-        1 for run in decreasing_runs(sdw.word)[: sdw.shift] for v in run if v not in decorated
-    )
+    _, undec, _ = _undecorated_runs(sdw.word)
+    return sum(run.bit_count() for run in undec[: sdw.shift])
 
 
 def schedule_rhs(sdw: ShiftedDiagonalWord) -> QTPoly:

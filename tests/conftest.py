@@ -74,16 +74,21 @@ def profiled_calls(codes, fn, *args):
     return result, calls
 
 
-def random_square_path(rng: random.Random, n: int):
-    """A standard square path of size n: a random step word ending east,
-    labels increasing up each column, and about half of its contractible
-    valleys decorated (at most n - 1)."""
+def random_square_path(rng: random.Random, n: int, top: int | None = None):
+    """A square path of size n: a random step word ending east, labels
+    increasing up each column, and about half of its contractible valleys
+    decorated (at most n - 1).  The labels are 1..n, so standard, unless
+    ``top`` is given: then each column draws its own from
+    1..max(top, column height), so labels repeat across columns."""
     norths = set(rng.sample(range(2 * n - 1), n))
     steps = "".join("N" if i in norths else "E" for i in range(2 * n - 1)) + "E"
     letters = rng.sample(range(1, n + 1), n)
     labels = []
     for column in steps.split("E"):
-        labels.extend(sorted(letters[len(labels) : len(labels) + len(column)]))
+        if top is None:
+            labels.extend(sorted(letters[len(labels) : len(labels) + len(column)]))
+        else:
+            labels.extend(sorted(rng.sample(range(1, max(top, len(column)) + 1), len(column))))
     valleys = sorted(contractible_valleys(validate(steps, labels)))
     return validate(steps, labels, [v for v in valleys if rng.random() < 0.5][: n - 1])
 

@@ -26,6 +26,7 @@ from pathlab.cutting import (
 from pathlab.enumeration import PathFamily, generate, schedule_one_paths
 from pathlab.paths import (
     DecoratedLabeledPath,
+    _attack_count,
     PathError,
     area,
     area_word,
@@ -54,6 +55,13 @@ def _large_paths():
     corpus = [random_square_path(rng, 10 + i % 11) for i in range(2000)]
     assert sum(1 for p in corpus if p.decorations) > 1000
     return corpus
+
+
+def _repeated_label_paths():
+    """3,000 seeded random square paths with n from 1 to 9 whose labels
+    repeat across columns."""
+    rng = random.Random(8128)
+    return [random_square_path(rng, 1 + i % 9, top=3) for i in range(3000)]
 
 
 def _psi_by_validate(path, i):
@@ -130,8 +138,9 @@ class TestBigCycle:
         assert [dinv(p) for p in ordered] == [0, 1, 2, 3, 4, 5]
 
     def test_ladder_scores_each_member_once(self, big_cycle_paths):
-        # the ladder reads every member's dinv off one area word
-        codes = {dinv.__code__, area_word.__code__}
+        # the ladder reads every member's dinv off one area word and one
+        # pass over its pairs, with no attack count per member
+        codes = {dinv.__code__, area_word.__code__, _attack_count.__code__}
         ladder, calls = profiled_calls(codes, ordered_cycle, big_cycle_paths[0])
         assert ladder == big_cycle_paths
         assert [call.code for call in calls] == [area_word.__code__]
@@ -245,6 +254,22 @@ class TestCycleInvariants:
             scores = cycle_dinvs(p)
             assert scores.keys() == cutting_cycle(p).members, p
             assert scores == {q: dinv(q) for q in scores}, p
+
+    def test_cycle_dinvs_match_dinv_with_repeated_labels(self):
+        # equal labels on one diagonal or on neighbouring ones attack in
+        # neither order, which the strict comparisons must keep
+        ties = 0
+        for p in _repeated_label_paths():
+            a = area_word(p)
+            ties += any(
+                p.labels[x] == p.labels[y] and abs(a[x] - a[y]) <= 1
+                for y in range(p.n)
+                for x in range(y)
+            )
+            scores = cycle_dinvs(p)
+            assert scores.keys() == cutting_cycle(p).members, p
+            assert scores == {q: dinv(q) for q in scores}, p
+        assert ties > 1000
 
     def test_cycle_makes_no_validate_call(self, big_cycle_paths):
         _, calls = profiled_calls({validate.__code__}, cutting_cycle, big_cycle_paths[2])

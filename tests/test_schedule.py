@@ -15,6 +15,7 @@ from pathlab.schedule import (
     DecoratedPermutation,
     ShiftedDiagonalWord,
     _is_cyclic_run_by_rotation,
+    _undecorated_runs,
     decreasing_runs,
     descents,
     diagonal_word,
@@ -33,7 +34,7 @@ from pathlab.schedule import (
     u_statistic,
 )
 
-from conftest import BIG_WORD, FIBER_SHIFT, FIBER_WORD
+from conftest import BIG_WORD, FIBER_SHIFT, FIBER_WORD, profiled_calls
 
 
 def all_decorated_perms(n):
@@ -121,6 +122,31 @@ class TestScheduleNumbers:
     def test_shift_at_least_runs_gives_zeros(self, big_word):
         sdw = ShiftedDiagonalWord(big_word, 5)
         assert schedule_numbers(sdw) == (0,) * 8
+
+    def test_empty_word(self):
+        for s in range(2):
+            sdw = ShiftedDiagonalWord(DecoratedPermutation(()), s)
+            assert schedule_numbers(sdw) == ()
+            assert u_statistic(sdw) == 0
+
+    def test_one_scan_and_no_runs_per_call(self, big_word):
+        # schedule_numbers and u_statistic each read the runs off one scan
+        # of the word, and build no decreasing_runs tuple
+        codes = {decreasing_runs.__code__, _undecorated_runs.__code__}
+        for s in range(6):
+            sdw = ShiftedDiagonalWord(big_word, s)
+            for fn in (schedule_numbers, u_statistic):
+                _, calls = profiled_calls(codes, fn, sdw)
+                assert [call.code for call in calls] == [_undecorated_runs.__code__]
+
+    def test_u_statistic_counts_the_first_shift_runs(self):
+        # every decorated word with n <= 5, at every shift from 0 to n
+        for n in range(1, 6):
+            for word in all_decorated_perms(n):
+                runs = decreasing_runs(word)
+                for s in range(n + 1):
+                    below = [v for run in runs[:s] for v in run if v not in word.decorated]
+                    assert u_statistic(ShiftedDiagonalWord(word, s)) == len(below), (word, s)
 
     def test_path_schedule_word(self, small_path):
         assert schedule_numbers(diagonal_word(small_path)) == (1, 1, 1)
