@@ -83,13 +83,14 @@ class TestMembership:
     def test_decorations_build_one_letter_table(self):
         # every decoration set of a permutation that leaves its last letter
         # undecorated is tested against one table of its runs: one
-        # decreasing_runs call and one build per permutation
+        # decreasing_runs call and one build per permutation, and 720 * 2^5
+        # = 23,040 tests at n = 6, not 720 * 2^6
         codes = {
             decreasing_runs.__code__,
             LetterTable.__init__.__code__,
             LetterTable.ones_shifts.__code__,
         }
-        for n in range(1, 6):
+        for n in range(1, 7):
             for values in itertools.permutations(range(1, n + 1)):
                 _, calls = profiled_calls(codes, lambda: list(adr_decorations(values)))
                 assert Counter(call.code for call in calls) == {
@@ -97,18 +98,6 @@ class TestMembership:
                     LetterTable.__init__.__code__: 1,
                     LetterTable.ones_shifts.__code__: 2 ** (n - 1),
                 }, values
-
-    def test_decorations_skip_the_last_letter(self):
-        # the last letter's low mask is empty, so at n = 6 the sweep tests
-        # 720 * 2^5 decoration sets, not 720 * 2^6
-        _, calls = profiled_calls(
-            {LetterTable.ones_shifts.__code__},
-            lambda: [
-                list(adr_decorations(values))
-                for values in itertools.permutations(range(1, 7))
-            ],
-        )
-        assert len(calls) == 23_040
 
     def test_all_adrs_counts(self):
         # representatives with an odd number of undecorated letters are in

@@ -26,8 +26,8 @@ from pathlab.cutting import (
 from pathlab.enumeration import PathFamily, generate, schedule_one_paths
 from pathlab.paths import (
     DecoratedLabeledPath,
-    _attack_count,
     PathError,
+    _attack_count,
     area,
     area_word,
     contractible_valleys,
