@@ -2,7 +2,7 @@
 
 A decorated permutation is an *ADR* word, or all-ones realizable, when some
 shift gives it the all-ones schedule word; the witness records every such
-shift, all found in one pass over the word's runs
+shift, all read off the word's one schedule table
 (:func:`pathlab.schedule.ones_shifts`).  :func:`adr_decorations` lists every
 ADR decoration of one permutation.  The *flat* ADR words are those
 realizable at shift zero.  Two decorating algorithms attach a canonical
@@ -48,9 +48,10 @@ class ADRWitness:
 
 
 def is_adr(word: DecoratedPermutation) -> ADRWitness:
-    """The word with every shift whose schedule word is all ones, found in
-    one pass over its runs by :func:`~pathlab.schedule.ones_shifts`.  The
-    empty word is all ones at shift 0."""
+    """The word with every shift whose schedule word is all ones, read off
+    the word's cached schedule table by
+    :func:`~pathlab.schedule.ones_shifts`.  The empty word is all ones at
+    shift 0."""
     return ADRWitness(word, ones_shifts(word))
 
 

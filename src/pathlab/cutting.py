@@ -25,6 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .paths import DecoratedLabeledPath, area_word
@@ -75,13 +76,14 @@ def _cut(path: DecoratedLabeledPath, i: int, cut: int) -> DecoratedLabeledPath |
     east step.
     """
     m = cut - i
-    steps = path.steps
+    steps, labels = path.steps, path.labels
     if cut < len(steps) and steps[cut] == "N" and m + 1 in path.decorations:
         return None
+    n = len(labels)
     return DecoratedLabeledPath(
         steps[cut:] + steps[:cut],
-        path.labels[m:] + path.labels[:m],
-        frozenset((j - m - 1) % path.n + 1 for j in path.decorations),
+        labels[m:] + labels[:m],
+        frozenset([(j - m - 1) % n + 1 for j in path.decorations]),
     )
 
 
@@ -242,12 +244,13 @@ def ordered_cycle(path: DecoratedLabeledPath) -> tuple[DecoratedLabeledPath, ...
     0, 1, ..., size - 1 (they always are for cycles of paths whose schedule
     word is all ones), ties included: the sort compares dinv values only,
     never the paths."""
-    scores = cycle_dinvs(path)
-    members = sorted(scores, key=scores.__getitem__)
-    values = [scores[q] for q in members]
-    if values != list(range(len(members))):
-        raise LadderViolation(f"cycle of {members[0]} has dinv values {values}")
-    return tuple(members)
+    # sorting the (member, dinv) items, not the keys by lookup, hashes each
+    # member only once, when cycle_dinvs stores it
+    ranked = sorted(cycle_dinvs(path).items(), key=itemgetter(1))
+    values = [d for _, d in ranked]
+    if values != list(range(len(ranked))):
+        raise LadderViolation(f"cycle of {ranked[0][0]} has dinv values {values}")
+    return tuple([q for q, _ in ranked])
 
 
 def sched_one_members(

@@ -11,7 +11,8 @@ factor counted by its schedule number.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence
 
 from .paths import DecoratedLabeledPath, NonStandardLabeling, area_word, word_shift
 from .poly import QTPoly, q_analog
@@ -19,7 +20,13 @@ from .poly import QTPoly, q_analog
 
 @dataclass(frozen=True)
 class DecoratedPermutation:
-    """A permutation of 1..n with the set of its decorated letters."""
+    """A permutation of 1..n with the set of its decorated letters.
+
+    The word's :class:`ScheduleTable` and its all-ones shifts are computed
+    on first use and kept with the word, so every shift's schedule numbers,
+    :func:`ones_shifts`, :func:`u_statistic` and :func:`letter_diagonals`
+    read one scan of it.  Equality, hashing, repr and pickles see the two
+    fields only."""
 
     values: tuple[int, ...]
     decorated: frozenset[int] = field(default_factory=frozenset)
@@ -33,6 +40,22 @@ class DecoratedPermutation:
 
     def __str__(self) -> str:
         return format_perm(self)
+
+    def __getstate__(self) -> dict:
+        # the cached properties below are rebuilt on use, never pickled
+        return {"values": self.values, "decorated": self.decorated}
+
+    @cached_property
+    def _table(self) -> ScheduleTable:
+        return _schedule_table(self)
+
+    @cached_property
+    def _ones(self) -> frozenset[int]:
+        # see ones_shifts
+        if not self.values:
+            return frozenset((0,))
+        table, ones = self._table, (1,) * len(self.values)
+        return frozenset(s for s in range(len(table.starts) - 1) if table.row(s) == ones)
 
 
 @dataclass(frozen=True)
@@ -140,10 +163,10 @@ def decreasing_runs(word: DecoratedPermutation | Sequence[int]) -> tuple[tuple[i
 
 
 def letter_diagonals(sdw: ShiftedDiagonalWord) -> dict[int, int]:
-    """Diagonal of each letter: the index of its decreasing run minus the shift."""
-    return {
-        v: r - sdw.shift for r, run in enumerate(decreasing_runs(sdw.word)) for v in run
-    }
+    """Diagonal of each letter: the index of its decreasing run minus the
+    shift, the runs read off the word's :class:`ScheduleTable`."""
+    values, starts, s = sdw.word.values, sdw.word._table.starts, sdw.shift
+    return {v: r - s for r in range(len(starts) - 1) for v in values[starts[r] : starts[r + 1]]}
 
 
 def is_cyclic_run(values: Sequence[int]) -> bool:
@@ -198,65 +221,108 @@ def _letter_mask(letters: Iterable[int]) -> int:
 
 
 def _undecorated_runs(word: DecoratedPermutation) -> tuple[list[int], list[int], int]:
-    """One scan of the word, a new decreasing run at each ascent: each
-    letter's run index in word order, each run's undecorated letters as one
-    :func:`_letter_mask`, and the decorated letters as one mask."""
+    """One scan of the word, a new decreasing run at each ascent: the
+    0-based position where each run starts, then n; each run's undecorated
+    letters as one :func:`_letter_mask`; and the decorated letters as one
+    mask."""
     decorated = _letter_mask(word.decorated)
     free = ~decorated
-    run_of: list[int] = []
+    starts: list[int] = []
     undec: list[int] = []
     run = prev = 0  # prev is below every letter, so the first letter opens run 0
-    i = -1
-    for c in word.values:
+    for pos, c in enumerate(word.values):
         if c > prev:  # close the open run; the first close is of no run
             undec.append(run & free)
             run = 0
-            i += 1
+            starts.append(pos)
         prev = c
         run |= 1 << c
-        run_of.append(i)
     undec.append(run & free)
     del undec[0]
-    return run_of, undec, decorated
+    starts.append(len(word.values))
+    return starts, undec, decorated
+
+
+class ScheduleTable(NamedTuple):
+    """The shift-independent schedule values of one decorated permutation.
+
+    With runs r_0, ..., r_l, write ṙ_i for the undecorated letters of r_i.
+    A letter c of run r_i can take three schedule values, none of which
+    depends on the shift:
+
+    * *low*   #{d in ṙ_i : d < c} + #{d in ṙ_{i+1} : d > c}
+    * *zero*  #{d in ṙ_i : d > c} + 1
+    * *high*  #{d in ṙ_i : d > c} + #{d in ṙ_{i-1} : d < c}
+
+    A decorated letter takes its low value whatever the shift, so its zero
+    and high entries repeat it.  The shift s picks low before run s, zero
+    in it and high after it (:meth:`row`).
+    """
+
+    starts: tuple[int, ...]  # 0-based start of each run, then n
+    low: tuple[int, ...]  # per letter, in word order
+    zero: tuple[int, ...]
+    high: tuple[int, ...]
+
+    def row(self, s: int) -> tuple[int, ...]:
+        """The schedule word at a shift s below the number of runs."""
+        a, b = self.starts[s], self.starts[s + 1]
+        return self.low[:a] + self.zero[a:b] + self.high[b:]
+
+
+def _schedule_table(word: DecoratedPermutation) -> ScheduleTable:
+    """The word's :class:`ScheduleTable` from one :func:`_undecorated_runs`
+    scan.  A run lists its letters in decreasing order, so the letters of
+    ṙ_i above c are those before it and the ones below c those after it,
+    both counted as the run is read; each neighbour run's count is one
+    popcount of its mask."""
+    starts, undec, decorated = _undecorated_runs(word)
+    undec.append(0)  # nothing after the last run, nor (undec[-1]) before run 0
+    values = word.values
+    low: list[int] = []
+    zero: list[int] = []
+    high: list[int] = []
+    for i in range(len(starts) - 1):
+        above, below = undec[i + 1], undec[i - 1]
+        under = undec[i].bit_count()  # of ṙ_i, the letters below c once c is read
+        over = 0  # of ṙ_i, the letters before c, so above it
+        for c in values[starts[i] : starts[i + 1]]:
+            if decorated >> c & 1:
+                w = under + (above >> c + 1).bit_count()
+                low.append(w)
+                zero.append(w)
+                high.append(w)
+            else:
+                under -= 1
+                low.append(under + (above >> c + 1).bit_count())
+                zero.append(over + 1)
+                high.append(over + (below & (1 << c) - 1).bit_count())
+                over += 1
+    return ScheduleTable(tuple(starts), tuple(low), tuple(zero), tuple(high))
 
 
 def schedule_numbers(sdw: ShiftedDiagonalWord) -> tuple[int, ...]:
     """Schedule number of each letter, in word order.
 
     With runs r_0, ..., r_l and shift s, a letter c in run r_i falls in the
-    diagonal i - s.  Writing ṙ_i for the undecorated letters of r_i, the
-    schedule of c is
-
-    * zero diagonal, c undecorated:  #{d in ṙ_i : d > c} + 1
-    * positive diagonal, c undecorated:
-        #{d in ṙ_i : d > c} + #{d in ṙ_{i-1} : d < c}
-    * negative diagonal, or c decorated:
-        #{d in ṙ_i : d < c} + #{d in ṙ_{i+1} : d > c}
-
-    One scan of the word finds each letter's run and each ṙ_i as a
-    :func:`_letter_mask` (:func:`_undecorated_runs`), so each count is one
-    popcount.  A shift at or past the number of runs zeroes the whole word.
+    diagonal i - s.  Its schedule is its *zero* value on the zero diagonal,
+    its *high* value on a positive one, and its *low* value on a negative
+    one or when c is decorated (:class:`ScheduleTable`).  The word's table
+    is built on first use and kept, so each shift is three slices of it.
+    A shift at or past the number of runs zeroes the whole word.
     """
-    word, s = sdw.word, sdw.shift
-    run_of, undec, decorated = _undecorated_runs(word)
-    if s >= len(undec):
-        return (0,) * word.n
-    undec.append(0)  # the run after the last holds nothing
-    out = []
-    for c, i in zip(word.values, run_of):
-        if i < s or decorated >> c & 1:  # low
-            w = (undec[i] & (1 << c) - 1).bit_count() + (undec[i + 1] >> c + 1).bit_count()
-        elif i == s:  # zero
-            w = (undec[i] >> c + 1).bit_count() + 1
-        else:  # high: i > s >= 0, so run i - 1 is a run of the word
-            w = (undec[i] >> c + 1).bit_count() + (undec[i - 1] & (1 << c) - 1).bit_count()
-        out.append(w)
-    return tuple(out)
+    table = sdw.word._table
+    if sdw.shift >= len(table.starts) - 1:
+        return (0,) * len(table.low)
+    return table.row(sdw.shift)
 
 
 class LetterTable:
     """The schedule values of one permutation's letters as bitmasks, so that
-    any decoration set is tested for all-ones shifts without recounting.
+    any decoration set is tested for all-ones shifts without recounting:
+    for sweeps over decoration sets (``adr_decorations``,
+    ``schedule_one_paths``), where no one word's :class:`ScheduleTable`
+    serves.
 
     Built from the letters of each decreasing run, in run order; the order
     of letters inside a run does not matter.  For a letter c of run r_i the
@@ -286,7 +352,10 @@ class LetterTable:
 
     def ones_shifts(self, decorated: Iterable[int]) -> frozenset[int]:
         """Every shift at which the word with these decorated letters has
-        the all-ones schedule word: see :func:`ones_shifts`."""
+        the all-ones schedule word, as :func:`ones_shifts` gives it: every
+        decorated letter needs low value 1 and every undecorated one low
+        value 1 before run s, zero value 1 in it and high value 1 after it
+        (:class:`ScheduleTable`)."""
         if not self._runs:
             return frozenset((0,))
         decorated = _letter_mask(decorated)
@@ -314,19 +383,13 @@ class LetterTable:
 
 
 def ones_shifts(word: DecoratedPermutation) -> frozenset[int]:
-    """Every shift at which the schedule word is all ones, from one
-    :class:`LetterTable` of the word; :func:`schedule_numbers` is the oracle.
-
-    None of the three schedule values a letter c of run r_i can take depends
-    on the shift: *low* #{d in ṙ_i : d < c} + #{d in ṙ_{i+1} : d > c},
-    *zero* #{d in ṙ_i : d > c} + 1 and *high* #{d in ṙ_i : d > c} +
-    #{d in ṙ_{i-1} : d < c}.  So shift s gives all ones exactly when every
-    decorated letter has low value 1 and every undecorated letter has low
-    value 1 in the runs before s, zero value 1 in run s and high value 1 in
-    the runs after s.  The empty word is all ones at shift 0 only; a
-    nonempty word has no all-ones shift at or past its number of runs.
-    """
-    return LetterTable(decreasing_runs(word)).ones_shifts(word.decorated)
+    """Every shift at which the schedule word is all ones: the shifts below
+    the number of runs whose :meth:`ScheduleTable.row` is all ones, found
+    once per word and kept with it.  The empty word is all ones at shift 0
+    only; a nonempty word has no all-ones shift at or past its number of
+    runs.  :func:`schedule_numbers_cyclic` and a :class:`LetterTable` of
+    the word's runs are its test oracles."""
+    return word._ones
 
 
 def schedule_numbers_cyclic(sdw: ShiftedDiagonalWord) -> tuple[int, ...]:
@@ -342,7 +405,8 @@ def schedule_numbers_cyclic(sdw: ShiftedDiagonalWord) -> tuple[int, ...]:
     runs = decreasing_runs(word)
     if s >= len(runs):
         return (0,) * word.n
-    diag_of = letter_diagonals(sdw)
+    # from its own runs, not the word's ScheduleTable, so the oracle shares nothing
+    diag_of = {v: r - s for r, run in enumerate(runs) for v in run}
     decorated = word.decorated
     out = []
     for pos, c in enumerate(word.values, start=1):
@@ -361,9 +425,11 @@ def schedule_numbers_cyclic(sdw: ShiftedDiagonalWord) -> tuple[int, ...]:
 
 def u_statistic(sdw: ShiftedDiagonalWord) -> int:
     """Number of undecorated letters strictly below the zero diagonal, i.e.
-    in the first `shift` runs."""
-    _, undec, _ = _undecorated_runs(sdw.word)
-    return sum(run.bit_count() for run in undec[: sdw.shift])
+    in the first `shift` runs, which end where the word's
+    :class:`ScheduleTable` starts run `shift`."""
+    word, starts = sdw.word, sdw.word._table.starts
+    below = word.values[: starts[min(sdw.shift, len(starts) - 1)]]
+    return len(below) - len(word.decorated.intersection(below))
 
 
 def schedule_rhs(sdw: ShiftedDiagonalWord) -> QTPoly:

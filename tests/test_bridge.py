@@ -3,22 +3,29 @@ paths."""
 
 from __future__ import annotations
 
+import itertools
+import random
 from collections import Counter
 
 import pytest
 
+from pathlab.adr import dyck_decorate, is_adr, parity_decorate
 from pathlab.bridge import ScheduleNotOne, _fiber_paths, classes, path_from_sdw
 from pathlab.cutting import canonical_rep
 from pathlab.paths import DecoratedLabeledPath, area, format_path, parse_path
 from pathlab.schedule import (
     DecoratedPermutation,
+    LetterTable,
+    ShiftedDiagonalWord,
+    _undecorated_runs,
+    decreasing_runs,
     diagonal_word,
     make_perm,
     parse_perm,
     schedule_numbers,
 )
 
-from conftest import BIG_CYCLE, FIBER_SHIFT, FIBER_WORD, all_adrs
+from conftest import BIG_CYCLE, FIBER_SHIFT, FIBER_WORD, all_adrs, profiled_calls
 
 
 class TestPathFromSdw:
@@ -34,6 +41,28 @@ class TestPathFromSdw:
         empty = DecoratedPermutation((), frozenset())
         assert path_from_sdw(empty, 0) == DecoratedLabeledPath("", ())
         assert _fiber_paths(empty, 0) == (path_from_sdw(empty, 0),)
+
+    def test_one_word_query_builds_one_table(self):
+        # is_adr, the schedules at every shift and the rebuild of the path
+        # all read the word's one cached table: one scan per decorated word
+        # and no LetterTable, for every permutation with n <= 5 and a seeded
+        # corpus of 44 with n 10 to 20
+        rng = random.Random(24)
+        perms = [p for n in range(1, 6) for p in itertools.permutations(range(1, n + 1))]
+        perms += [tuple(rng.sample(range(1, n + 1), n)) for n in range(10, 21) for _ in range(4)]
+        codes = {_undecorated_runs.__code__, LetterTable.__init__.__code__}
+
+        def query(word):
+            shifts = is_adr(word).valid_shifts
+            for s in range(len(decreasing_runs(word))):
+                schedule_numbers(ShiftedDiagonalWord(word, s))
+            return path_from_sdw(word, min(shifts))
+
+        for values in perms:
+            for word in (dyck_decorate(values), parity_decorate(values)):
+                path, calls = profiled_calls(codes, query, word)
+                assert diagonal_word(path).word == word
+                assert [call.code for call in calls] == [_undecorated_runs.__code__], word
 
     def test_rejects_other_shifts(self, big_word):
         with pytest.raises(ScheduleNotOne):

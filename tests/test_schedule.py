@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from pathlab.poly import QTPoly
 from pathlab.schedule import (
     DecoratedPermutation,
+    LetterTable,
     ShiftedDiagonalWord,
     _is_cyclic_run_by_rotation,
     _undecorated_runs,
@@ -130,14 +132,20 @@ class TestScheduleNumbers:
             assert u_statistic(sdw) == 0
 
     def test_one_scan_and_no_runs_per_call(self, big_word):
-        # schedule_numbers and u_statistic each read the runs off one scan
-        # of the word, and build no decreasing_runs tuple
+        # every shift of schedule_numbers and u_statistic reads the word's
+        # one ScheduleTable: one scan per word object, across all twelve
+        # calls, and no decreasing_runs tuple
         codes = {decreasing_runs.__code__, _undecorated_runs.__code__}
-        for s in range(6):
-            sdw = ShiftedDiagonalWord(big_word, s)
-            for fn in (schedule_numbers, u_statistic):
-                _, calls = profiled_calls(codes, fn, sdw)
-                assert [call.code for call in calls] == [_undecorated_runs.__code__]
+        word = DecoratedPermutation(big_word.values, big_word.decorated)  # no table yet
+
+        def every_shift():
+            for s in range(6):
+                sdw = ShiftedDiagonalWord(word, s)
+                schedule_numbers(sdw)
+                u_statistic(sdw)
+
+        _, calls = profiled_calls(codes, every_shift)
+        assert [call.code for call in calls] == [_undecorated_runs.__code__]
 
     def test_u_statistic_counts_the_first_shift_runs(self):
         # every decorated word with n <= 5, at every shift from 0 to n
@@ -189,19 +197,48 @@ class TestScheduleNumbers:
 
 class TestOnesShifts:
     def test_matches_schedule_numbers(self):
-        """Every decorated word with n <= 6 (n! * 2^n words, 46,080 at n = 6):
-        exactly the shifts below the number of runs R whose schedule word is
-        all ones, so none at or past R.  The empty word is all ones at
-        shift 0."""
+        """Every decorated word with n <= 6 (n! * 2^n words, 46,080 at n = 6,
+        50,363 with the empty word): exactly the shifts from 0 to n whose
+        schedule word is all ones, so none at or past the number of runs,
+        and shift 0 alone for the empty word.  ones_shifts and
+        schedule_numbers share the word's ScheduleTable, so the cyclic
+        formulation and a LetterTable of the runs, which share nothing with
+        it, are checked too."""
         assert ones_shifts(DecoratedPermutation((), frozenset())) == frozenset({0})
-        for n in range(1, 7):
+        words = 0
+        for n in range(7):
             ones = (1,) * n
             for word in all_decorated_perms(n):
-                runs = len(decreasing_runs(word))
-                assert ones_shifts(word) == {
-                    s for s in range(runs)
-                    if schedule_numbers(ShiftedDiagonalWord(word, s)) == ones
-                }, word
+                shifts = ones_shifts(word)
+                for schedules in (schedule_numbers, schedule_numbers_cyclic):
+                    assert shifts == {
+                        s for s in range(n + 1)
+                        if schedules(ShiftedDiagonalWord(word, s)) == ones
+                    }, (word, schedules)
+                assert shifts == LetterTable(decreasing_runs(word)).ones_shifts(word.decorated)
+                words += 1
+        assert words == 50_363
+
+
+class TestScheduleTableCache:
+    def test_cache_is_invisible(self):
+        """A word whose table and all-ones shifts are computed is the same
+        value as a fresh equal word: equality, hash, repr, str and pickles
+        see the fields only."""
+        used, fresh = parse_perm(BIG_WORD), parse_perm(BIG_WORD)
+        assert schedule_numbers(ShiftedDiagonalWord(used, 2)) == (1,) * 8
+        assert ones_shifts(used) == {2, 3}
+        assert "_table" in vars(used) and "_table" not in vars(fresh)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) and str(used) == str(fresh)
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        loaded = pickle.loads(pickle.dumps(used))
+        assert loaded == fresh and "_table" not in vars(loaded)
+        assert ones_shifts(loaded) == {2, 3}  # rebuilt on use
+        for s in range(6):
+            a, b = ShiftedDiagonalWord(used, s), ShiftedDiagonalWord(fresh, s)
+            assert a == b and hash(a) == hash(b)
+            assert a != ShiftedDiagonalWord(fresh, s + 1)
 
 
 class TestProductFormula:
