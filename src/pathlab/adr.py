@@ -97,8 +97,14 @@ def _chain_decorations(values: tuple[int, ...]) -> set[int]:
 
 
 def _first_run_undecorated(values: tuple[int, ...], decorated: AbstractSet[int]) -> int:
-    """Undecorated letters in the first decreasing run."""
-    return sum(1 for v in decreasing_runs(values)[0] if v not in decorated)
+    """Undecorated letters in the first decreasing run, which ends at the
+    word's first ascent; 0 for the empty word."""
+    count = 0
+    for k, v in enumerate(values):
+        if k and v > values[k - 1]:
+            break
+        count += v not in decorated
+    return count
 
 
 def dyck_decorate(values: tuple[int, ...] | list[int]) -> DecoratedPermutation:
@@ -110,7 +116,7 @@ def dyck_decorate(values: tuple[int, ...] | list[int]) -> DecoratedPermutation:
     """
     perm = make_perm(values)
     decorated = _chain_decorations(perm.values)
-    if perm.n and _first_run_undecorated(perm.values, decorated) == 2:
+    if _first_run_undecorated(perm.values, decorated) == 2:
         decorated.add(perm.values[0])
     return DecoratedPermutation(perm.values, frozenset(decorated))
 

@@ -30,8 +30,9 @@ from typing import Callable, Iterator, NamedTuple, TypeVar
 from .paths import (
     DecoratedLabeledPath,
     area,
-    area_word,
     dinv,
+    steps_area_word,
+    word_area,
     word_shift,
 )
 from .poly import QTPoly, TPoly
@@ -164,9 +165,8 @@ def _step_profile(steps: str) -> _StepProfile:
     """The label-free part of the area, attack pairs and valleys of a step
     word, with the rules of :func:`pathlab.paths.attack_pairs` and
     :func:`pathlab.paths.contractible_valleys`."""
-    a = area_word(DecoratedLabeledPath(steps, ()))
+    a = steps_area_word(steps)
     n = len(a)
-    s = word_shift(a)
     candidates = []
     for i, j in itertools.combinations(range(1, n + 1), 2):
         if a[j - 1] == a[i - 1]:
@@ -174,7 +174,7 @@ def _step_profile(steps: str) -> _StepProfile:
         elif a[j - 1] + 1 == a[i - 1]:
             candidates.append((i, j, j, i))
     return _StepProfile(
-        area=sum(v + s for v in a),
+        area=word_area(a),
         bonus=sum(1 for v in a if v < 0),
         candidates=tuple(candidates),
         valleys=((1,) if a[0] <= -1 else ())
@@ -209,7 +209,7 @@ def _labeled_step_words(
     dict holding the results goes when the generator does."""
     by_sizes: dict[tuple[int, ...], _T] = {}
     for steps in step_words(n, kind):
-        if shard is not None and area(DecoratedLabeledPath(steps, ())) % n != shard:
+        if shard is not None and word_area(steps_area_word(steps)) % n != shard:
             continue
         sizes = column_sizes(steps)
         if sizes not in by_sizes:
@@ -359,7 +359,7 @@ def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLa
     valleys in each pair; sets are tried by size, then lexicographically.
     """
     for steps, profile, labelings in _labeled_step_words(n, "square", shard):
-        a = area_word(DecoratedLabeledPath(steps, ()))
+        a = steps_area_word(steps)
         s = word_shift(a)
         diagonals: list[list[int]] = [[] for _ in range(max(a) + s + 1)]
         for i, d in enumerate(a, start=1):

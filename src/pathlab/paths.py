@@ -66,9 +66,14 @@ class AttackPair(NamedTuple):
 
 def area_word(path: DecoratedLabeledPath) -> tuple[int, ...]:
     """Diagonal y - x of the starting point of each north step, in path order."""
+    return steps_area_word(path.steps)
+
+
+def steps_area_word(steps: str) -> tuple[int, ...]:
+    """:func:`area_word` of a bare step word, which needs no labels."""
     x = y = 0
     word = []
-    for step in path.steps:
+    for step in steps:
         if step == "N":
             word.append(y - x)
             y += 1
@@ -90,7 +95,11 @@ def shift(path: DecoratedLabeledPath) -> int:
 def area(path: DecoratedLabeledPath) -> int:
     """Sum of the shifted area word; counts whole squares above the path's
     lowest diagonal and below the path."""
-    word = area_word(path)
+    return word_area(area_word(path))
+
+
+def word_area(word: Sequence[int]) -> int:
+    """:func:`area` of the path with this area word."""
     s = word_shift(word)
     return sum(a + s for a in word)
 

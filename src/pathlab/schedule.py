@@ -190,15 +190,23 @@ def _is_cyclic_run_by_rotation(values: Sequence[int], n: int) -> bool:
     return False
 
 
+def _check_position(position: int, n: int) -> None:
+    if not 1 <= position <= n:
+        raise ValueError(f"position {position} is outside 1..{n}")
+
+
 def lmcr(word: DecoratedPermutation | Sequence[int], j: int) -> tuple[int, ...]:
-    """Leftmost maximal cyclic run ending at position j (1-based)."""
+    """Leftmost maximal cyclic run ending at position j (1-based); a
+    position outside 1..n raises ValueError."""
     values = word.values if isinstance(word, DecoratedPermutation) else tuple(word)
     return values[lmcr_start(values, j) - 1 : j]
 
 
 def rmcr(word: DecoratedPermutation | Sequence[int], i: int) -> tuple[int, ...]:
-    """Rightmost maximal cyclic run starting at position i (1-based)."""
+    """Rightmost maximal cyclic run starting at position i (1-based); a
+    position outside 1..n raises ValueError."""
     values = word.values if isinstance(word, DecoratedPermutation) else tuple(word)
+    _check_position(i, len(values))
     j = i
     while j < len(values) and is_cyclic_run(values[i - 1 : j + 1]):
         j += 1
@@ -206,7 +214,35 @@ def rmcr(word: DecoratedPermutation | Sequence[int], i: int) -> tuple[int, ...]:
 
 
 def lmcr_start(values: Sequence[int], j: int) -> int:
-    """1-based start position of the leftmost maximal cyclic run ending at j."""
+    """1-based start position of the leftmost maximal cyclic run ending at j;
+    a position outside 1..n raises ValueError.
+
+    One right-to-left scan from j, keeping the window's first letter and its
+    ascent count.  It stops before the letter that would give the window a
+    second ascent, or leave it with one ascent and a first letter not below
+    ``values[j - 1]``: the first window :func:`is_cyclic_run` rejects, as in
+    :func:`_lmcr_start_by_windows`, its oracle.  A scan costs the run's
+    length, so the chain of runs that the decorating algorithms walk from
+    the right end, each ending where the last one starts, is O(n) a word."""
+    _check_position(j, len(values))
+    last = first = values[j - 1]
+    ascents = 0
+    i = j
+    while i > 1:
+        x = values[i - 2]
+        if x < first:
+            ascents += 1
+        if ascents > 1 or (ascents and x >= last):
+            break
+        first = x
+        i -= 1
+    return i
+
+
+def _lmcr_start_by_windows(values: Sequence[int], j: int) -> int:
+    """:func:`lmcr_start` by growing the window one letter at a time and
+    testing each window with :func:`is_cyclic_run`, O(L^2) for a run of
+    length L."""
     i = j
     while i > 1 and is_cyclic_run(values[i - 2 : j]):
         i -= 1

@@ -9,6 +9,7 @@ all permutations."""
 from __future__ import annotations
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -32,7 +33,10 @@ from pathlab.poly import TPoly, t_factorial
 from pathlab.schedule import (
     DecoratedPermutation,
     LetterTable,
+    _lmcr_start_by_windows,
     decreasing_runs,
+    is_cyclic_run,
+    lmcr_start,
     make_perm,
     parse_perm,
 )
@@ -141,6 +145,51 @@ class TestDecoratingAlgorithms:
         # no decoration of no letters leaves an odd number undecorated
         with pytest.raises(ValueError, match="empty word"):
             parity_decorate(())
+
+    def test_decorations_match_a_window_walk(self):
+        # both algorithms against their definition: runs found by the window
+        # rescan, the first run read off decreasing_runs
+        rng = random.Random(25)
+        for n in range(61):
+            for _ in range(5):
+                values = tuple(rng.sample(range(1, n + 1), n))
+                decorated = _window_walk_decorations(values)
+                first_run = decreasing_runs(values)[0] if values else ()
+                dyck = set(decorated)
+                if sum(1 for v in first_run if v not in decorated) == 2:
+                    dyck.add(values[0])
+                assert dyck_decorate(values).decorated == dyck, values
+                if n:
+                    parity = set(decorated)
+                    if (n - len(decorated)) % 2 == 0:
+                        parity.add(values[0])
+                    assert parity_decorate(values).decorated == parity, values
+
+    @pytest.mark.parametrize("decorate", [dyck_decorate, parity_decorate])
+    def test_one_scan_per_chain_run(self, decorate):
+        # each run of the chain is found by one lmcr_start call, starting
+        # where the run to its right starts, with no window rescan
+        codes = {lmcr_start.__code__, is_cyclic_run.__code__}
+        rng = random.Random(60)
+        for n in range(30, 61):
+            values = tuple(rng.sample(range(1, n + 1), n))
+            _, calls = profiled_calls(codes, decorate, values)
+            assert {call.code for call in calls} == {lmcr_start.__code__}
+            ends = [n]
+            while ends[-1] > 1:
+                ends.append(_lmcr_start_by_windows(values, ends[-1]))
+            assert [call.locals["j"] for call in calls] == ends[:-1], values
+
+
+def _window_walk_decorations(values):
+    """Interior letters of the leftmost maximal cyclic runs chained from
+    the right end, each run found by the window rescan."""
+    decorated, j = set(), len(values)
+    while j > 1:
+        i = _lmcr_start_by_windows(values, j)
+        decorated.update(values[i : j - 1])
+        j = i
+    return decorated
 
 
 class TestPhi:

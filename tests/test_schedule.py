@@ -17,6 +17,7 @@ from pathlab.schedule import (
     LetterTable,
     ShiftedDiagonalWord,
     _is_cyclic_run_by_rotation,
+    _lmcr_start_by_windows,
     _undecorated_runs,
     decreasing_runs,
     descents,
@@ -24,6 +25,7 @@ from pathlab.schedule import (
     format_perm,
     is_cyclic_run,
     lmcr,
+    lmcr_start,
     maj,
     make_perm,
     ones_shifts,
@@ -107,6 +109,28 @@ class TestWordBasics:
         assert lmcr(word, 9) == (1, 7, 4, 3)
         # (8, 5, 2, 9) + 1 modulo 9 reads 9 6 3 1
         assert rmcr(word, 1) == (8, 5, 2, 9)
+
+    def test_lmcr_start_matches_the_window_rescan(self):
+        # every end position of every permutation with n <= 8, and of every
+        # word of length <= 6 over 1..3, where letters repeat
+        words = itertools.chain(
+            *(itertools.permutations(range(1, n + 1)) for n in range(1, 9)),
+            *(itertools.product(range(1, 4), repeat=n) for n in range(1, 7)),
+        )
+        ends = 0
+        for values in words:
+            for j in range(1, len(values) + 1):
+                assert lmcr_start(values, j) == _lmcr_start_by_windows(values, j), (values, j)
+                ends += 1
+        # sum of n * n! for n <= 8 is 9! - 1; sum of n * 3^n for n <= 6 is 6,015
+        assert ends == 362_879 + 6_015
+
+    @pytest.mark.parametrize("fn", [lmcr_start, lmcr, rmcr])
+    @pytest.mark.parametrize("position", [-1, 0, 4])
+    def test_positions_outside_the_word_raise(self, fn, position):
+        # each once returned a wrong factor: lmcr((3, 1, 2), 4) read (1, 2)
+        with pytest.raises(ValueError, match=rf"position {position} is outside 1\.\.3"):
+            fn((3, 1, 2), position)
 
 
 class TestScheduleNumbers:
