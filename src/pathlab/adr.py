@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import AbstractSet, Iterator, Sequence
 
+from .enumeration import PathFamily
 from .poly import TPoly, t_analog, euler_t
 from .schedule import (
     DecoratedPermutation,
@@ -107,6 +108,29 @@ def _first_run_undecorated(values: tuple[int, ...], decorated: AbstractSet[int])
     return count
 
 
+def _decorates_first(flat: bool, n: int, k: int, first_run_two: bool) -> bool:
+    """Whether a decorating algorithm decorates the first letter of a word
+    of size n after the cyclic-run walk decorated k letters: the shift-zero
+    (``flat``) algorithm when the first decreasing run still holds two
+    undecorated letters, the parity algorithm when n - k is even."""
+    return first_run_two if flat else (n - k) % 2 == 0
+
+
+def _decorate(values: tuple[int, ...] | list[int], flat: bool) -> DecoratedPermutation:
+    """Both decorating algorithms: the cyclic-run walk, then the first letter
+    by :func:`_decorates_first`.  The parity algorithm has no output for the
+    empty word and raises ValueError."""
+    perm = make_perm(values)
+    if not (flat or perm.n):
+        raise ValueError("no decoration of the empty word leaves an odd number undecorated")
+    decorated = _chain_decorations(perm.values)
+    # only the shift-zero rule reads the first run
+    first_run_two = flat and _first_run_undecorated(perm.values, decorated) == 2
+    if _decorates_first(flat, perm.n, len(decorated), first_run_two):
+        decorated.add(perm.values[0])
+    return DecoratedPermutation(perm.values, frozenset(decorated))
+
+
 def dyck_decorate(values: tuple[int, ...] | list[int]) -> DecoratedPermutation:
     """Canonical decoration making the word all-ones realizable at shift zero.
 
@@ -114,11 +138,7 @@ def dyck_decorate(values: tuple[int, ...] | list[int]) -> DecoratedPermutation:
     exactly when the first decreasing run still holds two undecorated letters.
     The empty word has no first run and stays as it is.
     """
-    perm = make_perm(values)
-    decorated = _chain_decorations(perm.values)
-    if _first_run_undecorated(perm.values, decorated) == 2:
-        decorated.add(perm.values[0])
-    return DecoratedPermutation(perm.values, frozenset(decorated))
+    return _decorate(values, flat=True)
 
 
 def parity_decorate(values: tuple[int, ...] | list[int]) -> DecoratedPermutation:
@@ -127,13 +147,7 @@ def parity_decorate(values: tuple[int, ...] | list[int]) -> DecoratedPermutation
     Same cyclic-run walk; the first letter is additionally decorated
     exactly when the number of undecorated letters is even.  The empty word
     has no such decoration and raises ValueError."""
-    perm = make_perm(values)
-    if not perm.n:
-        raise ValueError("no decoration of the empty word leaves an odd number undecorated")
-    decorated = _chain_decorations(perm.values)
-    if (perm.n - len(decorated)) % 2 == 0:
-        decorated.add(perm.values[0])
-    return DecoratedPermutation(perm.values, frozenset(decorated))
+    return _decorate(values, flat=False)
 
 
 def phi(word: DecoratedPermutation) -> DecoratedPermutation:
@@ -253,7 +267,7 @@ def _fast_sums(n: int, flat: bool) -> tuple[TPoly, ...]:
     two, other = _chain_counts(n)
     for first_run_two, counts in ((True, two), (False, other)):
         for (k, d), count in counts.items():
-            k += first_run_two if flat else (n - k) % 2 == 0
+            k += _decorates_first(flat, n, k, first_run_two)
             acc[k][d] = acc[k].get(d, 0) + count
     return tuple(TPoly.from_counts(bucket) for bucket in acc)
 
@@ -262,9 +276,8 @@ def _sweep_sums(n: int, flat: bool) -> tuple[TPoly, ...]:
     """:func:`_fast_sums` by decorating all n! permutations: the test oracle
     for the insertion DP."""
     acc: list[dict[int, int]] = [dict() for _ in range(max(n, 1))]
-    decorate = dyck_decorate if flat else parity_decorate
     for values in itertools.permutations(range(1, n + 1)):
-        word = decorate(values)
+        word = _decorate(values, flat)
         k = len(word.decorated)
         d = revmaj(word)
         acc[k][d] = acc[k].get(d, 0) + 1
@@ -272,13 +285,10 @@ def _sweep_sums(n: int, flat: bool) -> tuple[TPoly, ...]:
 
 
 def S_fast(n: int, k: int) -> TPoly:
-    """Word-level value of the signed square enumerator: zero when n - k is
-    even, else the sum of t^revmaj over parity-algorithm outputs with k
-    decorations."""
-    if n < 1 or not 0 <= k < n:
-        raise ValueError("need n >= 1 and 0 <= k <= n - 1")
-    if (n - k) % 2 == 0:
-        return TPoly()
+    """Word-level value of the signed square enumerator: the sum of t^revmaj
+    over parity-algorithm outputs with k decorations, which is zero when
+    n - k is even, since every output leaves an odd number undecorated."""
+    PathFamily(n, k)
     return _fast_sums(n, flat=False)[k]
 
 
@@ -288,16 +298,14 @@ def D_fast(n: int, k: int) -> TPoly:
     (empty path)."""
     if n == 0:
         return TPoly.one() if k == 0 else TPoly()
-    if n < 0 or not 0 <= k < n:
-        raise ValueError("need n >= 1 and 0 <= k <= n - 1, or n = k = 0")
+    PathFamily(n, k, "dyck")
     return _fast_sums(n, flat=True)[k]
 
 
 def S_recursive(n: int, k: int) -> TPoly:
     """Square enumerator via the Dyck one: [n]_t (D(n-1, k) + D(n-1, k-1))
     when n - k is odd, zero otherwise; D(-1, .) = D(., -1) = 0."""
-    if n < 1 or not 0 <= k < n:
-        raise ValueError("need n >= 1 and 0 <= k <= n - 1")
+    PathFamily(n, k)
     if (n - k) % 2 == 0:
         return TPoly()
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Iterable
 
 from . import __version__
 from .adr import D_fast, S_fast, S_recursive, dyck_decorate, is_adr, parity_decorate
@@ -54,6 +55,19 @@ class CliError(Exception):
     """Bad input that the library itself accepts; exits with USAGE_ERROR."""
 
 
+def _emit(fmt: str, payload, lines: Iterable[str]) -> None:
+    """Print the payload as indented JSON, or else the text lines, of which
+    there is at least one."""
+    print(json.dumps(payload, indent=2) if fmt == "json" else "\n".join(lines))
+
+
+def _state_cost(n: int, kind: str) -> None:
+    """Say on stderr, before the work starts, how many (steps, labels)
+    pairs a brute-force walk over the size-n paths visits."""
+    print(f"# brute force visits {bare_path_count(n, kind)} (steps, labels) pairs",
+          file=sys.stderr)
+
+
 def cmd_table(args) -> int:
     methods = {
         ("S", "brute"): S_brute,
@@ -68,21 +82,15 @@ def cmd_table(args) -> int:
     if args.n < 1:
         raise CliError(f"--n must be at least 1, got {args.n}")
     if args.method == "brute":
-        kind = "square" if args.stat == "S" else "dyck"
-        pairs = bare_path_count(args.n, kind)
-        print(f"# brute force visits {pairs} (steps, labels) pairs", file=sys.stderr)
+        _state_cost(args.n, "square" if args.stat == "S" else "dyck")
     rows = [(k, fn(args.n, k)) for k in range(args.n)]
-    if args.format == "json":
-        payload = {
-            "stat": args.stat,
-            "n": args.n,
-            "method": args.method,
-            "rows": [{"k": k, "poly": p.to_json()} for k, p in rows],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for k, p in rows:
-            print(f"{k}: {p}")
+    payload = {
+        "stat": args.stat,
+        "n": args.n,
+        "method": args.method,
+        "rows": [{"k": k, "poly": p.to_json()} for k, p in rows],
+    }
+    _emit(args.format, payload, (f"{k}: {p}" for k, p in rows))
     return 0
 
 
@@ -148,11 +156,7 @@ def cmd_inspect(args) -> int:
             "dyck_decoration": format_perm(dyck_decorate(word.values)),
             "parity_decoration": format_perm(parity_decorate(word.values)),
         }
-    if args.format == "json":
-        print(json.dumps(info, indent=2))
-    else:
-        for key, value in info.items():
-            print(f"{key}: {value}")
+    _emit(args.format, info, (f"{key}: {value}" for key, value in info.items()))
     return 0
 
 
@@ -162,30 +166,17 @@ def cmd_cycle(args) -> int:
     canonical = canonical_rep(path)
     members = sorted(scores, key=lambda q: (scores[q], format_path(q)))
     marked = sched_one_members(scores)
-    if args.format == "json":
-        payload = {
-            "size": len(members),
-            "canonical": format_path(canonical),
-            "members": [
-                {
-                    "path": format_path(q),
-                    "dinv": scores[q],
-                    "area": area(q),
-                    "schedule_one": q in marked,
-                }
-                for q in members
-            ],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for q in members:
-            flags = []
-            if q == canonical:
-                flags.append("canonical")
-            if q in marked:
-                flags.append("schedule-one")
-            suffix = f"  [{', '.join(flags)}]" if flags else ""
-            print(f"dinv={scores[q]} area={area(q)} {format_path(q)}{suffix}")
+    entries = [
+        {"path": format_path(q), "dinv": scores[q], "area": area(q), "schedule_one": q in marked}
+        for q in members
+    ]
+    lines = []
+    for q, e in zip(members, entries):
+        flags = ", ".join(["canonical"] * (q == canonical) + ["schedule-one"] * e["schedule_one"])
+        suffix = f"  [{flags}]" if flags else ""
+        lines.append(f"dinv={e['dinv']} area={e['area']} {e['path']}{suffix}")
+    payload = {"size": len(members), "canonical": format_path(canonical), "members": entries}
+    _emit(args.format, payload, lines)
     return 0
 
 
@@ -221,6 +212,7 @@ def cmd_sched(args) -> int:
 
 def cmd_enumerate(args) -> int:
     family = PathFamily(args.n, args.k, args.kind)
+    _state_cost(args.n, args.kind)
     if args.format == "json":
         print(json.dumps([format_path(p) for p in generate(family)], indent=2))
     else:

@@ -26,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .paths import DecoratedLabeledPath, area_word
 from .schedule import ShiftedDiagonalWord, diagonal_word, ones_shifts
@@ -99,17 +99,20 @@ def psi(path: DecoratedLabeledPath, i: int) -> DecoratedLabeledPath | None:
     return _cut(path, i, _positions(path.steps, "E")[i - 1] + 1)
 
 
+def _admitted_cuts(path: DecoratedLabeledPath) -> Iterator[tuple[int, int, DecoratedLabeledPath]]:
+    """Each admitted cut of the path, in order of its east step: the east
+    step's ordinal i, the m north steps before the cut, and the image."""
+    for i, pos in enumerate(_positions(path.steps, "E"), start=1):
+        image = _cut(path, i, pos + 1)
+        if image is not None:
+            yield i, pos + 1 - i, image
+
+
 def cutting_cycle(path: DecoratedLabeledPath) -> CuttingCycle:
     """All admitted cut-and-paste images of the path, the path included via
     the full cut: ``path.n`` cuts.  The member a path breaks to is
     :func:`canonical_rep`."""
-    return CuttingCycle(
-        frozenset(
-            image
-            for i, pos in enumerate(_positions(path.steps, "E"), start=1)
-            if (image := _cut(path, i, pos + 1)) is not None
-        )
-    )
+    return CuttingCycle(frozenset(image for _, _, image in _admitted_cuts(path)))
 
 
 def cycle_dinvs(path: DecoratedLabeledPath) -> dict[DecoratedLabeledPath, int]:
@@ -156,13 +159,9 @@ def cycle_dinvs(path: DecoratedLabeledPath) -> dict[DecoratedLabeledPath, int]:
         later.setdefault(ap, []).append(p)
     attacks = list(accumulate(diff))
     low, k = sorted(a), len(decorations)
-    scores = {}
-    for i, pos in enumerate(_positions(path.steps, "E"), start=1):
-        image = _cut(path, i, pos + 1)
-        if image is not None:
-            m = pos + 1 - i
-            scores[image] = attacks[m] + bisect_left(low, m - i) - k
-    return scores
+    return {
+        image: attacks[m] + bisect_left(low, m - i) - k for i, m, image in _admitted_cuts(path)
+    }
 
 
 def breaking_step(path: DecoratedLabeledPath) -> int:

@@ -62,24 +62,31 @@ class PathFamily:
 
 def step_words(n: int, kind: str = "square") -> Iterator[str]:
     """All step words of size n ending east, lexicographically ('E' < 'N');
-    Dyck words additionally never fall below the main diagonal."""
-    dyck = kind == "dyck"
+    Dyck words additionally never fall below the main diagonal.
 
-    def rec(prefix: list[str], norths: int, easts: int):
-        if norths == n and easts == n:
-            if prefix[-1] == "E":
-                yield "".join(prefix)
+    A word is fixed by the positions of its first n - 1 east steps, since
+    its last step is east, and lexicographic order of the position tuples is
+    the words' order: where two tuples first differ, the smaller one puts an
+    east step where the other puts a north step.  East step i (0-based) sits
+    at a position from ``lowest[i]`` to n + i: at least i, and at least
+    2i + 1 in a Dyck word, which has i + 1 north steps before it.  The next
+    tuple moves the last east step that can move one place right, and puts
+    each later one at its lowest position or just after the one before it,
+    whichever is later.  No recursion, and the first word comes at once for
+    any n; there is no word for n < 1."""
+    lowest = [2 * i + 1 if kind == "dyck" else i for i in range(n - 1)]
+    easts = lowest
+    while n > 0:  # no word for n < 1; otherwise the loop ends at its return
+        steps = ["N"] * (2 * n - 1) + ["E"]
+        for pos in easts:
+            steps[pos] = "E"
+        yield "".join(steps)
+        for j in reversed(range(n - 1)):
+            if easts[j] < n + j:
+                break
+        else:
             return
-        if easts < n and (not dyck or easts < norths):
-            prefix.append("E")
-            yield from rec(prefix, norths, easts + 1)
-            prefix.pop()
-        if norths < n:
-            prefix.append("N")
-            yield from rec(prefix, norths + 1, easts)
-            prefix.pop()
-
-    yield from rec([], 0, 0)
+        easts = easts[:j] + [max(easts[j] + 1 + i - j, lowest[i]) for i in range(j, n - 1)]
 
 
 def column_sizes(steps: str) -> tuple[int, ...]:
@@ -94,8 +101,11 @@ def _composition_columns(sizes: tuple[int, ...]) -> list[bytes]:
 
     The lexicographic list runs over the first block's label sets in order,
     each followed by the rest's list relabeled order-preservingly onto the
-    labels left over; each relabeling is one byte translation per column."""
+    labels left over; each relabeling is one byte translation per column.
+    A larger n raises ValueError."""
     n = sum(sizes)
+    if n > 255:
+        raise ValueError(f"labeled paths go up to n = 255, got n = {n}")
     if len(sizes) <= 1:
         return [bytes([v]) for v in range(1, n + 1)]
     tail = _composition_columns(sizes[1:])

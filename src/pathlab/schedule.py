@@ -135,25 +135,25 @@ def descents(seq: Sequence[int]) -> tuple[int, ...]:
     return tuple(i for i in range(1, len(seq)) if seq[i - 1] > seq[i])
 
 
+def _letters(word: DecoratedPermutation | Sequence[int]) -> tuple[int, ...]:
+    """The letters of a decorated permutation, or of a plain sequence."""
+    return word.values if isinstance(word, DecoratedPermutation) else tuple(word)
+
+
 def maj(seq: Sequence[int] | DecoratedPermutation) -> int:
     """Sum of descent positions (1-based)."""
-    if isinstance(seq, DecoratedPermutation):
-        seq = seq.values
-    return sum(descents(seq))
+    return sum(descents(_letters(seq)))
 
 
 def revmaj(seq: Sequence[int] | DecoratedPermutation) -> int:
     """maj of the reversed word; decorations are ignored."""
-    if isinstance(seq, DecoratedPermutation):
-        seq = seq.values
-    return maj(tuple(reversed(seq)))
+    return maj(_letters(seq)[::-1])
 
 
 def decreasing_runs(word: DecoratedPermutation | Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Maximal decreasing factors, as tuples of letters in word order."""
-    values = word.values if isinstance(word, DecoratedPermutation) else tuple(word)
     runs: list[list[int]] = []
-    for v in values:
+    for v in _letters(word):
         if runs and runs[-1][-1] > v:
             runs[-1].append(v)
         else:
@@ -198,14 +198,14 @@ def _check_position(position: int, n: int) -> None:
 def lmcr(word: DecoratedPermutation | Sequence[int], j: int) -> tuple[int, ...]:
     """Leftmost maximal cyclic run ending at position j (1-based); a
     position outside 1..n raises ValueError."""
-    values = word.values if isinstance(word, DecoratedPermutation) else tuple(word)
+    values = _letters(word)
     return values[lmcr_start(values, j) - 1 : j]
 
 
 def rmcr(word: DecoratedPermutation | Sequence[int], i: int) -> tuple[int, ...]:
     """Rightmost maximal cyclic run starting at position i (1-based); a
     position outside 1..n raises ValueError."""
-    values = word.values if isinstance(word, DecoratedPermutation) else tuple(word)
+    values = _letters(word)
     _check_position(i, len(values))
     j = i
     while j < len(values) and is_cyclic_run(values[i - 1 : j + 1]):

@@ -235,6 +235,13 @@ class TestEnumerate:
         assert code == 0
         assert all(":" in line for line in out.splitlines())
 
+    @pytest.mark.parametrize("kind, pairs", [("square", 27), ("dyck", 16)])
+    def test_states_its_cost_on_stderr(self, capsys, kind, pairs):
+        # the same line as table --method brute, whatever k
+        code, _, err = run(capsys, "enumerate", "--n", "3", "--k", "1", "--kind", kind)
+        assert code == 0
+        assert err == f"# brute force visits {pairs} (steps, labels) pairs\n"
+
 
 class TestDomain:
     @pytest.mark.parametrize(
@@ -264,6 +271,21 @@ class TestDomain:
         assert code == 2 and message in err
         # one error line, no traceback
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("table", "--n", "499", "--stat", "S", "--method", "brute"), "up to n = 15, got"),
+            (("table", "--n", "499", "--stat", "D", "--method", "brute"), "up to n = 15, got"),
+            (("enumerate", "--n", "300", "--k", "0"), "up to n = 255, got n = 300"),
+            (("enumerate", "--n", "600", "--k", "0"), "up to n = 255, got n = 600"),
+        ],
+    )
+    def test_sizes_past_a_bound_exit_two(self, capsys, argv, message):
+        # the cost line comes first, then one error line that names the bound
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "Traceback" not in err
+        assert err.splitlines()[-1].startswith("error:") and message in err
 
     @settings(deadline=None)
     @given(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 
@@ -38,21 +39,34 @@ from pathlab.schedule import decreasing_runs, diagonal_word, schedule_numbers
 
 
 class TestStepWords:
+    # every property for n <= 8
     def test_square_words_end_east(self):
-        for w in step_words(3, "square"):
-            assert w.endswith("E") and len(w) == 6
-            assert w.count("N") == w.count("E") == 3
+        for n in range(1, 9):
+            for w in step_words(n, "square"):
+                assert w.endswith("E") and len(w) == 2 * n
+                assert w.count("N") == w.count("E") == n
 
     def test_dyck_words_stay_weakly_above(self):
-        for w in step_words(3, "dyck"):
-            h = 0
-            for c in w:
-                h += 1 if c == "N" else -1
-                assert h >= 0
+        for n in range(1, 9):
+            for w in step_words(n, "dyck"):
+                assert w.endswith("E") and w.count("N") == w.count("E") == n
+                h = 0
+                for c in w:
+                    h += 1 if c == "N" else -1
+                    assert h >= 0
 
     def test_lexicographic_and_duplicate_free(self):
-        words = list(step_words(4, "square"))
-        assert words == sorted(words) and len(words) == len(set(words))
+        for n in range(1, 9):
+            for kind in KINDS:
+                words = list(step_words(n, kind))
+                assert words == sorted(words) and len(words) == len(set(words))
+
+    def test_counts(self):
+        # C(2n - 1, n) square words (the last step is east) and Catalan(n) Dyck words
+        for n in range(1, 9):
+            assert sum(1 for _ in step_words(n, "square")) == math.comb(2 * n - 1, n)
+            assert sum(1 for _ in step_words(n, "dyck")) == math.comb(2 * n, n) // (n + 1)
+        assert list(step_words(0)) == list(step_words(-1, "dyck")) == []
 
     def test_column_sizes(self):
         # sizes of the maximal blocks of consecutive north steps
