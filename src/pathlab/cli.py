@@ -23,7 +23,15 @@ from .cutting import (
     cycle_dinvs,
     sched_one_members,
 )
-from .enumeration import D_brute, PathFamily, S_brute, bare_path_count, generate
+from .enumeration import (
+    D_brute,
+    PathFamily,
+    S_brute,
+    bare_path_count,
+    check_path_size,
+    check_sum_size,
+    generate,
+)
 from .paths import (
     area,
     area_word,
@@ -63,7 +71,9 @@ def _emit(fmt: str, payload, lines: Iterable[str]) -> None:
 
 def _state_cost(n: int, kind: str) -> None:
     """Say on stderr, before the work starts, how many (steps, labels)
-    pairs a brute-force walk over the size-n paths visits."""
+    pairs a brute-force walk over the size-n paths visits.  Callers check
+    n against its bound first: past it the count can have more digits than
+    Python turns into text."""
     print(f"# brute force visits {bare_path_count(n, kind)} (steps, labels) pairs",
           file=sys.stderr)
 
@@ -82,6 +92,7 @@ def cmd_table(args) -> int:
     if args.n < 1:
         raise CliError(f"--n must be at least 1, got {args.n}")
     if args.method == "brute":
+        check_sum_size(args.n)
         _state_cost(args.n, "square" if args.stat == "S" else "dyck")
     rows = [(k, fn(args.n, k)) for k in range(args.n)]
     payload = {
@@ -212,6 +223,7 @@ def cmd_sched(args) -> int:
 
 def cmd_enumerate(args) -> int:
     family = PathFamily(args.n, args.k, args.kind)
+    check_path_size(args.n)
     _state_cost(args.n, args.kind)
     if args.format == "json":
         print(json.dumps([format_path(p) for p in generate(family)], indent=2))

@@ -13,9 +13,12 @@ whatever the labels) is its profile, derived once per step word by
 :func:`_step_profile`.  What a column composition gives all of its step
 words is made once per walk, in a dict that lives as long as the walk: its
 labelings for the generators, which compare labels per (steps, labels)
-pair, and their bit slices (:func:`_label_slices`) for the signed sums,
-which score every labeling of a step word at once with a few big-int
-operations per decoration set.  The definitional forms in
+pair, and their bit slices (:func:`_label_slices`) for the signed sums and
+the schedule-one stream, which score every labeling of a step word at once
+with a few big-int operations per decoration set; the stream builds the
+labelings of a composition only to name the paths it yields.  Both walk
+the same sets of valleys and ties, present on their :func:`_presences`.
+The definitional forms in
 :mod:`pathlab.paths` (``attack_pairs``, ``contractible_valleys``, ``dinv``)
 are the oracle the tests hold the profile to.
 """
@@ -33,10 +36,9 @@ from .paths import (
     dinv,
     steps_area_word,
     word_area,
-    word_shift,
 )
 from .poly import QTPoly, TPoly
-from .schedule import LetterTable, ShiftedDiagonalWord, diagonal_word
+from .schedule import ShiftedDiagonalWord, diagonal_word
 
 KINDS = ("square", "dyck")
 
@@ -94,18 +96,30 @@ def column_sizes(steps: str) -> tuple[int, ...]:
     return tuple(len(block) for block in steps.split("E") if block)
 
 
+def check_path_size(n: int) -> None:
+    """Raise ValueError past n = 255, where a label stops fitting the byte
+    :func:`_composition_columns` gives it."""
+    if n > 255:
+        raise ValueError(f"labeled paths go up to n = 255, got n = {n}")
+
+
+def check_sum_size(n: int, what: str = "brute-force sums") -> None:
+    """Raise ValueError, naming ``what``, past n = 15, where a label stops
+    fitting the four bits :func:`_label_slices` gives it."""
+    if n > 15:
+        raise ValueError(f"{what} go up to n = 15, got n = {n}")
+
+
 def _composition_columns(sizes: tuple[int, ...]) -> list[bytes]:
     """The permutations of 1..n increasing inside each block of ``sizes``,
     lexicographically, as columns: byte l of column x - 1 is w_x of the l-th
-    permutation, so n is at most 255.
+    permutation, so n is at most 255 (:func:`check_path_size`).
 
     The lexicographic list runs over the first block's label sets in order,
     each followed by the rest's list relabeled order-preservingly onto the
-    labels left over; each relabeling is one byte translation per column.
-    A larger n raises ValueError."""
+    labels left over; each relabeling is one byte translation per column."""
     n = sum(sizes)
-    if n > 255:
-        raise ValueError(f"labeled paths go up to n = 255, got n = {n}")
+    check_path_size(n)
     if len(sizes) <= 1:
         return [bytes([v]) for v in range(1, n + 1)]
     tail = _composition_columns(sizes[1:])
@@ -140,10 +154,10 @@ def _label_slices(sizes: tuple[int, ...]) -> tuple[int, dict[tuple[int, int], in
     Each column becomes an int with labeling l in byte l; shifting w_x four
     bits up puts the byte 16 w_x + w_y at every labeling, which a
     translation reads as one binary digit.  Labels must fit four bits, so n
-    is at most 15 (a brute sum at n = 15 has 15^15 (steps, labels) pairs)."""
+    is at most 15 (:func:`check_sum_size`; a brute sum at n = 15 has 15^15
+    (steps, labels) pairs)."""
     n = sum(sizes)
-    if n > 15:
-        raise ValueError(f"brute-force sums go up to n = 15, got n = {n}")
+    check_sum_size(n)
     columns = _composition_columns(sizes)
     m = len(columns[0])
     packed = [int.from_bytes(column, "little") for column in columns]
@@ -193,16 +207,20 @@ def _step_profile(steps: str) -> _StepProfile:
     )
 
 
-def _attack_pairs(profile: _StepProfile, w: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Attack pairs (i, j) of the undecorated path whose step i carries label
-    w[i] (w[0] is a placeholder), ordered by i, then j."""
-    return [(i, j) for i, j, lo, hi in profile.candidates if w[lo] < w[hi]]
-
-
 def _valleys(profile: _StepProfile, w: tuple[int, ...]) -> list[int]:
     """Contractible valleys of the path whose step i carries label w[i]
     (w[0] is a placeholder), increasing."""
     return sorted(profile.valleys + tuple(i for i in profile.ties if w[i - 1] < w[i]))
+
+
+def _presences(
+    profile: _StepProfile, full: int, less: dict[tuple[int, int], int]
+) -> list[tuple[int, int]]:
+    """The steps that can be contractible valleys, increasing, each with the
+    slice of labelings on which it is one: ``full`` for a valley, and
+    ``less[t - 1, t]`` for a tie t."""
+    valleys = [(i, full) for i in profile.valleys]
+    return sorted(valleys + [(t, less[t - 1, t]) for t in profile.ties])
 
 
 def _labeled_step_words(
@@ -252,8 +270,8 @@ def _signed_sums(n: int, kind: str, shard: int | None) -> tuple[TPoly, ...]:
     candidate (i, j) attacks on ``less[i, j]``, a secondary one on its
     complement, so XOR-ing them by left index gives ``odd[i]``, the
     labelings with an odd count c_i of attack pairs at i, and their XOR with
-    the bonus parity gives the labelings of negative sign.  A valley is
-    present on every labeling, a tie t on ``less[t - 1, t]``.
+    the bonus parity gives the labelings of negative sign.  A valley or tie
+    is present on its slice of :func:`_presences`.
 
     Decorating a valley i flips the sign by (-1)^(c_i + 1): its c_i attack
     pairs vanish and the decoration itself subtracts one from dinv.  So a
@@ -273,9 +291,7 @@ def _signed_sums(n: int, kind: str, shard: int | None) -> tuple[TPoly, ...]:
         neg = full if profile.bonus % 2 else 0
         for slice_ in odd:
             neg ^= slice_
-        choices = [(full, odd[i] ^ full) for i in profile.valleys] + [
-            (less[t - 1, t], odd[t] ^ full) for t in profile.ties
-        ]
+        choices = [(on, odd[i] ^ full) for i, on in _presences(profile, full, less)]
         by_k = [0] * n
         stack = [(0, 0, full, neg)]  # (|D|, next choice, present, negative)
         while stack:
@@ -328,67 +344,104 @@ def qt_enumerator(family: PathFamily) -> QTPoly:
 def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLabeledPath]:
     """All standard decorated square paths of size n (any k) whose schedule
     word is all ones; with a shard j in 0..n-1, only those whose area is j
-    mod n.
+    mod n.  Labels must fit the four bits of :func:`_label_slices`, so n is
+    at most 15; a larger n raises ValueError at the first ``next``.
 
     Area depends on the step word alone and is constant on a cutting cycle,
     so the n shards split the stream by step word and keep each cycle whole;
     each shard keeps the order of the whole stream.
 
-    Such a path has no attack pair between two undecorated steps, so only
-    decoration sets touching every attack pair of the bare path need to be
-    tried (checked against the naive filter in the tests).  Decorating steps
-    changes neither the letters of the diagonal word nor the shift, so each
-    labeling whose attack pairs can be covered builds one
-    :class:`~pathlab.schedule.LetterTable` of its runs, and a candidate only
-    names its decorated letters (the labels of its steps) and asks the
-    table whether the bare shift gives all ones.  The bare path's attack
-    pairs and valleys come from its step word's profile.  Two facts let the
-    stream skip most of that work:
+    Each decreasing run of the diagonal word is one diagonal, so run r is
+    diagonal r - shift, and run ``shift`` is diagonal 0.  An area word rises
+    only through two north steps of one column, a_{i+1} <= a_i + 1 with
+    equality only then, and a column's labels increase, so each rise from
+    diagonal d to d + 1 puts a smaller label on d under a larger one on
+    d + 1.  The path ends east, so a_1 <= a_n and the wrap from step n to
+    step 1 never rises.  Every pair of adjacent occupied diagonals therefore
+    meets at an ascent, and each diagonal reads as a decreasing run.  With
+    the runs the diagonals, the schedule word is all ones at the path's
+    shift (:meth:`~pathlab.schedule.LetterTable.ones_shifts`) exactly when
+    every step meets its rule:
 
-    * Each decreasing run of the diagonal word is one diagonal, so run r is
-      diagonal r - shift, and run ``shift`` is diagonal 0.  An area word
-      rises only through two north steps of one column, a_{i+1} <= a_i + 1
-      with equality only then, and a column's labels increase, so each rise
-      from diagonal d to d + 1 puts a smaller label on d under a larger one
-      on d + 1.  The path ends east, so a_1 <= a_n and the wrap from step n
-      to step 1 never rises.  Every pair of adjacent occupied diagonals
-      therefore meets at an ascent, and each diagonal reads as a decreasing
-      run.  So the runs are each diagonal's labels, with the diagonals
-      grouped once per step word, and no diagonal word is built; the table
-      does not need a run's letters in order.
-    * At most one undecorated step of an all-ones path lies on diagonal 0.
-      An undecorated letter of run ``shift`` has zero value #{larger
-      undecorated letters in that run} + 1, so an all-ones word has at most
-      one undecorated letter there.  Only contractible valleys take a
-      decoration, and a step in neither ``profile.valleys`` nor
-      ``profile.ties`` is a valley under no labeling.  So a step word with
-      two such steps on diagonal 0 is skipped before its labelings, and a
-      labeling with two non-valleys there before its attack pairs.
+    * a decorated step, and an undecorated one below diagonal 0, has exactly
+      one undecorated step in its *low* set: the steps of its diagonal with
+      a smaller label and those of the next diagonal up with a larger one;
+    * an undecorated step above diagonal 0 has exactly one undecorated step
+      in its *high* set: the steps of its diagonal with a larger label and
+      those of the next diagonal down with a smaller one;
+    * diagonal 0 holds at most one undecorated step.
 
-    A decoration set covers the attack pairs when it meets the bitmask of
-    valleys in each pair; sets are tried by size, then lexicographically.
+    Decorating steps changes neither the diagonals nor the labels, so every
+    labeling of a step word is scored at once on the bit slices of
+    :func:`_label_slices`, bit l standing for labeling l.  The sets D of
+    valleys and ties with at most n - 1 members are walked depth first, a
+    set present on the AND of its members' :func:`_presences`.  Whether a
+    step lies in another's low or high set is one slice, ``less`` or its
+    complement, and "exactly one" is two planes over the undecorated
+    members' slices, ``many |= one & x; one |= x``, leaving ``one & ~many``.
+    The third rule reads D alone, so a step word with two steps on
+    diagonal 0 that are never valleys has no hit at all.
+
+    The stream's order is that of the naive filter: labelings in
+    lexicographic order within a step word, then decoration sets by size,
+    then lexicographically.  The walk meets sets in another order, so a step
+    word's hits are sorted by (labeling, |D|, D), D being the increasing
+    tuple of its steps, and a composition's labelings are built only once
+    one of its step words has a hit.
     """
-    for steps, profile, labelings in _labeled_step_words(n, "square", shard):
-        a = steps_area_word(steps)
-        s = word_shift(a)
-        diagonals: list[list[int]] = [[] for _ in range(max(a) + s + 1)]
-        for i, d in enumerate(a, start=1):
-            diagonals[d + s].append(i)
-        zero = diagonals[s]
-        if sum(1 for i in zero if i not in profile.valleys + profile.ties) > 1:
+    check_sum_size(n, "schedule-one paths")
+    labelings: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for steps, profile, (full, less) in _labeled_step_words(n, "square", shard, _label_slices):
+        a = (None,) + steps_area_word(steps)  # a[i] is step i's diagonal
+        presences = _presences(profile, full, less)
+        zero = [i for i in range(1, n + 1) if a[i] == 0]
+        movable = {i for i, _ in presences}
+        if sum(1 for i in zero if i not in movable) > 1:
             continue
-        for labels in labelings:
-            w = (0,) + labels
-            valleys = _valleys(profile, w)
-            if sum(1 for i in zero if i not in valleys) > 1:
-                continue
-            bit = {v: 1 << b for b, v in enumerate(valleys)}
-            masks = [bit.get(i, 0) | bit.get(j, 0) for i, j in _attack_pairs(profile, w)]
-            if 0 in masks:
-                continue
-            table = LetterTable([[w[i] for i in diagonal] for diagonal in diagonals])
-            for r in range(min(len(valleys), n - 1) + 1):
-                for dv in itertools.combinations(valleys, r):
-                    cover = sum(bit[i] for i in dv)
-                    if all(m & cover for m in masks) and s in table.ones_shifts(w[i] for i in dv):
-                        yield DecoratedLabeledPath(steps, labels, frozenset(dv))
+
+        # j is in the low set of i exactly when i is in the high set of j
+        low: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+        high: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+        for i, j in itertools.permutations(range(1, n + 1), 2):
+            if a[j] - a[i] in (0, 1):
+                # w_j < w_i on i's diagonal, w_i < w_j on the next one up
+                x, y = (j, i) if a[j] == a[i] else (i, j)
+                on = less[x, y] if x < y else less[y, x] ^ full
+                low[i].append((j, on))
+                high[j].append((i, on))
+        hits = []
+        stack = [((), 0, full)]  # (D, next presence, labelings with all of D)
+        while stack:
+            dec, start, present = stack.pop()
+            if sum(1 for i in zero if i not in dec) <= 1:
+                ok = present
+                for i in range(1, n + 1):
+                    if i in dec or a[i] < 0:
+                        rule = low[i]
+                    elif a[i] > 0:
+                        rule = high[i]
+                    else:
+                        continue
+                    one = many = 0
+                    for j, x in rule:
+                        if j not in dec:
+                            many |= one & x
+                            one |= x
+                    ok &= one & ~many
+                    if not ok:
+                        break
+                while ok:
+                    bit = ok & -ok
+                    hits.append((bit.bit_length() - 1, len(dec), dec))
+                    ok ^= bit
+            if len(dec) < n - 1:
+                for c in range(start, len(presences)):
+                    i, on = presences[c]
+                    if present & on:
+                        stack.append((dec + (i,), c + 1, present & on))
+        if hits:
+            sizes = column_sizes(steps)
+            if sizes not in labelings:
+                labelings[sizes] = _composition_labelings(sizes)
+            for l, _, dec in sorted(hits):
+                yield DecoratedLabeledPath(steps, labelings[sizes][l], frozenset(dec))

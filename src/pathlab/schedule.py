@@ -356,9 +356,11 @@ def schedule_numbers(sdw: ShiftedDiagonalWord) -> tuple[int, ...]:
 class LetterTable:
     """The schedule values of one permutation's letters as bitmasks, so that
     any decoration set is tested for all-ones shifts without recounting:
-    for sweeps over decoration sets (``adr_decorations``,
-    ``schedule_one_paths``), where no one word's :class:`ScheduleTable`
-    serves.
+    for the sweep over a permutation's decoration sets in
+    ``adr_decorations``, its only user, where no one word's
+    :class:`ScheduleTable` serves.  ``schedule_one_paths`` applies the same
+    low, high and zero rules to all labelings of a step word at once, on
+    bit slices.
 
     Built from the letters of each decreasing run, in run order; the order
     of letters inside a run does not matter.  For a letter c of run r_i the

@@ -279,10 +279,14 @@ class TestDomain:
             (("table", "--n", "499", "--stat", "D", "--method", "brute"), "up to n = 15, got"),
             (("enumerate", "--n", "300", "--k", "0"), "up to n = 255, got n = 300"),
             (("enumerate", "--n", "600", "--k", "0"), "up to n = 255, got n = 600"),
+            # past about n = 1,300 the cost line's count has more digits
+            # than Python turns into text, so the bound is checked first
+            (("table", "--n", "2000", "--method", "brute"), "up to n = 15, got n = 2000"),
+            (("enumerate", "--n", "2000", "--k", "0"), "up to n = 255, got n = 2000"),
         ],
     )
     def test_sizes_past_a_bound_exit_two(self, capsys, argv, message):
-        # the cost line comes first, then one error line that names the bound
+        # the size is checked before the cost line, so one error line names the bound
         code, _, err = run(capsys, *argv)
         assert code == 2 and "Traceback" not in err
         assert err.splitlines()[-1].startswith("error:") and message in err

@@ -7,12 +7,13 @@ import math
 
 import pytest
 
+from pathlab.adr import adr_decorations
+from pathlab.bridge import path_from_sdw
 from pathlab.enumeration import (
     D_brute,
     KINDS,
     PathFamily,
     S_brute,
-    _attack_pairs,
     _composition_labelings,
     _label_slices,
     _labeled_step_words,
@@ -121,6 +122,13 @@ class TestLabelSlices:
     def test_labels_must_fit_four_bits(self):
         with pytest.raises(ValueError, match="up to n = 15"):
             S_brute(16, 0)
+
+
+def _attack_pairs(profile, w):
+    """Attack pairs (i, j) of the undecorated path whose step i carries label
+    w[i] (w[0] is a placeholder), ordered by i, then j, read off the
+    profile's candidates."""
+    return [(i, j) for i, j, lo, hi in profile.candidates if w[lo] < w[hi]]
 
 
 class TestStepProfile:
@@ -275,6 +283,26 @@ class TestScheduleOnePaths:
             )
             naive = [p for p in candidates if schedule_numbers(diagonal_word(p)) == (1,) * n]
             assert list(schedule_one_paths(n)) == naive
+
+    def test_matches_every_adr_decoration_at_six(self):
+        """At n = 6, past the naive filters, the stream is as a set the path
+        of every all-ones shift of every ADR decoration of every
+        permutation, and each shard is the whole stream's paths of that
+        shard, in order."""
+        n = 6
+        whole = list(schedule_one_paths(n))
+        assert set(whole) == {
+            path_from_sdw(witness.word, s)
+            for values in itertools.permutations(range(1, n + 1))
+            for witness in adr_decorations(values)
+            for s in witness.valid_shifts
+        }
+        for j in range(n):
+            assert list(schedule_one_paths(n, j)) == [p for p in whole if area(p) % n == j]
+
+    def test_labels_must_fit_four_bits(self):
+        with pytest.raises(ValueError, match="schedule-one paths go up to n = 15, got n = 16"):
+            next(schedule_one_paths(16))
 
     def test_known_counts(self):
         assert sum(1 for _ in schedule_one_paths(3)) == 16

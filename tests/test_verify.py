@@ -139,8 +139,8 @@ def test_dinv_ladder_checks_the_ladder_against_the_cycle(monkeypatch):
 
 
 def test_all_ones_searches_build_no_schedule_words():
-    # both read all-ones shifts off a LetterTable, so neither builds a
-    # diagonal word or a schedule word
+    # the sweep reads all-ones shifts off a LetterTable and the stream scores
+    # them on bit slices, so neither builds a diagonal word or a schedule word
     (unique, seeds), calls = profiled_calls(
         {schedule.schedule_numbers.__code__, schedule.diagonal_word.__code__},
         lambda: (
