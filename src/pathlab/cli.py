@@ -57,6 +57,10 @@ from .verify import CHECKS, run_suite
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+# enumerate's walk keeps the labelings of every column composition it meets:
+# 545,835 of them at n = 8 (peak RSS about 83 MB), about 7.1 million (1 GB)
+# at n = 9
+ENUMERATE_MAX_N = 8
 
 
 class CliError(Exception):
@@ -224,6 +228,8 @@ def cmd_sched(args) -> int:
 def cmd_enumerate(args) -> int:
     family = PathFamily(args.n, args.k, args.kind)
     check_path_size(args.n)
+    if args.n > ENUMERATE_MAX_N:
+        raise CliError(f"enumerate goes up to n = {ENUMERATE_MAX_N}, got n = {args.n}")
     _state_cost(args.n, args.kind)
     if args.format == "json":
         print(json.dumps([format_path(p) for p in generate(family)], indent=2))

@@ -6,18 +6,21 @@ lexicographic order of their sorted tuples.  The generators are desk-scale by
 design; the signed/weighted sums stream over the generated families without
 materializing them.
 
-Every stream is one walk over labeled paths, :func:`_labeled_step_words`,
-in two levels.  What a step word fixes for all of its labelings (the area
-word, which pairs of north steps can attack, which steps are valleys
-whatever the labels) is its profile, derived once per step word by
-:func:`_step_profile`.  What a column composition gives all of its step
-words is made once per walk, in a dict that lives as long as the walk: its
+Every stream walks labeled paths in two levels.  What a step word fixes
+for all of its labelings (the area word, which pairs of north steps can
+attack, which steps are valleys whatever the labels) is its profile,
+derived once per step word by :func:`_step_profile`.  What a column
+composition gives all of its step words is made once per walk: its
 labelings for the generators, which compare labels per (steps, labels)
 pair, and their bit slices (:func:`_label_slices`) for the signed sums and
 the schedule-one stream, which score every labeling of a step word at once
 with a few big-int operations per decoration set; the stream builds the
 labelings of a composition only to name the paths it yields.  Both walk
 the same sets of valleys and ties, present on their :func:`_presences`.
+The generators and the stream keep lexicographic order, so they walk
+:func:`_labeled_step_words`, which keeps each composition's result until
+the walk ends; the signed sums need no order, so they group the step words
+by composition and hold one composition's slices at a time.
 The definitional forms in
 :mod:`pathlab.paths` (``attack_pairs``, ``contractible_valleys``, ``dinv``)
 are the oracle the tests hold the profile to.
@@ -27,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, TypeVar
 
 from .paths import (
@@ -233,8 +235,14 @@ def _labeled_step_words(
     makes of its column composition, by default its standard labelings;
     with a shard j, only the step words whose area is j mod n, and only they
     get a profile.  ``per_composition`` runs once per column composition,
-    and its result is shared by every step word with that composition; the
-    dict holding the results goes when the generator does."""
+    and its result is shared by every step word with that composition.
+
+    The step words come in lexicographic order, which :func:`generate` and
+    :func:`schedule_one_paths` keep, so a composition's result can be asked
+    for again at any later word: the dict holding the results keeps every
+    composition met until the generator goes (545,835 labelings at n = 8,
+    about 7.1 million at n = 9).  :func:`_signed_sums` needs no order, and
+    walks the step words grouped by composition instead."""
     by_sizes: dict[tuple[int, ...], _T] = {}
     for steps in step_words(n, kind):
         if shard is not None and word_area(steps_area_word(steps)) % n != shard:
@@ -260,18 +268,32 @@ def generate(family: PathFamily) -> Iterator[DecoratedLabeledPath]:
                 yield DecoratedLabeledPath(steps, labels, frozenset(combo))
 
 
-@lru_cache(maxsize=None)
+# (n, kind, shard) -> the sums for each k; a square walk over the whole
+# family fills the Dyck entry too
+_SIGNED_SUMS: dict[tuple[int, str, int | None], tuple[TPoly, ...]] = {}
+
+
 def _signed_sums(n: int, kind: str, shard: int | None) -> tuple[TPoly, ...]:
     """For each k, the sum of (-1)^dinv t^area over the size-n family; with
-    a shard j, over the paths whose area is j mod n.
+    a shard j, over the paths whose area is j mod n.  Sums are kept in
+    ``_SIGNED_SUMS`` for the life of the process.
 
-    Scores every labeling of a step word at once, on the bit slices of
-    :func:`_label_slices`, bit l standing for labeling l.  A primary
-    candidate (i, j) attacks on ``less[i, j]``, a secondary one on its
-    complement, so XOR-ing them by left index gives ``odd[i]``, the
-    labelings with an odd count c_i of attack pairs at i, and their XOR with
-    the bonus parity gives the labelings of negative sign.  A valley or tie
-    is present on its slice of :func:`_presences`.
+    The step words are grouped by column composition, and a shard's other
+    words are dropped before any profile is built.  Each composition's bit
+    slices (:func:`_label_slices`, bit l standing for labeling l) are built
+    once, score its step words, and go before the next composition's are
+    built, so one composition's slices are held at a time.  A Dyck step
+    word is exactly a square one with no north step below the diagonal
+    (``bonus == 0``), and its labelings are those of its composition, so a
+    square walk over the whole family also adds each such word's sums into
+    the Dyck sums and keeps both; a Dyck request walks the Dyck words alone.
+
+    A step word's labelings are scored at once.  A primary candidate (i, j)
+    attacks on ``less[i, j]``, a secondary one on its complement, so XOR-ing
+    them by left index gives ``odd[i]``, the labelings with an odd count c_i
+    of attack pairs at i, and their XOR with the bonus parity gives the
+    labelings of negative sign.  A valley or tie is present on its slice of
+    :func:`_presences`.
 
     Decorating a valley i flips the sign by (-1)^(c_i + 1): its c_i attack
     pairs vanish and the decoration itself subtracts one from dinv.  So a
@@ -283,43 +305,71 @@ def _signed_sums(n: int, kind: str, shard: int | None) -> tuple[TPoly, ...]:
     is constant across a step word, so its sums add into one vector indexed
     by k.
     """
-    acc: list[dict[int, int]] = [dict() for _ in range(n)]
-    for _, profile, (full, less) in _labeled_step_words(n, kind, shard, _label_slices):
-        odd = [0] * (n + 1)  # by left index: labelings with odd c_i
-        for i, j, lo, _ in profile.candidates:
-            odd[i] ^= less[i, j] if lo == i else less[i, j] ^ full
-        neg = full if profile.bonus % 2 else 0
-        for slice_ in odd:
-            neg ^= slice_
-        choices = [(on, odd[i] ^ full) for i, on in _presences(profile, full, less)]
-        by_k = [0] * n
-        stack = [(0, 0, full, neg)]  # (|D|, next choice, present, negative)
-        while stack:
-            k, start, present, neg = stack.pop()
-            by_k[k] += present.bit_count() - 2 * (present & neg).bit_count()
-            if k < n - 1:
-                for c in range(start, len(choices)):
-                    on, flip = choices[c]
-                    if present & on:
-                        stack.append((k + 1, c + 1, present & on, neg ^ flip))
-        for k, contrib in enumerate(by_k):
-            if contrib:
-                acc[k][profile.area] = acc[k].get(profile.area, 0) + contrib
-    return tuple(TPoly.from_counts(bucket) for bucket in acc)
+    if (n, kind, shard) in _SIGNED_SUMS:
+        return _SIGNED_SUMS[n, kind, shard]
+    check_sum_size(n)  # before the walk, which would meet it only at its first slices
+    by_sizes: dict[tuple[int, ...], list[str]] = {}
+    for steps in step_words(n, kind):
+        if shard is None or word_area(steps_area_word(steps)) % n == shard:
+            by_sizes.setdefault(column_sizes(steps), []).append(steps)
+    sums = {kind: [dict() for _ in range(n)]}  # kind -> k -> area -> sum
+    if kind == "square" and shard is None:
+        sums["dyck"] = [dict() for _ in range(n)]
+    for sizes in list(by_sizes):
+        words = by_sizes.pop(sizes)  # so that each group goes once scored
+        full, less = _label_slices(sizes)
+        for steps in words:
+            profile = _step_profile(steps)
+            odd = [0] * (n + 1)  # by left index: labelings with odd c_i
+            for i, j, lo, _ in profile.candidates:
+                odd[i] ^= less[i, j] if lo == i else less[i, j] ^ full
+            neg = full if profile.bonus % 2 else 0
+            for slice_ in odd:
+                neg ^= slice_
+            choices = [(on, odd[i] ^ full) for i, on in _presences(profile, full, less)]
+            by_k = [0] * n
+            stack = [(0, 0, full, neg)]  # (|D|, next choice, present, negative)
+            while stack:
+                k, start, present, neg = stack.pop()
+                by_k[k] += present.bit_count() - 2 * (present & neg).bit_count()
+                if k < n - 1:
+                    for c in range(start, len(choices)):
+                        on, flip = choices[c]
+                        if present & on:
+                            stack.append((k + 1, c + 1, present & on, neg ^ flip))
+            # a square step word with bonus 0 is a Dyck step word
+            for acc in sums.values() if profile.bonus == 0 else (sums[kind],):
+                for k, contrib in enumerate(by_k):
+                    if contrib:
+                        acc[k][profile.area] = acc[k].get(profile.area, 0) + contrib
+        del full, less  # before the next composition's slices are built
+    for got, acc in sums.items():
+        _SIGNED_SUMS[n, got, shard] = tuple(TPoly.from_counts(bucket) for bucket in acc)
+    return _SIGNED_SUMS[n, kind, shard]
 
 
 def S_brute(n: int, k: int, shard: int | None = None) -> TPoly:
     """Signed t-enumerator of square paths: sum of (-1)^dinv t^area over the
     standard decorated square paths of size n with k decorations.  With a
     shard j in 0..n-1, only its terms t^a with a = j mod n, from those
-    paths alone."""
+    paths alone.
+
+    One walk of :func:`_signed_sums`, grouped by column composition, gives
+    every k; without a shard it also gives every :func:`D_brute` of size n,
+    the Dyck step words being the square ones with no north step below the
+    diagonal."""
     PathFamily(n, k, "square")
     return _signed_sums(n, "square", shard)[k]
 
 
 def D_brute(n: int, k: int) -> TPoly:
     """Signed t-enumerator of Dyck paths: sum of (-1)^dinv t^area over the
-    standard decorated Dyck paths of size n with k decorations."""
+    standard decorated Dyck paths of size n with k decorations.
+
+    Read from the memo of :func:`_signed_sums` when a whole square walk of
+    size n (:func:`S_brute` without a shard) has run; otherwise one walk
+    over the Dyck step words alone, grouped by column composition, gives
+    every k."""
     PathFamily(n, k, "dyck")
     return _signed_sums(n, "dyck", None)[k]
 

@@ -283,6 +283,9 @@ class TestDomain:
             # than Python turns into text, so the bound is checked first
             (("table", "--n", "2000", "--method", "brute"), "up to n = 15, got n = 2000"),
             (("enumerate", "--n", "2000", "--k", "0"), "up to n = 255, got n = 2000"),
+            # every labeling the walk meets is kept: about 1 GB at n = 9
+            (("enumerate", "--n", "9", "--k", "0"), "enumerate goes up to n = 8, got n = 9"),
+            (("enumerate", "--n", "12", "--k", "0", "--kind", "dyck"), "up to n = 8, got n = 12"),
         ],
     )
     def test_sizes_past_a_bound_exit_two(self, capsys, argv, message):

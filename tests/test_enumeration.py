@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
+from pathlab import enumeration
 from pathlab.adr import adr_decorations
 from pathlab.bridge import path_from_sdw
 from pathlab.enumeration import (
@@ -17,6 +19,8 @@ from pathlab.enumeration import (
     _composition_labelings,
     _label_slices,
     _labeled_step_words,
+    _signed_sums,
+    _step_profile,
     _valleys,
     bare_path_count,
     column_sizes,
@@ -37,6 +41,8 @@ from pathlab.paths import (
 )
 from pathlab.poly import QTPoly, TPoly
 from pathlab.schedule import decreasing_runs, diagonal_word, schedule_numbers
+
+from conftest import profiled_calls
 
 
 class TestStepWords:
@@ -120,8 +126,10 @@ class TestLabelSlices:
                     ), (sizes, x, y)
 
     def test_labels_must_fit_four_bits(self):
-        with pytest.raises(ValueError, match="up to n = 15"):
-            S_brute(16, 0)
+        # raised before the walk, which meets 3*10^8 square step words at n = 16
+        for call in (lambda: S_brute(16, 0), lambda: S_brute(16, 0, 3), lambda: D_brute(16, 0)):
+            with pytest.raises(ValueError, match="up to n = 15"):
+                call()
 
 
 def _attack_pairs(profile, w):
@@ -221,6 +229,34 @@ class TestSignedSums:
                 for j in range(n):
                     shard = (p for p in family if area(p) % n == j)
                     assert S_brute(n, k, j) == _naive_signed_sum(shard), (n, k, j)
+
+    def test_square_walk_yields_the_dyck_sums(self):
+        """For every n <= 7 and k, D_brute read after S_brute equals a Dyck
+        walk of its own; S then D profiles the C(2n - 1, n - 1) square step
+        words once, and D alone only the Catalan(n) Dyck ones."""
+        codes = {_step_profile.__code__}
+        for n in range(1, 8):
+            enumeration._SIGNED_SUMS.clear()
+            alone, calls = profiled_calls(codes, lambda: [D_brute(n, k) for k in range(n)])
+            assert len(calls) == math.comb(2 * n, n) // (n + 1)
+            enumeration._SIGNED_SUMS.clear()
+            after, calls = profiled_calls(
+                codes, lambda: [(S_brute(n, k), D_brute(n, k)) for k in range(n)]
+            )
+            assert len(calls) == math.comb(2 * n - 1, n - 1)
+            assert [d for _, d in after] == alone, n
+
+    def test_holds_one_composition_at_a_time(self):
+        # the walk holds one composition's slices at a time: a peak of about
+        # 1.6 MiB, against 3.7 MiB when every composition's were kept
+        enumeration._SIGNED_SUMS.clear()
+        tracemalloc.start()
+        try:
+            _signed_sums(8, "square", None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20
 
     def test_qt_enumerator_frozen_value(self):
         assert qt_enumerator(PathFamily(2, 0, "square")) == QTPoly(
