@@ -10,17 +10,18 @@ Every stream walks labeled paths in two levels.  What a step word fixes
 for all of its labelings (the area word, which pairs of north steps can
 attack, which steps are valleys whatever the labels) is its profile,
 derived once per step word by :func:`_step_profile`.  What a column
-composition gives all of its step words is made once per walk: its
-labelings for the generators, which compare labels per (steps, labels)
-pair, and their bit slices (:func:`_label_slices`) for the signed sums and
-the schedule-one stream, which score every labeling of a step word at once
-with a few big-int operations per decoration set; the stream builds the
-labelings of a composition only to name the paths it yields.  Both walk
-the same sets of valleys and ties, present on their :func:`_presences`.
-The generators and the stream keep lexicographic order, so they walk
-:func:`_labeled_step_words`, which keeps each composition's result until
-the walk ends; the signed sums need no order, so they group the step words
-by composition and hold one composition's slices at a time.
+composition gives all of its step words is made once per walk.
+:func:`generate` compares labels per (steps, labels) pair and keeps
+lexicographic order, so it walks :func:`_labeled_step_words`, which keeps
+each composition's labelings until the walk ends.  The signed sums and
+the schedule-one stream score every labeling of a step word at once, with
+a few big-int operations per decoration set, on its composition's bit
+slices (:func:`_label_slices`).  Both walk :func:`_slice_groups`, the step
+words grouped by composition with one composition's slices held at a
+time, and both walk the sets of valleys and ties present on their
+:func:`_presences` with :func:`_decoration_sets`.  The stream builds a
+composition's labelings only to name the paths it yields, and sorts its
+paths back into lexicographic order.
 The definitional forms in
 :mod:`pathlab.paths` (``attack_pairs``, ``contractible_valleys``, ``dinv``)
 are the oracle the tests hold the profile to.
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, TypeVar
+from typing import Iterator, NamedTuple
 
 from .paths import (
     DecoratedLabeledPath,
@@ -43,8 +44,6 @@ from .poly import QTPoly, TPoly
 from .schedule import ShiftedDiagonalWord, diagonal_word
 
 KINDS = ("square", "dyck")
-
-_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,8 @@ def _composition_columns(sizes: tuple[int, ...]) -> list[bytes]:
             parts[x].append(bytes([v]) * m)
         for x, column in enumerate(tail, start=len(head)):
             parts[x].append(column.translate(relabel))
-    return [b"".join(part) for part in parts]
+    # each column's pieces go once joined, so the pieces and columns never all coexist
+    return [b"".join(parts.pop(0)) for _ in range(n)]
 
 
 def _composition_labelings(sizes: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -162,7 +162,8 @@ def _label_slices(sizes: tuple[int, ...]) -> tuple[int, dict[tuple[int, int], in
     check_sum_size(n)
     columns = _composition_columns(sizes)
     m = len(columns[0])
-    packed = [int.from_bytes(column, "little") for column in columns]
+    # each byte column goes once packed, so the columns and ints never coexist
+    packed = [int.from_bytes(columns.pop(0), "little") for _ in range(n)]
     less = {
         (x, y): int((packed[x - 1] << 4 | packed[y - 1]).to_bytes(m, "big").translate(_LESS), 2)
         for x, y in itertools.combinations(range(1, n + 1), 2)
@@ -226,31 +227,67 @@ def _presences(
 
 
 def _labeled_step_words(
-    n: int,
-    kind: str,
-    shard: int | None = None,
-    per_composition: Callable[[tuple[int, ...]], _T] = _composition_labelings,
-) -> Iterator[tuple[str, _StepProfile, _T]]:
-    """Each step word of size n with its profile and what ``per_composition``
-    makes of its column composition, by default its standard labelings;
-    with a shard j, only the step words whose area is j mod n, and only they
-    get a profile.  ``per_composition`` runs once per column composition,
-    and its result is shared by every step word with that composition.
+    n: int, kind: str
+) -> Iterator[tuple[str, _StepProfile, list[tuple[int, ...]]]]:
+    """Each step word of size n, in lexicographic order, with its profile
+    and the standard labelings of its column composition, made once per
+    composition and shared by every step word with it.
 
-    The step words come in lexicographic order, which :func:`generate` and
-    :func:`schedule_one_paths` keep, so a composition's result can be asked
-    for again at any later word: the dict holding the results keeps every
+    :func:`generate` keeps this order, so a composition's labelings can be
+    asked for again at any later word: the dict holding them keeps every
     composition met until the generator goes (545,835 labelings at n = 8,
-    about 7.1 million at n = 9).  :func:`_signed_sums` needs no order, and
-    walks the step words grouped by composition instead."""
-    by_sizes: dict[tuple[int, ...], _T] = {}
+    about 7.1 million at n = 9).  The bit-sliced walks need no order, and
+    walk :func:`_slice_groups` instead."""
+    by_sizes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for steps in step_words(n, kind):
-        if shard is not None and word_area(steps_area_word(steps)) % n != shard:
-            continue
         sizes = column_sizes(steps)
         if sizes not in by_sizes:
-            by_sizes[sizes] = per_composition(sizes)
+            by_sizes[sizes] = _composition_labelings(sizes)
         yield steps, _step_profile(steps), by_sizes[sizes]
+
+
+def _slice_groups(
+    n: int, kind: str, shard: int | None
+) -> Iterator[tuple[tuple[int, ...], list[str], int, dict[tuple[int, int], int]]]:
+    """The step words of size n grouped by column composition, each group
+    as ``(sizes, words, full, less)`` with its composition's bit slices
+    (:func:`_label_slices`); with a shard j, only the words whose area is j
+    mod n.  The groups come in the order their compositions first appear
+    among the step words, and a group's words in lexicographic order.
+
+    A group's slices are built only when it is asked for, and the walk
+    keeps none of them, so a caller that drops them before asking for the
+    next group holds one composition's slices at a time.  The n <= 15 bound
+    of the slices is checked before the words are grouped, which at n = 16
+    would list 3*10^8 of them first."""
+    check_sum_size(n)
+    by_sizes: dict[tuple[int, ...], list[str]] = {}
+    for steps in step_words(n, kind):
+        if shard is None or word_area(steps_area_word(steps)) % n == shard:
+            by_sizes.setdefault(column_sizes(steps), []).append(steps)
+    for sizes in list(by_sizes):
+        yield (sizes, by_sizes.pop(sizes), *_label_slices(sizes))
+
+
+def _decoration_sets(
+    choices: list[tuple[int, int, int]], full: int, most: int
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """The sets D of at most ``most`` choices that some labeling has all
+    of, depth first from the empty set, each as ``(D, present, flips)``.
+
+    A choice is ``(step, slice, flip)``, in increasing order of step.  D is
+    the increasing tuple of its members' steps, ``present`` the AND of
+    ``full`` and their slices, and ``flips`` the XOR of their flips.  A set
+    is extended only while ``present`` is nonzero."""
+    stack = [((), 0, full, 0)]  # (D, next choice, present, flips)
+    while stack:
+        dec, start, present, flips = stack.pop()
+        yield dec, present, flips
+        if len(dec) < most:
+            for c in range(start, len(choices)):
+                step, on, flip = choices[c]
+                if present & on:
+                    stack.append((dec + (step,), c + 1, present & on, flips ^ flip))
 
 
 def bare_path_count(n: int, kind: str = "square") -> int:
@@ -278,15 +315,13 @@ def _signed_sums(n: int, kind: str, shard: int | None) -> tuple[TPoly, ...]:
     a shard j, over the paths whose area is j mod n.  Sums are kept in
     ``_SIGNED_SUMS`` for the life of the process.
 
-    The step words are grouped by column composition, and a shard's other
-    words are dropped before any profile is built.  Each composition's bit
-    slices (:func:`_label_slices`, bit l standing for labeling l) are built
-    once, score its step words, and go before the next composition's are
-    built, so one composition's slices are held at a time.  A Dyck step
-    word is exactly a square one with no north step below the diagonal
-    (``bonus == 0``), and its labelings are those of its composition, so a
-    square walk over the whole family also adds each such word's sums into
-    the Dyck sums and keeps both; a Dyck request walks the Dyck words alone.
+    The step words are walked grouped by column composition
+    (:func:`_slice_groups`), one composition's bit slices held at a time,
+    bit l standing for labeling l.  A Dyck step word is exactly a square
+    one with no north step below the diagonal (``bonus == 0``), and its
+    labelings are those of its composition, so a square walk over the whole
+    family also adds each such word's sums into the Dyck sums and keeps
+    both; a Dyck request walks the Dyck words alone.
 
     A step word's labelings are scored at once.  A primary candidate (i, j)
     attacks on ``less[i, j]``, a secondary one on its complement, so XOR-ing
@@ -297,27 +332,18 @@ def _signed_sums(n: int, kind: str, shard: int | None) -> tuple[TPoly, ...]:
 
     Decorating a valley i flips the sign by (-1)^(c_i + 1): its c_i attack
     pairs vanish and the decoration itself subtracts one from dinv.  So a
-    decoration set D is present on the AND of its members' slices, negative
-    on ``neg`` XOR-ed with ``odd[i] ^ full`` for each i in D, and adds
-    present minus twice negative-and-present labelings to the sum at |D|.
-    The sets of at most n - 1 valleys and ties are walked depth first,
-    extending a set only while some labeling has all of its members.  Area
-    is constant across a step word, so its sums add into one vector indexed
-    by k.
+    decoration set D of at most n - 1 valleys and ties
+    (:func:`_decoration_sets`, with ``odd[i] ^ full`` as the flip of i) is
+    negative on ``neg`` XOR-ed with its flips, and adds present minus twice
+    negative-and-present labelings to the sum at |D|.  Area is constant
+    across a step word, so its sums add into one vector indexed by k.
     """
     if (n, kind, shard) in _SIGNED_SUMS:
         return _SIGNED_SUMS[n, kind, shard]
-    check_sum_size(n)  # before the walk, which would meet it only at its first slices
-    by_sizes: dict[tuple[int, ...], list[str]] = {}
-    for steps in step_words(n, kind):
-        if shard is None or word_area(steps_area_word(steps)) % n == shard:
-            by_sizes.setdefault(column_sizes(steps), []).append(steps)
     sums = {kind: [dict() for _ in range(n)]}  # kind -> k -> area -> sum
     if kind == "square" and shard is None:
         sums["dyck"] = [dict() for _ in range(n)]
-    for sizes in list(by_sizes):
-        words = by_sizes.pop(sizes)  # so that each group goes once scored
-        full, less = _label_slices(sizes)
+    for _, words, full, less in _slice_groups(n, kind, shard):
         for steps in words:
             profile = _step_profile(steps)
             odd = [0] * (n + 1)  # by left index: labelings with odd c_i
@@ -326,17 +352,10 @@ def _signed_sums(n: int, kind: str, shard: int | None) -> tuple[TPoly, ...]:
             neg = full if profile.bonus % 2 else 0
             for slice_ in odd:
                 neg ^= slice_
-            choices = [(on, odd[i] ^ full) for i, on in _presences(profile, full, less)]
+            choices = [(i, on, odd[i] ^ full) for i, on in _presences(profile, full, less)]
             by_k = [0] * n
-            stack = [(0, 0, full, neg)]  # (|D|, next choice, present, negative)
-            while stack:
-                k, start, present, neg = stack.pop()
-                by_k[k] += present.bit_count() - 2 * (present & neg).bit_count()
-                if k < n - 1:
-                    for c in range(start, len(choices)):
-                        on, flip = choices[c]
-                        if present & on:
-                            stack.append((k + 1, c + 1, present & on, neg ^ flip))
+            for dec, present, flips in _decoration_sets(choices, full, n - 1):
+                by_k[len(dec)] += present.bit_count() - 2 * (present & (neg ^ flips)).bit_count()
             # a square step word with bonus 0 is a Dyck step word
             for acc in sums.values() if profile.bonus == 0 else (sums[kind],):
                 for k, contrib in enumerate(by_k):
@@ -422,49 +441,51 @@ def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLa
     * diagonal 0 holds at most one undecorated step.
 
     Decorating steps changes neither the diagonals nor the labels, so every
-    labeling of a step word is scored at once on the bit slices of
-    :func:`_label_slices`, bit l standing for labeling l.  The sets D of
-    valleys and ties with at most n - 1 members are walked depth first, a
-    set present on the AND of its members' :func:`_presences`.  Whether a
+    labeling of a step word is scored at once on the bit slices of its
+    composition, walked as the signed sums walk them (:func:`_slice_groups`),
+    bit l standing for labeling l.  The sets D of valleys and ties with at
+    most n - 1 members come from :func:`_decoration_sets`, a set present on
+    the AND of its members' :func:`_presences`.  Whether a
     step lies in another's low or high set is one slice, ``less`` or its
     complement, and "exactly one" is two planes over the undecorated
     members' slices, ``many |= one & x; one |= x``, leaving ``one & ~many``.
     The third rule reads D alone, so a step word with two steps on
     diagonal 0 that are never valleys has no hit at all.
 
-    The stream's order is that of the naive filter: labelings in
-    lexicographic order within a step word, then decoration sets by size,
-    then lexicographically.  The walk meets sets in another order, so a step
-    word's hits are sorted by (labeling, |D|, D), D being the increasing
-    tuple of its steps, and a composition's labelings are built only once
-    one of its step words has a hit.
+    The stream's order is that of the naive filter: step words and then
+    labelings in lexicographic order, then decoration sets by size, then
+    lexicographically.  The walk meets step words by composition and sets
+    in another order, so every hit is found before the first path is
+    yielded, and the hits are sorted by (steps, labeling, |D|, D), D being
+    the increasing tuple of its steps.  A composition's labelings are built
+    only to name its hits, once its group has one, and go with the group.
     """
     check_sum_size(n, "schedule-one paths")
-    labelings: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for steps, profile, (full, less) in _labeled_step_words(n, "square", shard, _label_slices):
-        a = (None,) + steps_area_word(steps)  # a[i] is step i's diagonal
-        presences = _presences(profile, full, less)
-        zero = [i for i in range(1, n + 1) if a[i] == 0]
-        movable = {i for i, _ in presences}
-        if sum(1 for i in zero if i not in movable) > 1:
-            continue
+    found = []  # (steps, labeling, |D|, D, labels) of every hit
+    for sizes, words, full, less in _slice_groups(n, "square", shard):
+        labelings = None
+        for steps in words:
+            a = (None,) + steps_area_word(steps)  # a[i] is step i's diagonal
+            presences = _presences(_step_profile(steps), full, less)
+            zero = [i for i in range(1, n + 1) if a[i] == 0]
+            movable = {i for i, _ in presences}
+            if sum(1 for i in zero if i not in movable) > 1:
+                continue
 
-        # j is in the low set of i exactly when i is in the high set of j
-        low: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-        high: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-        for i, j in itertools.permutations(range(1, n + 1), 2):
-            if a[j] - a[i] in (0, 1):
-                # w_j < w_i on i's diagonal, w_i < w_j on the next one up
-                x, y = (j, i) if a[j] == a[i] else (i, j)
-                on = less[x, y] if x < y else less[y, x] ^ full
-                low[i].append((j, on))
-                high[j].append((i, on))
-        hits = []
-        stack = [((), 0, full)]  # (D, next presence, labelings with all of D)
-        while stack:
-            dec, start, present = stack.pop()
-            if sum(1 for i in zero if i not in dec) <= 1:
-                ok = present
+            # j is in the low set of i exactly when i is in the high set of j
+            low: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+            high: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+            for i, j in itertools.permutations(range(1, n + 1), 2):
+                if a[j] - a[i] in (0, 1):
+                    # w_j < w_i on i's diagonal, w_i < w_j on the next one up
+                    x, y = (j, i) if a[j] == a[i] else (i, j)
+                    on = less[x, y] if x < y else less[y, x] ^ full
+                    low[i].append((j, on))
+                    high[j].append((i, on))
+            choices = [(i, on, 0) for i, on in presences]
+            for dec, ok, _ in _decoration_sets(choices, full, n - 1):
+                if sum(1 for i in zero if i not in dec) > 1:
+                    continue
                 for i in range(1, n + 1):
                     if i in dec or a[i] < 0:
                         rule = low[i]
@@ -480,18 +501,14 @@ def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLa
                     ok &= one & ~many
                     if not ok:
                         break
+                if ok and labelings is None:
+                    labelings = _composition_labelings(sizes)
                 while ok:
                     bit = ok & -ok
-                    hits.append((bit.bit_length() - 1, len(dec), dec))
+                    l = bit.bit_length() - 1
+                    found.append((steps, l, len(dec), dec, labelings[l]))
                     ok ^= bit
-            if len(dec) < n - 1:
-                for c in range(start, len(presences)):
-                    i, on = presences[c]
-                    if present & on:
-                        stack.append((dec + (i,), c + 1, present & on))
-        if hits:
-            sizes = column_sizes(steps)
-            if sizes not in labelings:
-                labelings[sizes] = _composition_labelings(sizes)
-            for l, _, dec in sorted(hits):
-                yield DecoratedLabeledPath(steps, labelings[sizes][l], frozenset(dec))
+        del full, less, labelings  # before the next composition's slices are built
+    found.sort()
+    for steps, _, _, dec, labels in found:
+        yield DecoratedLabeledPath(steps, labels, frozenset(dec))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -17,9 +18,12 @@ from pathlab.enumeration import (
     PathFamily,
     S_brute,
     _composition_labelings,
+    _decoration_sets,
     _label_slices,
     _labeled_step_words,
+    _presences,
     _signed_sums,
+    _slice_groups,
     _step_profile,
     _valleys,
     bare_path_count,
@@ -125,11 +129,83 @@ class TestLabelSlices:
                         1 << l for l, w in enumerate(labelings) if w[x - 1] < w[y - 1]
                     ), (sizes, x, y)
 
+    def test_builds_in_little_more_than_it_keeps(self):
+        # the 40,320 labelings of 1^8 keep 0.15 MiB of slices; the build
+        # peaks at 0.55 MiB, against 0.86 MiB when every byte column lived
+        # until the last slice was built
+        tracemalloc.start()
+        try:
+            _label_slices((1,) * 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.7 * 2**20
+
     def test_labels_must_fit_four_bits(self):
         # raised before the walk, which meets 3*10^8 square step words at n = 16
         for call in (lambda: S_brute(16, 0), lambda: S_brute(16, 0, 3), lambda: D_brute(16, 0)):
             with pytest.raises(ValueError, match="up to n = 15"):
                 call()
+
+
+def _decoration_sets_by_subsets(choices, full, most):
+    """Every set of at most ``most`` choices whose slices AND with ``full``
+    to a nonzero value, with that AND and the XOR of its flips."""
+    sets = []
+    for r in range(most + 1):
+        for combo in itertools.combinations(choices, r):
+            present, flips = full, 0
+            for _, on, flip in combo:
+                present &= on
+                flips ^= flip
+            if present:
+                sets.append((tuple(step for step, _, _ in combo), present, flips))
+    return sets
+
+
+class TestDecorationSets:
+    def test_matches_every_subset(self):
+        """For every step word with n <= 5, the depth-first walk meets
+        exactly the subsets of its valleys and ties of at most n - 1
+        members present on some labeling, with their present slice and
+        the XOR of their flips.  No step word has n valleys and ties, so
+        smaller bounds are walked too, to see that the bound holds."""
+        for n in range(1, 6):
+            for _, words, full, less in _slice_groups(n, "square", None):
+                for steps in words:
+                    presences = _presences(_step_profile(steps), full, less)
+                    choices = [(i, on, full >> i) for i, on in presences]
+                    for most in range(n):
+                        walked = list(_decoration_sets(choices, full, most))
+                        oracle = _decoration_sets_by_subsets(choices, full, most)
+                        assert sorted(walked) == sorted(oracle), (steps, most)
+
+
+class TestSliceGroups:
+    def test_each_walk_builds_each_composition_once(self):
+        """At n = 6, for every shard, the schedule-one stream and a fresh
+        signed-sum walk build each composition's slices once; the stream
+        builds labelings only for the compositions of its paths, and the
+        sums build none."""
+        n = 6
+        codes = {_label_slices.__code__, _composition_labelings.__code__}
+
+        def built(calls, fn):
+            return Counter(c.locals["sizes"] for c in calls if c.code is fn.__code__)
+
+        for j in range(n):
+            compositions = Counter(
+                {column_sizes(w) for w in step_words(n) if _step_profile(w).area % n == j}
+            )
+            paths, calls = profiled_calls(codes, lambda: list(schedule_one_paths(n, j)))
+            assert built(calls, _label_slices) == compositions
+            assert built(calls, _composition_labelings) == Counter(
+                {column_sizes(p.steps) for p in paths}
+            )
+            enumeration._SIGNED_SUMS.clear()
+            _, calls = profiled_calls(codes, _signed_sums, n, "square", j)
+            assert built(calls, _label_slices) == compositions
+            assert built(calls, _composition_labelings) == Counter()
 
 
 def _attack_pairs(profile, w):

@@ -53,6 +53,13 @@ def test_euler_checks_even_sizes(monkeypatch):
     assert verify.check_euler(2) is not None
 
 
+def test_euler_checks_the_dyck_form(monkeypatch):
+    # a D(n, 0) that is 1 at every size, with the square sums left right
+    monkeypatch.setattr(adr, "D_fast", lambda n, k: poly.TPoly.one())
+    assert verify.check_euler(2) is not None
+    assert verify.check_euler(3) is not None
+
+
 def test_shape_fails_on_a_path_that_is_not_schedule_one(monkeypatch):
     # its middle stretch holds two consecutive east steps
     def not_schedule_one(n, shard=None):
@@ -224,7 +231,10 @@ def test_area_shards_split_brute_sums(n):
 
 def test_area_shards_split_bare_paths_evenly():
     sizes = [
-        sum(len(labels) for _, _, labels in enumeration._labeled_step_words(6, "square", j))
+        sum(
+            len(words) * full.bit_count()  # one bit per labeling
+            for _, words, full, _ in enumeration._slice_groups(6, "square", j)
+        )
         for j in range(6)
     ]
     assert sizes == [7776] * 6
