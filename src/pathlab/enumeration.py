@@ -286,8 +286,8 @@ def _decoration_sets(
         if len(dec) < most:
             for c in range(start, len(choices)):
                 step, on, flip = choices[c]
-                if present & on:
-                    stack.append((dec + (step,), c + 1, present & on, flips ^ flip))
+                if both := present & on:
+                    stack.append((dec + (step,), c + 1, both, flips ^ flip))
 
 
 def bare_path_count(n: int, kind: str = "square") -> int:
