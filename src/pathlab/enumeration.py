@@ -164,10 +164,12 @@ def _label_slices(sizes: tuple[int, ...]) -> tuple[int, dict[tuple[int, int], in
     m = len(columns[0])
     # each byte column goes once packed, so the columns and ints never coexist
     packed = [int.from_bytes(columns.pop(0), "little") for _ in range(n)]
-    less = {
-        (x, y): int((packed[x - 1] << 4 | packed[y - 1]).to_bytes(m, "big").translate(_LESS), 2)
-        for x, y in itertools.combinations(range(1, n + 1), 2)
-    }
+    less = {}
+    for x in range(1, n + 1):
+        # row x is the last to read column x, so it goes before row x + 1
+        high = packed.pop(0) << 4
+        for y, low in enumerate(packed, start=x + 1):
+            less[x, y] = int((high | low).to_bytes(m, "big").translate(_LESS), 2)
     return (1 << m) - 1, less
 
 
@@ -270,24 +272,24 @@ def _slice_groups(
 
 
 def _decoration_sets(
-    choices: list[tuple[int, int, int]], full: int, most: int
+    choices: list[tuple[int, int, int]], full: int, flips: int, most: int
 ) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """The sets D of at most ``most`` choices that some labeling has all
-    of, depth first from the empty set, each as ``(D, present, flips)``.
+    of, depth first from the empty set, each as ``(D, present, flipped)``.
 
     A choice is ``(step, slice, flip)``, in increasing order of step.  D is
     the increasing tuple of its members' steps, ``present`` the AND of
-    ``full`` and their slices, and ``flips`` the XOR of their flips.  A set
-    is extended only while ``present`` is nonzero."""
-    stack = [((), 0, full, 0)]  # (D, next choice, present, flips)
+    ``full`` and their slices, and ``flipped`` the XOR of ``flips`` and
+    their flips.  A set is extended only while ``present`` is nonzero."""
+    stack = [((), 0, full, flips)]  # (D, next choice, present, flipped)
     while stack:
-        dec, start, present, flips = stack.pop()
-        yield dec, present, flips
+        dec, start, present, flipped = stack.pop()
+        yield dec, present, flipped
         if len(dec) < most:
             for c in range(start, len(choices)):
                 step, on, flip = choices[c]
                 if both := present & on:
-                    stack.append((dec + (step,), c + 1, both, flips ^ flip))
+                    stack.append((dec + (step,), c + 1, both, flipped ^ flip))
 
 
 def bare_path_count(n: int, kind: str = "square") -> int:
@@ -333,10 +335,11 @@ def _signed_sums(n: int, kind: str, shard: int | None) -> tuple[TPoly, ...]:
     Decorating a valley i flips the sign by (-1)^(c_i + 1): its c_i attack
     pairs vanish and the decoration itself subtracts one from dinv.  So a
     decoration set D of at most n - 1 valleys and ties
-    (:func:`_decoration_sets`, with ``odd[i] ^ full`` as the flip of i) is
-    negative on ``neg`` XOR-ed with its flips, and adds present minus twice
-    negative-and-present labelings to the sum at |D|.  Area is constant
-    across a step word, so its sums add into one vector indexed by k.
+    (:func:`_decoration_sets` from ``neg``, with ``odd[i] ^ full`` as the
+    flip of i) is negative on ``neg`` XOR-ed with its flips, and adds
+    present minus twice negative-and-present labelings to the sum at |D|.
+    Area is constant across a step word, so its sums add into one vector
+    indexed by k.
     """
     if (n, kind, shard) in _SIGNED_SUMS:
         return _SIGNED_SUMS[n, kind, shard]
@@ -354,8 +357,8 @@ def _signed_sums(n: int, kind: str, shard: int | None) -> tuple[TPoly, ...]:
                 neg ^= slice_
             choices = [(i, on, odd[i] ^ full) for i, on in _presences(profile, full, less)]
             by_k = [0] * n
-            for dec, present, flips in _decoration_sets(choices, full, n - 1):
-                by_k[len(dec)] += present.bit_count() - 2 * (present & (neg ^ flips)).bit_count()
+            for dec, present, negative in _decoration_sets(choices, full, neg, n - 1):
+                by_k[len(dec)] += present.bit_count() - 2 * (present & negative).bit_count()
             # a square step word with bonus 0 is a Dyck step word
             for acc in sums.values() if profile.bonus == 0 else (sums[kind],):
                 for k, contrib in enumerate(by_k):
@@ -483,7 +486,7 @@ def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLa
                     low[i].append((j, on))
                     high[j].append((i, on))
             choices = [(i, on, 0) for i, on in presences]
-            for dec, ok, _ in _decoration_sets(choices, full, n - 1):
+            for dec, ok, _ in _decoration_sets(choices, full, 0, n - 1):
                 if sum(1 for i in zero if i not in dec) > 1:
                     continue
                 for i in range(1, n + 1):

@@ -14,7 +14,7 @@ corner (x, y) is y - x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right, insort
 from typing import NamedTuple, Sequence
 
 
@@ -38,17 +38,18 @@ class NonStandardLabeling(PathError):
     """An operation needed labels forming a permutation of 1..n."""
 
 
-@dataclass(frozen=True)
-class DecoratedLabeledPath:
+class DecoratedLabeledPath(NamedTuple):
     """Immutable path data: step word, labels and decorated step indices.
 
     Construction does not validate; use :func:`validate` (or :func:`parse`,
-    which validates) to build checked instances.
+    which validates) to build checked instances.  A named tuple, so that
+    construction, hashing and equality run in C; a path equals, and hashes
+    as, the plain tuple of its three fields.
     """
 
     steps: str
     labels: tuple[int, ...]
-    decorations: frozenset[int] = field(default_factory=frozenset)
+    decorations: frozenset[int] = frozenset()
 
     @property
     def n(self) -> int:
@@ -152,34 +153,38 @@ def dinv(path: DecoratedLabeledPath) -> int:
     diagonal, minus the number of decorations.
 
     The pairs are counted, not listed (:func:`attack_pairs` lists them and
-    is the oracle); see :func:`_attack_count`."""
-    a = area_word(path)
-    dv = path.decorations
-    return _attack_count(a, path.labels, dv) + sum(1 for v in a if v < 0) - len(dv)
-
-
-def _attack_count(
-    word: Sequence[int], labels: Sequence[int], decorations: frozenset[int]
-) -> int:
-    """Attack pairs of the path with this area word, labels and decorations.
-
-    Scanning right to left, each undecorated step i counts the later labels
-    that are larger on its own diagonal and smaller one diagonal lower.
-    Labels may repeat across columns, so each diagonal keeps its later
-    labels as a list, with their multiplicities, rather than as a bitmask."""
-    later: dict[int, list[int]] = {}  # diagonal -> labels of the steps after i
-    count = 0
-    for i in range(len(labels), 0, -1):
-        ai, wi = word[i - 1], labels[i - 1]
-        if i not in decorations:
-            for v in later.get(ai, ()):
-                if wi < v:
-                    count += 1
-            for v in later.get(ai - 1, ()):
-                if wi > v:
-                    count += 1
-        later.setdefault(ai, []).append(wi)
-    return count
+    is the oracle), in one pass over the step word that builds no area
+    word.  Each diagonal keeps the labels of the undecorated north steps
+    met on it so far, sorted; labels may repeat across columns, and each
+    copy counts.  North step j on diagonal d then closes a primary pair
+    with each earlier label below w_j on d, and a secondary one with each
+    earlier label above w_j on d + 1."""
+    labels, decorations = path.labels, path.decorations
+    n = len(labels)
+    # earlier[n + d]: the sorted labels met so far on diagonal d, -n <= d <= n
+    earlier: list[list[int] | None] = [None] * (2 * n + 2)
+    count = j = 0
+    at = n  # n + the diagonal the next step starts on
+    for step in path.steps:
+        if step == "E":
+            at -= 1
+            continue
+        w = labels[j]
+        j += 1
+        here, above = earlier[at], earlier[at + 1]
+        if here:
+            count += bisect_left(here, w)
+        if above:
+            count += len(above) - bisect_right(above, w)
+        if at < n:
+            count += 1
+        if j not in decorations:
+            if here is None:
+                earlier[at] = [w]
+            else:
+                insort(here, w)
+        at += 1
+    return count - len(decorations)
 
 
 def is_dyck(path: DecoratedLabeledPath) -> bool:

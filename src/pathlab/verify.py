@@ -191,20 +191,24 @@ def _ladder_cycle_witness(ladder: tuple[paths.DecoratedLabeledPath, ...]) -> str
     """The per-cycle part of :func:`check_dinv_ladder`; each member's
     diagonal word is computed once, and its ladder position, which comes
     from :func:`~pathlab.cutting.cycle_dinvs`, is checked against
-    :func:`~pathlab.paths.dinv`."""
+    :func:`~pathlab.paths.dinv`.  Once the word is known constant, every
+    member's schedule word is read off the base's word object, whose
+    all-ones shifts are then found once for the whole cycle."""
     base = ladder[0]
     words = {member: schedule.diagonal_word(member) for member in ladder}
+    word, base_area = words[base].word, paths.area(base)
     for position, member in enumerate(ladder):
         if paths.dinv(member) != position:
             return "ladder differs from dinv"
-        if words[member].word != words[base].word:
+        if words[member].word != word:
             return "word not constant"
-        if paths.area(member) != paths.area(base):
+        if paths.area(member) != base_area:
             return "area not constant"
     geometric = [cutting.psi(base, i) for i in cutting.geometric_order(base)]
     if geometric != list(ladder):
         return "geometric order differs"
-    listed = cutting.sched_one_members(ladder, words)
+    shared = {q: schedule.ShiftedDiagonalWord(word, sdw.shift) for q, sdw in words.items()}
+    listed = cutting.sched_one_members(ladder, shared)
     criterion = {
         q
         for q in ladder
@@ -232,19 +236,26 @@ def check_shape(n: int, shard: int) -> str | None:
 def check_partition(n: int, shard: int) -> str | None:
     """Cutting cycles partition every family: each path's cycle holds it and
     has n - k members, members of a cycle have cycles with the same member
-    set, and distinct cycle member sets are disjoint.  Sharded by k."""
-    seen: dict[paths.DecoratedLabeledPath, frozenset] = {}
+    set, and distinct cycle member sets are disjoint.  Sharded by k.
+
+    Each distinct member set is compared with the members seen so far
+    once, when it first appears; a path whose member set is already
+    recorded passes."""
+    cycles: set[frozenset] = set()
+    seen: set[paths.DecoratedLabeledPath] = set()  # members of the sets in cycles
     for path in enumeration.generate(enumeration.PathFamily(n, shard, "square")):
         members = cutting.cutting_cycle(path).members
         if len(members) != n - shard:
             return f"{path} cycle size {len(members)}"
         if path not in members:
             return f"{path} not in own cycle"
+        if members in cycles:
+            continue
         for member in members:
-            prior = seen.get(member)
-            if prior is not None and prior != members:
+            if member in seen:
                 return f"{path} overlaps {member}"
-            seen[member] = members
+        seen |= members
+        cycles.add(members)
     return None
 
 

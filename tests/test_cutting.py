@@ -27,7 +27,6 @@ from pathlab.enumeration import PathFamily, generate, schedule_one_paths
 from pathlab.paths import (
     DecoratedLabeledPath,
     PathError,
-    _attack_count,
     area,
     area_word,
     contractible_valleys,
@@ -139,8 +138,8 @@ class TestBigCycle:
 
     def test_ladder_scores_each_member_once(self, big_cycle_paths):
         # the ladder reads every member's dinv off one area word and one
-        # pass over its pairs, with no attack count per member
-        codes = {dinv.__code__, area_word.__code__, _attack_count.__code__}
+        # pass over its pairs, with no dinv per member
+        codes = {dinv.__code__, area_word.__code__}
         ladder, calls = profiled_calls(codes, ordered_cycle, big_cycle_paths[0])
         assert ladder == big_cycle_paths
         assert [call.code for call in calls] == [area_word.__code__]

@@ -14,6 +14,7 @@ from pathlab.enumeration import KINDS, PathFamily, generate, step_words
 from pathlab.paths import (
     AttackPair,
     ColumnOrderViolation,
+    DecoratedLabeledPath,
     DecorationNotContractible,
     NotAPath,
     area,
@@ -161,7 +162,18 @@ class TestDinvCounting:
                             repeated += len(set(labels)) < n
         assert repeated > checked // 2
 
+    def test_matches_listing_on_large_paths_with_repeated_labels(self):
+        # each column draws its labels from 1..5 (or its height), so a label
+        # sits on several steps of one diagonal far more often than at n <= 4
+        rng = random.Random(20241)
+        corpus = [random_square_path(rng, 10 + i % 11, top=5) for i in range(2000)]
+        assert sum(1 for p in corpus if len(set(p.labels)) < p.n) == len(corpus)
+        assert sum(1 for p in corpus if p.decorations) > 1000
+        for p in corpus:
+            assert dinv(p) == dinv_by_listing(p), p
+
     def test_counts_without_listing(self):
+        # one pass over the step word: no pair listing and no area word
         values, calls = profiled_calls(
             {attack_pairs.__code__, area_word.__code__},
             lambda: [dinv(p) for p in SMALL_CORPUS],
@@ -169,4 +181,27 @@ class TestDinvCounting:
         counts = Counter(call.code for call in calls)
         assert len(values) == len(SMALL_CORPUS)
         assert counts[attack_pairs.__code__] == 0
-        assert counts[area_word.__code__] == len(SMALL_CORPUS)
+        assert counts[area_word.__code__] == 0
+
+
+class TestTupleSemantics:
+    def test_decorations_default_to_the_empty_frozenset(self):
+        p = DecoratedLabeledPath("NE", (1,))
+        assert p.decorations == frozenset() and type(p.decorations) is frozenset
+        assert p == parse_path("NE:1:") and p.n == 1 and str(p) == "NE:1:"
+
+    def test_equal_paths_hash_equal(self):
+        for p in SMALL_CORPUS[:500]:
+            copy = DecoratedLabeledPath(p.steps, tuple(p.labels), frozenset(p.decorations))
+            assert copy == p and hash(copy) == hash(p)
+            assert copy == (p.steps, p.labels, p.decorations)
+
+    def test_paths_key_dicts_and_counters(self):
+        doubled = [parse_path(format_path(p)) for p in SMALL_CORPUS] + list(SMALL_CORPUS)
+        counts = Counter(doubled)
+        assert len(counts) == len(SMALL_CORPUS)
+        assert set(counts.values()) == {2}
+        index = {p: i for i, p in enumerate(SMALL_CORPUS)}
+        assert [index[parse_path(format_path(p))] for p in SMALL_CORPUS] == list(
+            range(len(SMALL_CORPUS))
+        )

@@ -114,6 +114,19 @@ def test_dinv_ladder_computes_each_members_word_once():
     assert cutting.sched_one_members.__code__ not in callers
 
 
+def test_dinv_ladder_builds_one_schedule_table_per_cycle():
+    # a ladder's members share one diagonal word, so their all-ones shifts
+    # are read off one table: 226 for the 226 cycles over the five area
+    # shards of n = 5, against 760, one per member, from each member's own
+    # word object
+    passed, calls = profiled_calls(
+        {schedule._schedule_table.__code__},
+        lambda: all(verify.check_dinv_ladder(5, shard) is None for shard in range(5)),
+    )
+    assert passed
+    assert len(calls) == 226
+
+
 def test_dinv_ladder_checks_the_ladder_against_dinv(monkeypatch):
     # scores that swap each cycle's dinv-0 and dinv-1 members still ladder
     original = cutting.cycle_dinvs
@@ -436,6 +449,26 @@ def test_partition_checks_cycle_sizes(monkeypatch):
     monkeypatch.setattr(cutting, "cutting_cycle", one_member)
     report = list(run_suite("partition", 3, jobs=1))[-1]
     assert not report.ok and report.witness.endswith(" cycle size 1")
+
+
+def test_partition_checks_cycles_are_disjoint(monkeypatch):
+    # the first path's cycle is kept; every later path's cycle swaps one of
+    # its other members for one member of the first, so each later member
+    # set is new and meets the first in exactly that member
+    original = cutting.cutting_cycle
+    family = list(enumeration.generate(enumeration.PathFamily(3, 0, "square")))
+    first = original(family[0]).members
+    anchor = min(first, key=str)
+    later = next(p for p in family if p not in first)
+
+    def overlapping(path):
+        if path in first:
+            return original(path)
+        others = sorted(original(path).members - {path}, key=str)
+        return cutting.CuttingCycle(frozenset({path, anchor, *others[1:]}))
+
+    monkeypatch.setattr(cutting, "cutting_cycle", overlapping)
+    assert verify.check_partition(3, 0) == f"{later} overlaps {anchor}"
 
 
 @pytest.mark.parametrize("check_id", sorted(CHECKS))
