@@ -10,17 +10,18 @@ Every stream walks labeled paths in two levels.  What a step word fixes
 for all of its labelings (the area word, which pairs of north steps can
 attack, which steps are valleys whatever the labels) is its profile,
 derived once per step word by :func:`_step_profile`.  What a column
-composition gives all of its step words is made once per walk.
+composition gives all of its step words is made once per walk, from its
+labelings as byte columns (:func:`_composition_columns`).
 :func:`generate` compares labels per (steps, labels) pair and keeps
-lexicographic order, so it walks :func:`_labeled_step_words`, which keeps
-each composition's labelings until the walk ends.  The signed sums and
-the schedule-one stream score every labeling of a step word at once, with
-a few big-int operations per decoration set, on its composition's bit
-slices (:func:`_label_slices`).  Both walk :func:`_slice_groups`, the step
-words grouped by composition with one composition's slices held at a
-time, and both walk the sets of valleys and ties present on their
-:func:`_presences` with :func:`_decoration_sets`.  The stream builds a
-composition's labelings only to name the paths it yields, and sorts its
+lexicographic order, so it keeps each composition's columns until the
+walk ends and reads the labelings off them.  The signed sums and the
+schedule-one stream score every labeling of a step word at once, with a
+few big-int operations per decoration set, on its composition's bit
+slices (:func:`_label_slices`).  Both walk :func:`_slice_groups`, the
+step words grouped by composition with one composition's slices held at
+a time, and both walk the sets of valleys and ties present on their
+:func:`_presences` with :func:`_decoration_sets`.  The stream reads a
+composition's columns only to name the paths it yields, and sorts its
 paths back into lexicographic order.
 The definitional forms in
 :mod:`pathlab.paths` (``attack_pairs``, ``contractible_valleys``, ``dinv``)
@@ -97,13 +98,6 @@ def column_sizes(steps: str) -> tuple[int, ...]:
     return tuple(len(block) for block in steps.split("E") if block)
 
 
-def check_path_size(n: int) -> None:
-    """Raise ValueError past n = 255, where a label stops fitting the byte
-    :func:`_composition_columns` gives it."""
-    if n > 255:
-        raise ValueError(f"labeled paths go up to n = 255, got n = {n}")
-
-
 def check_sum_size(n: int, what: str = "brute-force sums") -> None:
     """Raise ValueError, naming ``what``, past n = 15, where a label stops
     fitting the four bits :func:`_label_slices` gives it."""
@@ -114,13 +108,13 @@ def check_sum_size(n: int, what: str = "brute-force sums") -> None:
 def _composition_columns(sizes: tuple[int, ...]) -> list[bytes]:
     """The permutations of 1..n increasing inside each block of ``sizes``,
     lexicographically, as columns: byte l of column x - 1 is w_x of the l-th
-    permutation, so n is at most 255 (:func:`check_path_size`).
+    permutation, which ``zip(*columns)`` reads as tuples.  Callers check n
+    first (:func:`check_sum_size`).
 
     The lexicographic list runs over the first block's label sets in order,
     each followed by the rest's list relabeled order-preservingly onto the
     labels left over; each relabeling is one byte translation per column."""
     n = sum(sizes)
-    check_path_size(n)
     if len(sizes) <= 1:
         return [bytes([v]) for v in range(1, n + 1)]
     tail = _composition_columns(sizes[1:])
@@ -137,19 +131,13 @@ def _composition_columns(sizes: tuple[int, ...]) -> list[bytes]:
     return [b"".join(parts.pop(0)) for _ in range(n)]
 
 
-def _composition_labelings(sizes: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Permutations of 1..n increasing inside each block of ``sizes``,
-    lexicographically."""
-    return list(zip(*_composition_columns(sizes)))
-
-
 # the byte 16a + b read as "1" when a < b and as "0" otherwise
 _LESS = bytes(b"01"[v >> 4 < v & 15] for v in range(256))
 
 
 def _label_slices(sizes: tuple[int, ...]) -> tuple[int, dict[tuple[int, int], int]]:
     """The labelings of a column composition as bit slices: with labeling l
-    the l-th of :func:`_composition_labelings`, ``full`` has bits 0..m-1
+    the l-th of :func:`_composition_columns`, ``full`` has bits 0..m-1
     set, and for north steps x < y, ``less[x, y]`` has bit l set when
     labeling l has w_x < w_y.
 
@@ -212,10 +200,11 @@ def _step_profile(steps: str) -> _StepProfile:
     )
 
 
-def _valleys(profile: _StepProfile, w: tuple[int, ...]) -> list[int]:
-    """Contractible valleys of the path whose step i carries label w[i]
-    (w[0] is a placeholder), increasing."""
-    return sorted(profile.valleys + tuple(i for i in profile.ties if w[i - 1] < w[i]))
+def _valleys(profile: _StepProfile, labels: tuple[int, ...]) -> list[int]:
+    """Contractible valleys of the path whose step i carries label
+    ``labels[i - 1]``, increasing."""
+    ties = [i for i in profile.ties if labels[i - 2] < labels[i - 1]]
+    return sorted(profile.valleys + tuple(ties))
 
 
 def _presences(
@@ -228,34 +217,15 @@ def _presences(
     return sorted(valleys + [(t, less[t - 1, t]) for t in profile.ties])
 
 
-def _labeled_step_words(
-    n: int, kind: str
-) -> Iterator[tuple[str, _StepProfile, list[tuple[int, ...]]]]:
-    """Each step word of size n, in lexicographic order, with its profile
-    and the standard labelings of its column composition, made once per
-    composition and shared by every step word with it.
-
-    :func:`generate` keeps this order, so a composition's labelings can be
-    asked for again at any later word: the dict holding them keeps every
-    composition met until the generator goes (545,835 labelings at n = 8,
-    about 7.1 million at n = 9).  The bit-sliced walks need no order, and
-    walk :func:`_slice_groups` instead."""
-    by_sizes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for steps in step_words(n, kind):
-        sizes = column_sizes(steps)
-        if sizes not in by_sizes:
-            by_sizes[sizes] = _composition_labelings(sizes)
-        yield steps, _step_profile(steps), by_sizes[sizes]
-
-
 def _slice_groups(
     n: int, kind: str, shard: int | None
 ) -> Iterator[tuple[tuple[int, ...], list[str], int, dict[tuple[int, int], int]]]:
     """The step words of size n grouped by column composition, each group
     as ``(sizes, words, full, less)`` with its composition's bit slices
     (:func:`_label_slices`); with a shard j, only the words whose area is j
-    mod n.  The groups come in the order their compositions first appear
-    among the step words, and a group's words in lexicographic order.
+    mod n, and a shard outside 0..n-1 raises ValueError.  The groups come
+    in the order their compositions first appear among the step words, and
+    a group's words in lexicographic order.
 
     A group's slices are built only when it is asked for, and the walk
     keeps none of them, so a caller that drops them before asking for the
@@ -263,6 +233,8 @@ def _slice_groups(
     of the slices is checked before the words are grouped, which at n = 16
     would list 3*10^8 of them first."""
     check_sum_size(n)
+    if shard is not None and not 0 <= shard < n:
+        raise ValueError(f"shard must be in 0..{n - 1}, got {shard}")
     by_sizes: dict[tuple[int, ...], list[str]] = {}
     for steps in step_words(n, kind):
         if shard is None or word_area(steps_area_word(steps)) % n == shard:
@@ -272,24 +244,28 @@ def _slice_groups(
 
 
 def _decoration_sets(
-    choices: list[tuple[int, int, int]], full: int, flips: int, most: int
+    choices: list[tuple[int, int, int]], full: int, flips: int
 ) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """The sets D of at most ``most`` choices that some labeling has all
-    of, depth first from the empty set, each as ``(D, present, flipped)``.
+    """The sets D of choices that some labeling has all of, depth first
+    from the empty set, each as ``(D, present, flipped)``.
 
     A choice is ``(step, slice, flip)``, in increasing order of step.  D is
     the increasing tuple of its members' steps, ``present`` the AND of
     ``full`` and their slices, and ``flipped`` the XOR of ``flips`` and
-    their flips.  A set is extended only while ``present`` is nonzero."""
+    their flips.  A set is extended only while ``present`` is nonzero.
+
+    A step word of size n has at most n - 1 valleys and ties, so no set
+    passes the n - 1 decorations of a family: all n would need a_1 <= -1
+    and a weakly decreasing area word, but a path ending east has
+    a_n >= 0."""
     stack = [((), 0, full, flips)]  # (D, next choice, present, flipped)
     while stack:
         dec, start, present, flipped = stack.pop()
         yield dec, present, flipped
-        if len(dec) < most:
-            for c in range(start, len(choices)):
-                step, on, flip = choices[c]
-                if both := present & on:
-                    stack.append((dec + (step,), c + 1, both, flipped ^ flip))
+        for c in range(start, len(choices)):
+            step, on, flip = choices[c]
+            if both := present & on:
+                stack.append((dec + (step,), c + 1, both, flipped ^ flip))
 
 
 def bare_path_count(n: int, kind: str = "square") -> int:
@@ -299,11 +275,21 @@ def bare_path_count(n: int, kind: str = "square") -> int:
 
 
 def generate(family: PathFamily) -> Iterator[DecoratedLabeledPath]:
-    """Every path in the family, in the canonical deterministic order."""
-    for steps, profile, labelings in _labeled_step_words(family.n, family.kind):
-        for labels in labelings:
-            valleys = _valleys(profile, (0,) + labels)
-            for combo in itertools.combinations(valleys, family.k):
+    """Every path in the family, in the canonical deterministic order.
+
+    A composition's labelings can be asked for again at any later step
+    word, so its columns are kept until the generator goes: 545,835
+    labelings of 8 bytes (4.4 MB) at n = 8.  n is at most 15, as for the brute
+    sums (:func:`check_sum_size`)."""
+    check_sum_size(family.n, "labeled paths")
+    columns: dict[tuple[int, ...], list[bytes]] = {}
+    for steps in step_words(family.n, family.kind):
+        sizes = column_sizes(steps)
+        if sizes not in columns:
+            columns[sizes] = _composition_columns(sizes)
+        profile = _step_profile(steps)
+        for labels in zip(*columns[sizes]):
+            for combo in itertools.combinations(_valleys(profile, labels), family.k):
                 yield DecoratedLabeledPath(steps, labels, frozenset(combo))
 
 
@@ -334,10 +320,10 @@ def _signed_sums(n: int, kind: str, shard: int | None) -> tuple[TPoly, ...]:
 
     Decorating a valley i flips the sign by (-1)^(c_i + 1): its c_i attack
     pairs vanish and the decoration itself subtracts one from dinv.  So a
-    decoration set D of at most n - 1 valleys and ties
-    (:func:`_decoration_sets` from ``neg``, with ``odd[i] ^ full`` as the
-    flip of i) is negative on ``neg`` XOR-ed with its flips, and adds
-    present minus twice negative-and-present labelings to the sum at |D|.
+    decoration set D of valleys and ties (:func:`_decoration_sets` from
+    ``neg``, with ``odd[i] ^ full`` as the flip of i) is negative on
+    ``neg`` XOR-ed with its flips, and adds present minus twice
+    negative-and-present labelings to the sum at |D|.
     Area is constant across a step word, so its sums add into one vector
     indexed by k.
     """
@@ -357,7 +343,7 @@ def _signed_sums(n: int, kind: str, shard: int | None) -> tuple[TPoly, ...]:
                 neg ^= slice_
             choices = [(i, on, odd[i] ^ full) for i, on in _presences(profile, full, less)]
             by_k = [0] * n
-            for dec, present, negative in _decoration_sets(choices, full, neg, n - 1):
+            for dec, present, negative in _decoration_sets(choices, full, neg):
                 by_k[len(dec)] += present.bit_count() - 2 * (present & negative).bit_count()
             # a square step word with bonus 0 is a Dyck step word
             for acc in sums.values() if profile.bonus == 0 else (sums[kind],):
@@ -374,7 +360,7 @@ def S_brute(n: int, k: int, shard: int | None = None) -> TPoly:
     """Signed t-enumerator of square paths: sum of (-1)^dinv t^area over the
     standard decorated square paths of size n with k decorations.  With a
     shard j in 0..n-1, only its terms t^a with a = j mod n, from those
-    paths alone.
+    paths alone; another shard raises ValueError.
 
     One walk of :func:`_signed_sums`, grouped by column composition, gives
     every k; without a shard it also gives every :func:`D_brute` of size n,
@@ -417,7 +403,8 @@ def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLa
     """All standard decorated square paths of size n (any k) whose schedule
     word is all ones; with a shard j in 0..n-1, only those whose area is j
     mod n.  Labels must fit the four bits of :func:`_label_slices`, so n is
-    at most 15; a larger n raises ValueError at the first ``next``.
+    at most 15; a larger n, or another shard, raises ValueError at the
+    first ``next``.
 
     Area depends on the step word alone and is constant on a cutting cycle,
     so the n shards split the stream by step word and keep each cycle whole;
@@ -446,9 +433,9 @@ def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLa
     Decorating steps changes neither the diagonals nor the labels, so every
     labeling of a step word is scored at once on the bit slices of its
     composition, walked as the signed sums walk them (:func:`_slice_groups`),
-    bit l standing for labeling l.  The sets D of valleys and ties with at
-    most n - 1 members come from :func:`_decoration_sets`, a set present on
-    the AND of its members' :func:`_presences`.  Whether a
+    bit l standing for labeling l.  The sets D of valleys and ties come
+    from :func:`_decoration_sets`, a set present on the AND of its
+    members' :func:`_presences`.  Whether a
     step lies in another's low or high set is one slice, ``less`` or its
     complement, and "exactly one" is two planes over the undecorated
     members' slices, ``many |= one & x; one |= x``, leaving ``one & ~many``.
@@ -460,13 +447,14 @@ def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLa
     lexicographically.  The walk meets step words by composition and sets
     in another order, so every hit is found before the first path is
     yielded, and the hits are sorted by (steps, labeling, |D|, D), D being
-    the increasing tuple of its steps.  A composition's labelings are built
-    only to name its hits, once its group has one, and go with the group.
+    the increasing tuple of its steps.  A composition's columns
+    (:func:`_composition_columns`) are built only to name its hits, once
+    its group has one, and go with the group.
     """
     check_sum_size(n, "schedule-one paths")
     found = []  # (steps, labeling, |D|, D, labels) of every hit
     for sizes, words, full, less in _slice_groups(n, "square", shard):
-        labelings = None
+        columns = None
         for steps in words:
             a = (None,) + steps_area_word(steps)  # a[i] is step i's diagonal
             presences = _presences(_step_profile(steps), full, less)
@@ -486,7 +474,7 @@ def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLa
                     low[i].append((j, on))
                     high[j].append((i, on))
             choices = [(i, on, 0) for i, on in presences]
-            for dec, ok, _ in _decoration_sets(choices, full, 0, n - 1):
+            for dec, ok, _ in _decoration_sets(choices, full, 0):
                 if sum(1 for i in zero if i not in dec) > 1:
                     continue
                 for i in range(1, n + 1):
@@ -504,14 +492,14 @@ def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLa
                     ok &= one & ~many
                     if not ok:
                         break
-                if ok and labelings is None:
-                    labelings = _composition_labelings(sizes)
+                if ok and columns is None:
+                    columns = _composition_columns(sizes)
                 while ok:
                     bit = ok & -ok
                     l = bit.bit_length() - 1
-                    found.append((steps, l, len(dec), dec, labelings[l]))
+                    found.append((steps, l, len(dec), dec, tuple([c[l] for c in columns])))
                     ok ^= bit
-        del full, less, labelings  # before the next composition's slices are built
+        del full, less, columns  # before the next composition's slices are built
     found.sort()
     for steps, _, _, dec, labels in found:
         yield DecoratedLabeledPath(steps, labels, frozenset(dec))

@@ -111,3 +111,7 @@ class TestClasses:
         got = {c: count for c, count in classes(3).items() if len(c.decorations) == 2}
         assert sorted(area(c) for c in got) == [0, 1, 2]
         assert set(got.values()) == {1}
+
+    def test_shard_out_of_range_raises(self):
+        with pytest.raises(ValueError, match="shard must be in 0..3, got 7"):
+            classes(4, 7)

@@ -277,13 +277,13 @@ class TestDomain:
         [
             (("table", "--n", "499", "--stat", "S", "--method", "brute"), "up to n = 15, got"),
             (("table", "--n", "499", "--stat", "D", "--method", "brute"), "up to n = 15, got"),
-            (("enumerate", "--n", "300", "--k", "0"), "up to n = 255, got n = 300"),
-            (("enumerate", "--n", "600", "--k", "0"), "up to n = 255, got n = 600"),
+            (("enumerate", "--n", "300", "--k", "0"), "up to n = 8, got n = 300"),
+            (("enumerate", "--n", "600", "--k", "0"), "up to n = 8, got n = 600"),
             # past about n = 1,300 the cost line's count has more digits
             # than Python turns into text, so the bound is checked first
             (("table", "--n", "2000", "--method", "brute"), "up to n = 15, got n = 2000"),
-            (("enumerate", "--n", "2000", "--k", "0"), "up to n = 255, got n = 2000"),
-            # every labeling the walk meets is kept: about 1 GB at n = 9
+            (("enumerate", "--n", "2000", "--k", "0"), "up to n = 8, got n = 2000"),
+            # n = 9 would print 9^9 = 3.9*10^8 paths at k = 0
             (("enumerate", "--n", "9", "--k", "0"), "enumerate goes up to n = 8, got n = 9"),
             (("enumerate", "--n", "12", "--k", "0", "--kind", "dyck"), "up to n = 8, got n = 12"),
         ],

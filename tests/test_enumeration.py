@@ -17,10 +17,9 @@ from pathlab.enumeration import (
     KINDS,
     PathFamily,
     S_brute,
-    _composition_labelings,
+    _composition_columns,
     _decoration_sets,
     _label_slices,
-    _labeled_step_words,
     _presences,
     _signed_sums,
     _slice_groups,
@@ -47,6 +46,12 @@ from pathlab.poly import QTPoly, TPoly
 from pathlab.schedule import decreasing_runs, diagonal_word, schedule_numbers
 
 from conftest import profiled_calls
+
+
+def _labelings(sizes):
+    """The standard labelings of a column composition, as tuples, read off
+    its byte columns as generate reads them."""
+    return list(zip(*_composition_columns(sizes)))
 
 
 class TestStepWords:
@@ -89,7 +94,8 @@ class TestStepWords:
         for n in range(1, 6):
             perms = list(itertools.permutations(range(1, n + 1)))
             for kind in KINDS:
-                for w, _, labelings in _labeled_step_words(n, kind):
+                for w in step_words(n, kind):
+                    labelings = _labelings(column_sizes(w))
                     blocks = list(
                         itertools.accumulate(column_sizes(w), initial=0)
                     )
@@ -120,7 +126,7 @@ class TestLabelSlices:
             compositions = {column_sizes(w) for w in step_words(n)}
             assert len(compositions) == 2 ** (n - 1)
             for sizes in compositions:
-                labelings = _composition_labelings(sizes)
+                labelings = _labelings(sizes)
                 full, less = _label_slices(sizes)
                 assert full == (1 << len(labelings)) - 1
                 assert sorted(less) == list(itertools.combinations(range(1, n + 1), 2))
@@ -149,12 +155,11 @@ class TestLabelSlices:
                 call()
 
 
-def _decoration_sets_by_subsets(choices, full, flips, most):
-    """Every set of at most ``most`` choices whose slices AND with ``full``
-    to a nonzero value, with that AND and the XOR of ``flips`` and its
-    flips."""
+def _decoration_sets_by_subsets(choices, full, flips):
+    """Every set of choices whose slices AND with ``full`` to a nonzero
+    value, with that AND and the XOR of ``flips`` and its flips."""
     sets = []
-    for r in range(most + 1):
+    for r in range(len(choices) + 1):
         for combo in itertools.combinations(choices, r):
             present, flipped = full, flips
             for _, on, flip in combo:
@@ -168,47 +173,62 @@ def _decoration_sets_by_subsets(choices, full, flips, most):
 class TestDecorationSets:
     def test_matches_every_subset(self):
         """For every step word with n <= 5, the depth-first walk meets
-        exactly the subsets of its valleys and ties of at most n - 1
-        members present on some labeling, with their present slice and
-        the XOR of the starting flips and theirs, from no flips and from
-        some.  No step word has n valleys and ties, so smaller bounds are
-        walked too, to see that the bound holds."""
+        exactly the subsets of its valleys and ties present on some
+        labeling, with their present slice and the XOR of the starting
+        flips and theirs, from no flips and from some."""
         for n in range(1, 6):
             for _, words, full, less in _slice_groups(n, "square", None):
                 for steps in words:
                     presences = _presences(_step_profile(steps), full, less)
                     choices = [(i, on, full >> i) for i, on in presences]
-                    for flips, most in itertools.product((0, full // 3), range(n)):
-                        walked = list(_decoration_sets(choices, full, flips, most))
-                        oracle = _decoration_sets_by_subsets(choices, full, flips, most)
-                        assert sorted(walked) == sorted(oracle), (steps, flips, most)
+                    for flips in (0, full // 3):
+                        walked = list(_decoration_sets(choices, full, flips))
+                        oracle = _decoration_sets_by_subsets(choices, full, flips)
+                        assert sorted(walked) == sorted(oracle), (steps, flips)
+
+    def test_no_set_passes_n_minus_one(self):
+        """Every step word with n <= 9 has at most n - 1 valleys and ties,
+        so no decoration set passes the largest k; some word has n - 1."""
+        for n in range(1, 10):
+            most = max(
+                len(profile.valleys) + len(profile.ties)
+                for profile in map(_step_profile, step_words(n))
+            )
+            assert most == n - 1, n
 
 
 class TestSliceGroups:
     def test_each_walk_builds_each_composition_once(self):
         """At n = 6, for every shard, the schedule-one stream and a fresh
         signed-sum walk build each composition's slices once; the stream
-        builds labelings only for the compositions of its paths, and the
-        sums build none."""
+        builds columns of its own only for the compositions of its paths,
+        and the sums build columns only inside the slices."""
         n = 6
-        codes = {_label_slices.__code__, _composition_labelings.__code__}
+        codes = {_label_slices.__code__, _composition_columns.__code__}
 
-        def built(calls, fn):
-            return Counter(c.locals["sizes"] for c in calls if c.code is fn.__code__)
+        def built(calls, fn, caller):
+            return Counter(
+                c.locals["sizes"]
+                for c in calls
+                if c.code is fn.__code__ and c.caller is caller.__code__
+            )
 
         for j in range(n):
             compositions = Counter(
                 {column_sizes(w) for w in step_words(n) if _step_profile(w).area % n == j}
             )
             paths, calls = profiled_calls(codes, lambda: list(schedule_one_paths(n, j)))
-            assert built(calls, _label_slices) == compositions
-            assert built(calls, _composition_labelings) == Counter(
+            assert built(calls, _label_slices, _slice_groups) == compositions
+            assert built(calls, _composition_columns, schedule_one_paths) == Counter(
                 {column_sizes(p.steps) for p in paths}
             )
             enumeration._SIGNED_SUMS.clear()
             _, calls = profiled_calls(codes, _signed_sums, n, "square", j)
-            assert built(calls, _label_slices) == compositions
-            assert built(calls, _composition_labelings) == Counter()
+            assert built(calls, _label_slices, _slice_groups) == compositions
+            assert {c.caller for c in calls if c.code is _composition_columns.__code__} == {
+                _label_slices.__code__,
+                _composition_columns.__code__,
+            }
 
 
 def _attack_pairs(profile, w):
@@ -225,16 +245,16 @@ class TestStepProfile:
         and contractible valleys of paths.py."""
         for n in range(1, 6):
             for kind in KINDS:
-                for w, profile, labelings in _labeled_step_words(n, kind):
-                    for labels in labelings:
+                for w in step_words(n, kind):
+                    profile = _step_profile(w)
+                    for labels in _labelings(column_sizes(w)):
                         base = validate(w, labels)
                         assert profile.area == area(base)
                         assert profile.bonus + len(attack_pairs(base)) == dinv(base)
-                        padded = (0,) + labels
-                        assert _attack_pairs(profile, padded) == sorted(
+                        assert _attack_pairs(profile, (0,) + labels) == sorted(
                             (p.i, p.j) for p in attack_pairs(base)
                         )
-                        assert _valleys(profile, padded) == sorted(
+                        assert _valleys(profile, labels) == sorted(
                             contractible_valleys(base)
                         )
 
@@ -247,8 +267,8 @@ class TestGenerate:
                 len(list(generate(PathFamily(n, k, "square")))) for k in range(n)
             )
             naive = 0
-            for w, _, labelings in _labeled_step_words(n, "square"):
-                for labels in labelings:
+            for w in step_words(n, "square"):
+                for labels in _labelings(column_sizes(w)):
                     base = validate(w, labels)
                     v = len(contractible_valleys(base))
                     naive += sum(
@@ -257,6 +277,19 @@ class TestGenerate:
                         for _ in itertools.combinations(range(v), r)
                     )
             assert total == naive
+
+    def test_keeps_columns_not_tuples(self):
+        # walking the 46,656 (steps, labels) pairs of size 6, with each
+        # composition's labelings kept as byte columns, peaks at about
+        # 0.3 MiB; 0.71 MiB when they were kept as lists of tuples
+        tracemalloc.start()
+        try:
+            for _ in generate(PathFamily(6, 5)):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 2**20
 
     def test_everything_validates_and_is_unique(self):
         paths = list(generate(PathFamily(4, 1, "square")))
@@ -324,6 +357,14 @@ class TestSignedSums:
             )
             assert len(calls) == math.comb(2 * n - 1, n - 1)
             assert [d for _, d in after] == alone, n
+
+    @pytest.mark.parametrize("shard", [4, -1])
+    def test_shard_out_of_range_raises(self, shard):
+        # and keeps no empty sums for it
+        enumeration._SIGNED_SUMS.clear()
+        with pytest.raises(ValueError, match=f"shard must be in 0..3, got {shard}"):
+            S_brute(4, 1, shard)
+        assert enumeration._SIGNED_SUMS == {}
 
     def test_holds_one_composition_at_a_time(self):
         # the walk holds one composition's slices at a time: a peak of about
@@ -414,6 +455,10 @@ class TestScheduleOnePaths:
         }
         for j in range(n):
             assert list(schedule_one_paths(n, j)) == [p for p in whole if area(p) % n == j]
+
+    def test_shard_out_of_range_raises(self):
+        with pytest.raises(ValueError, match="shard must be in 0..3, got 9"):
+            next(schedule_one_paths(4, 9))
 
     def test_labels_must_fit_four_bits(self):
         with pytest.raises(ValueError, match="schedule-one paths go up to n = 15, got n = 16"):
