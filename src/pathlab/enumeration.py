@@ -1,10 +1,11 @@
 """Exhaustive generation of decorated labeled paths and brute-force sums.
 
-All enumeration is deterministic: step words in lexicographic order
-('E' < 'N'), then label words in lexicographic order, then decoration sets in
-lexicographic order of their sorted tuples.  The generators are desk-scale by
-design; the signed/weighted sums stream over the generated families without
-materializing them.
+All enumeration is deterministic.  :func:`generate` gives step words in
+lexicographic order ('E' < 'N'), then label words in lexicographic order,
+then decoration sets in lexicographic order of their sorted tuples; the
+schedule-one stream gives its paths in the order its walk finds them.  The
+generators are desk-scale by design; the signed/weighted sums stream over
+the generated families without materializing them.
 
 Every stream walks labeled paths in two levels.  What a step word fixes
 for all of its labelings (the area word, which pairs of north steps can
@@ -21,8 +22,8 @@ slices (:func:`_label_slices`).  Both walk :func:`_slice_groups`, the
 step words grouped by composition with one composition's slices held at
 a time, and both walk the sets of valleys and ties present on their
 :func:`_presences` with :func:`_decoration_sets`.  The stream reads a
-composition's columns only to name the paths it yields, and sorts its
-paths back into lexicographic order.
+composition's columns only to name the paths it yields, and yields each
+one where its walk finds it.
 The definitional forms in
 :mod:`pathlab.paths` (``attack_pairs``, ``contractible_valleys``, ``dinv``)
 are the oracle the tests hold the profile to.
@@ -144,10 +145,10 @@ def _label_slices(sizes: tuple[int, ...]) -> tuple[int, dict[tuple[int, int], in
     Each column becomes an int with labeling l in byte l; shifting w_x four
     bits up puts the byte 16 w_x + w_y at every labeling, which a
     translation reads as one binary digit.  Labels must fit four bits, so n
-    is at most 15 (:func:`check_sum_size`; a brute sum at n = 15 has 15^15
-    (steps, labels) pairs)."""
+    is at most 15 (a brute sum at n = 15 has 15^15 (steps, labels) pairs);
+    the one caller, :func:`_slice_groups`, checks that first
+    (:func:`check_sum_size`)."""
     n = sum(sizes)
-    check_sum_size(n)
     columns = _composition_columns(sizes)
     m = len(columns[0])
     # each byte column goes once packed, so the columns and ints never coexist
@@ -277,17 +278,21 @@ def bare_path_count(n: int, kind: str = "square") -> int:
 def generate(family: PathFamily) -> Iterator[DecoratedLabeledPath]:
     """Every path in the family, in the canonical deterministic order.
 
-    A composition's labelings can be asked for again at any later step
+    A step word with fewer than k valleys and ties has no path in the
+    family, so it is passed over before its labelings are read.  A
+    composition's labelings can be asked for again at any later step
     word, so its columns are kept until the generator goes: 545,835
     labelings of 8 bytes (4.4 MB) at n = 8.  n is at most 15, as for the brute
     sums (:func:`check_sum_size`)."""
     check_sum_size(family.n, "labeled paths")
     columns: dict[tuple[int, ...], list[bytes]] = {}
     for steps in step_words(family.n, family.kind):
+        profile = _step_profile(steps)
+        if len(profile.valleys) + len(profile.ties) < family.k:
+            continue
         sizes = column_sizes(steps)
         if sizes not in columns:
             columns[sizes] = _composition_columns(sizes)
-        profile = _step_profile(steps)
         for labels in zip(*columns[sizes]):
             for combo in itertools.combinations(_valleys(profile, labels), family.k):
                 yield DecoratedLabeledPath(steps, labels, frozenset(combo))
@@ -407,8 +412,7 @@ def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLa
     first ``next``.
 
     Area depends on the step word alone and is constant on a cutting cycle,
-    so the n shards split the stream by step word and keep each cycle whole;
-    each shard keeps the order of the whole stream.
+    so the n shards split the stream by step word and keep each cycle whole.
 
     Each decreasing run of the diagonal word is one diagonal, so run r is
     diagonal r - shift, and run ``shift`` is diagonal 0.  An area word rises
@@ -442,17 +446,18 @@ def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLa
     The third rule reads D alone, so a step word with two steps on
     diagonal 0 that are never valleys has no hit at all.
 
-    The stream's order is that of the naive filter: step words and then
-    labelings in lexicographic order, then decoration sets by size, then
-    lexicographically.  The walk meets step words by composition and sets
-    in another order, so every hit is found before the first path is
-    yielded, and the hits are sorted by (steps, labeling, |D|, D), D being
-    the increasing tuple of its steps.  A composition's columns
-    (:func:`_composition_columns`) are built only to name its hits, once
-    its group has one, and go with the group.
+    Each path is yielded where the walk finds it, so the stream's order is
+    the walk's, the same on every run for one (n, shard): the groups of
+    :func:`_slice_groups`, by first appearance of their composition among
+    the shard's step words; a group's words lexicographically; a word's
+    decoration sets in the depth-first order of :func:`_decoration_sets`;
+    and a set's labelings by rank, the order of
+    :func:`_composition_columns`.  A composition's columns are built only
+    to name its hits, once its group has one, and go with the group and its
+    slices, so the stream holds one composition at a time and yields its
+    first path as soon as the first group has a hit.
     """
     check_sum_size(n, "schedule-one paths")
-    found = []  # (steps, labeling, |D|, D, labels) of every hit
     for sizes, words, full, less in _slice_groups(n, "square", shard):
         columns = None
         for steps in words:
@@ -497,9 +502,7 @@ def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLa
                 while ok:
                     bit = ok & -ok
                     l = bit.bit_length() - 1
-                    found.append((steps, l, len(dec), dec, tuple([c[l] for c in columns])))
+                    labels = tuple([c[l] for c in columns])
+                    yield DecoratedLabeledPath(steps, labels, frozenset(dec))
                     ok ^= bit
         del full, less, columns  # before the next composition's slices are built
-    found.sort()
-    for steps, _, _, dec, labels in found:
-        yield DecoratedLabeledPath(steps, labels, frozenset(dec))

@@ -34,7 +34,6 @@ from pathlab.enumeration import (
     step_words,
 )
 from pathlab.paths import (
-    DecoratedLabeledPath,
     area,
     area_word,
     attack_pairs,
@@ -278,6 +277,18 @@ class TestGenerate:
                     )
             assert total == naive
 
+    def test_skips_words_with_fewer_than_k_valleys_and_ties(self):
+        """At k = 5 of size 6, the labelings read are exactly those of the
+        step words with 5 valleys and ties."""
+        family = PathFamily(6, 5)
+        wanted = sum(
+            len(_labelings(column_sizes(w)))
+            for w in step_words(6)
+            if len(_step_profile(w).valleys) + len(_step_profile(w).ties) >= family.k
+        )
+        _, calls = profiled_calls({_valleys.__code__}, lambda: list(generate(family)))
+        assert len(calls) == wanted
+
     def test_keeps_columns_not_tuples(self):
         # walking the 46,656 (steps, labels) pairs of size 6, with each
         # composition's labelings kept as byte columns, peaks at about
@@ -416,35 +427,23 @@ class TestFibers:
 class TestScheduleOnePaths:
     def test_matches_naive_filter(self):
         """Equal, as sets, to the schedule-one members of generate for
-        n <= 5."""
+        n <= 5, with no path yielded twice."""
         for n in range(1, 6):
-            fast = set(schedule_one_paths(n))
+            fast = list(schedule_one_paths(n))
+            assert len(fast) == len(set(fast))
             naive = {
                 p
                 for k in range(n)
                 for p in generate(PathFamily(n, k, "square"))
                 if schedule_numbers(diagonal_word(p)) == (1,) * n
             }
-            assert fast == naive
-
-    def test_order_matches_naive_stream(self):
-        """Bare paths in the order of generate at k = 0, each with its
-        decoration sets by size, then lexicographically; checked for n <= 5."""
-        for n in range(1, 6):
-            candidates = (
-                DecoratedLabeledPath(bare.steps, bare.labels, frozenset(dv))
-                for bare in generate(PathFamily(n, 0, "square"))
-                for r in range(n)
-                for dv in itertools.combinations(sorted(contractible_valleys(bare)), r)
-            )
-            naive = [p for p in candidates if schedule_numbers(diagonal_word(p)) == (1,) * n]
-            assert list(schedule_one_paths(n)) == naive
+            assert set(fast) == naive
 
     def test_matches_every_adr_decoration_at_six(self):
         """At n = 6, past the naive filters, the stream is as a set the path
         of every all-ones shift of every ADR decoration of every
         permutation, and each shard is the whole stream's paths of that
-        shard, in order."""
+        shard, as a multiset."""
         n = 6
         whole = list(schedule_one_paths(n))
         assert set(whole) == {
@@ -454,7 +453,30 @@ class TestScheduleOnePaths:
             for s in witness.valid_shifts
         }
         for j in range(n):
-            assert list(schedule_one_paths(n, j)) == [p for p in whole if area(p) % n == j]
+            assert Counter(schedule_one_paths(n, j)) == Counter(
+                p for p in whole if area(p) % n == j
+            )
+
+    def test_first_path_comes_before_the_walk_ends(self):
+        # each hit is yielded where the walk finds it, so the first path
+        # comes from the first group with a hit, long before the last of
+        # the 64 compositions of size 7 is built
+        compositions = {column_sizes(w) for w in step_words(7)}
+        first, calls = profiled_calls({_label_slices.__code__}, next, schedule_one_paths(7))
+        assert schedule_numbers(diagonal_word(first)) == (1,) * 7
+        assert len(calls) < len(compositions)
+
+    def test_holds_one_composition_at_a_time(self):
+        # counting the 26,880 paths of size 7 peaks at about 0.3 MiB, one
+        # composition's slices and columns; 5.3 MiB when every hit was kept
+        # to be sorted before the first was yielded
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in schedule_one_paths(7)) == 26880
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_shard_out_of_range_raises(self):
         with pytest.raises(ValueError, match="shard must be in 0..3, got 9"):
