@@ -30,6 +30,7 @@ from .enumeration import (
     bare_path_count,
     check_sum_size,
     generate,
+    read_pair_count,
 )
 from .paths import (
     area,
@@ -73,13 +74,12 @@ def _emit(fmt: str, payload, lines: Iterable[str]) -> None:
     print(json.dumps(payload, indent=2) if fmt == "json" else "\n".join(lines))
 
 
-def _state_cost(n: int, kind: str) -> None:
+def _state_cost(pairs: int) -> None:
     """Say on stderr, before the work starts, how many (steps, labels)
-    pairs a brute-force walk over the size-n paths visits.  Callers check
-    n against its bound first: past it the count can have more digits than
-    Python turns into text."""
-    print(f"# brute force visits {bare_path_count(n, kind)} (steps, labels) pairs",
-          file=sys.stderr)
+    pairs the brute-force walk reads.  Callers check n against its bound
+    first: past it the count can have more digits than Python turns into
+    text."""
+    print(f"# brute force visits {pairs} (steps, labels) pairs", file=sys.stderr)
 
 
 def cmd_table(args) -> int:
@@ -97,7 +97,7 @@ def cmd_table(args) -> int:
         raise CliError(f"--n must be at least 1, got {args.n}")
     if args.method == "brute":
         check_sum_size(args.n)
-        _state_cost(args.n, "square" if args.stat == "S" else "dyck")
+        _state_cost(bare_path_count(args.n, "square" if args.stat == "S" else "dyck"))
     rows = [(k, fn(args.n, k)) for k in range(args.n)]
     payload = {
         "stat": args.stat,
@@ -229,7 +229,7 @@ def cmd_enumerate(args) -> int:
     family = PathFamily(args.n, args.k, args.kind)
     if args.n > ENUMERATE_MAX_N:
         raise CliError(f"enumerate goes up to n = {ENUMERATE_MAX_N}, got n = {args.n}")
-    _state_cost(args.n, args.kind)
+    _state_cost(read_pair_count(family))
     if args.format == "json":
         print(json.dumps([format_path(p) for p in generate(family)], indent=2))
     else:

@@ -8,8 +8,8 @@ generators are desk-scale by design; the signed/weighted sums stream over
 the generated families without materializing them.
 
 Every stream walks labeled paths in two levels.  What a step word fixes
-for all of its labelings (the area word, which pairs of north steps can
-attack, which steps are valleys whatever the labels) is its profile,
+for all of its labelings (the area and shift, which pairs of north steps
+can attack, which steps are valleys whatever the labels) is its profile,
 derived once per step word by :func:`_step_profile`.  What a column
 composition gives all of its step words is made once per walk, from its
 labelings as byte columns (:func:`_composition_columns`).
@@ -24,7 +24,15 @@ a time, and both walk the sets of valleys and ties present on their
 :func:`_presences` with :func:`_decoration_sets`.  The stream reads a
 composition's columns only to name the paths it yields, and yields each
 one where its walk finds it.
-The definitional forms in
+
+The fibers by shifted diagonal word, and the (q, t)-enumerator summed
+from them, read each labeling of a step word once, off the byte columns
+of :func:`labeled_step_words`, for every k: its attack pairs per left
+index, its diagonal word by one integer sort
+(:func:`~pathlab.schedule.read_diagonals`), and the dinv of each
+decoration set from the pairs (:func:`_fiber_counts`).  They build no
+path; :func:`_fibers_by_paths`, which groups the paths of
+:func:`generate`, is their test oracle.  The definitional forms in
 :mod:`pathlab.paths` (``attack_pairs``, ``contractible_valleys``, ``dinv``)
 are the oracle the tests hold the profile to.
 """
@@ -32,6 +40,7 @@ are the oracle the tests hold the profile to.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -41,9 +50,16 @@ from .paths import (
     dinv,
     steps_area_word,
     word_area,
+    word_shift,
 )
 from .poly import QTPoly, TPoly
-from .schedule import ShiftedDiagonalWord, diagonal_word
+from .schedule import (
+    DecoratedPermutation,
+    ShiftedDiagonalWord,
+    diagonal_bases,
+    diagonal_word,
+    read_diagonals,
+)
 
 KINDS = ("square", "dyck")
 
@@ -173,6 +189,7 @@ class _StepProfile(NamedTuple):
     """
 
     area: int
+    shift: int
     bonus: int  # north steps strictly below the main diagonal
     candidates: tuple[tuple[int, int, int, int], ...]
     valleys: tuple[int, ...]  # contractible whatever the labels
@@ -182,9 +199,10 @@ class _StepProfile(NamedTuple):
 def _step_profile(steps: str) -> _StepProfile:
     """The label-free part of the area, attack pairs and valleys of a step
     word, with the rules of :func:`pathlab.paths.attack_pairs` and
-    :func:`pathlab.paths.contractible_valleys`."""
+    :func:`pathlab.paths.contractible_valleys`, and its shift."""
     a = steps_area_word(steps)
     n = len(a)
+    shift = word_shift(a)
     candidates = []
     for i, j in itertools.combinations(range(1, n + 1), 2):
         if a[j - 1] == a[i - 1]:
@@ -192,7 +210,8 @@ def _step_profile(steps: str) -> _StepProfile:
         elif a[j - 1] + 1 == a[i - 1]:
             candidates.append((i, j, j, i))
     return _StepProfile(
-        area=word_area(a),
+        area=sum(a) + n * shift,  # word_area(a)
+        shift=shift,
         bonus=sum(1 for v in a if v < 0),
         candidates=tuple(candidates),
         valleys=((1,) if a[0] <= -1 else ())
@@ -218,21 +237,16 @@ def _presences(
     return sorted(valleys + [(t, less[t - 1, t]) for t in profile.ties])
 
 
-def _slice_groups(
+def _step_groups(
     n: int, kind: str, shard: int | None
-) -> Iterator[tuple[tuple[int, ...], list[str], int, dict[tuple[int, int], int]]]:
+) -> Iterator[tuple[tuple[int, ...], list[str]]]:
     """The step words of size n grouped by column composition, each group
-    as ``(sizes, words, full, less)`` with its composition's bit slices
-    (:func:`_label_slices`); with a shard j, only the words whose area is j
+    as ``(sizes, words)``; with a shard j, only the words whose area is j
     mod n, and a shard outside 0..n-1 raises ValueError.  The groups come
     in the order their compositions first appear among the step words, and
-    a group's words in lexicographic order.
-
-    A group's slices are built only when it is asked for, and the walk
-    keeps none of them, so a caller that drops them before asking for the
-    next group holds one composition's slices at a time.  The n <= 15 bound
-    of the slices is checked before the words are grouped, which at n = 16
-    would list 3*10^8 of them first."""
+    a group's words in lexicographic order.  The n <= 15 bound of the
+    labelings (:func:`check_sum_size`) is checked before the words are
+    grouped, which at n = 16 would list 3*10^8 of them first."""
     check_sum_size(n)
     if shard is not None and not 0 <= shard < n:
         raise ValueError(f"shard must be in 0..{n - 1}, got {shard}")
@@ -241,7 +255,39 @@ def _slice_groups(
         if shard is None or word_area(steps_area_word(steps)) % n == shard:
             by_sizes.setdefault(column_sizes(steps), []).append(steps)
     for sizes in list(by_sizes):
-        yield (sizes, by_sizes.pop(sizes), *_label_slices(sizes))
+        yield sizes, by_sizes.pop(sizes)
+
+
+def _slice_groups(
+    n: int, kind: str, shard: int | None
+) -> Iterator[tuple[tuple[int, ...], list[str], int, dict[tuple[int, int], int]]]:
+    """The groups of :func:`_step_groups`, each as ``(sizes, words, full,
+    less)`` with its composition's bit slices (:func:`_label_slices`).
+
+    A group's slices are built only when it is asked for, and the walk
+    keeps none of them, so a caller that drops them before asking for the
+    next group holds one composition's slices at a time."""
+    for sizes, words in _step_groups(n, kind, shard):
+        yield (sizes, words, *_label_slices(sizes))
+
+
+def labeled_step_words(
+    n: int, kind: str = "square", shard: int | None = None
+) -> Iterator[tuple[str, _StepProfile, tuple[int, ...], list[bytes]]]:
+    """Each step word of size n as ``(steps, profile, bases, columns)``:
+    its :func:`_step_profile`, the sort keys that read any labeling's
+    diagonal word (:func:`~pathlab.schedule.diagonal_bases`), and its
+    composition's byte columns (:func:`_composition_columns`), which
+    ``zip(*columns)`` reads as its labelings.  With a shard j, only the
+    words whose area is j mod n.  The words come grouped by composition as
+    :func:`_step_groups` gives them, one composition's columns held at a
+    time; n is at most 15 (:func:`check_sum_size`)."""
+    for sizes, words in _step_groups(n, kind, shard):
+        columns = _composition_columns(sizes)
+        for steps in words:
+            bases = diagonal_bases(steps_area_word(steps))
+            yield steps, _step_profile(steps), bases, columns
+        del columns  # before the next composition's columns are built
 
 
 def _decoration_sets(
@@ -275,21 +321,39 @@ def bare_path_count(n: int, kind: str = "square") -> int:
     return n**n if kind == "square" else (n + 1) ** (n - 1)
 
 
+def _kept_step_words(family: PathFamily) -> Iterator[tuple[str, _StepProfile]]:
+    """The family's step words with at least k valleys and ties, each with
+    its profile, in lexicographic order: a word with fewer has no path in
+    the family."""
+    for steps in step_words(family.n, family.kind):
+        profile = _step_profile(steps)
+        if len(profile.valleys) + len(profile.ties) >= family.k:
+            yield steps, profile
+
+
+def read_pair_count(family: PathFamily) -> int:
+    """How many (steps, labels) pairs :func:`generate` reads for the
+    family: the n!/(c_1! c_2! ...) labelings of each step word it keeps,
+    c_i its column sizes.  At k = 0 this is :func:`bare_path_count`."""
+    return sum(
+        math.factorial(family.n) // math.prod(map(math.factorial, column_sizes(steps)))
+        for steps, _ in _kept_step_words(family)
+    )
+
+
 def generate(family: PathFamily) -> Iterator[DecoratedLabeledPath]:
     """Every path in the family, in the canonical deterministic order.
 
     A step word with fewer than k valleys and ties has no path in the
-    family, so it is passed over before its labelings are read.  A
-    composition's labelings can be asked for again at any later step
-    word, so its columns are kept until the generator goes: 545,835
-    labelings of 8 bytes (4.4 MB) at n = 8.  n is at most 15, as for the brute
-    sums (:func:`check_sum_size`)."""
+    family, so it is passed over before its labelings are read
+    (:func:`read_pair_count` counts the pairs read).  A composition's
+    labelings can be asked for again at any later step word, so its
+    columns are kept until the generator goes: 545,835 labelings of 8
+    bytes (4.4 MB) at n = 8.  n is at most 15, as for the brute sums
+    (:func:`check_sum_size`)."""
     check_sum_size(family.n, "labeled paths")
     columns: dict[tuple[int, ...], list[bytes]] = {}
-    for steps in step_words(family.n, family.kind):
-        profile = _step_profile(steps)
-        if len(profile.valleys) + len(profile.ties) < family.k:
-            continue
+    for steps, profile in _kept_step_words(family):
         sizes = column_sizes(steps)
         if sizes not in columns:
             columns[sizes] = _composition_columns(sizes)
@@ -387,9 +451,76 @@ def D_brute(n: int, k: int) -> TPoly:
     return _signed_sums(n, "dyck", None)[k]
 
 
-def fibers_by_sdw(family: PathFamily) -> dict[ShiftedDiagonalWord, QTPoly]:
-    """Group the family by shifted diagonal word: each realized word's fiber
-    as its sum of q^dinv t^area.  A fiber's size is that sum at q = t = 1."""
+def _fiber_counts(
+    n: int, kind: str, shard: int | None
+) -> dict[tuple[tuple[int, ...], int, int, int, int], int]:
+    """How many paths of size n (with a shard j, of area j mod n) have each
+    ``(letters, decorated, shift, dinv, area)``: their diagonal word's
+    letters, its decorated letters as one mask (bit v for letter v), the
+    shift, dinv and area.  Every k at once, and no path is built.
+
+    Each step word fixes the area, the shift, the attack candidates and the
+    valleys and ties (its profile), and the sort keys of the diagonal
+    reading (:func:`labeled_step_words`).  Per labeling, one pass over the
+    candidates counts the attack pairs c_i at each left index i, P in all,
+    and one sort of packed ints reads the diagonal word
+    (:func:`~pathlab.schedule.read_diagonals`).  Decorating a valley i
+    takes its c_i pairs and one more off dinv, so the sets D of the
+    labeling's valleys and ties, built by doubling, have
+    ``dinv = P + bonus - sum over i in D of (c_i + 1)``."""
+    counts: dict[tuple[tuple[int, ...], int, int, int, int], int] = {}
+    for _, profile, bases, columns in labeled_step_words(n, kind, shard):
+        area, shift, valleys = profile.area, profile.shift, profile.valleys
+        pairs = [(i, lo - 1, hi - 1) for i, _, lo, hi in profile.candidates]
+        for w in zip(*columns):
+            c = [0] * (n + 1)
+            for i, lo, hi in pairs:
+                if w[lo] < w[hi]:
+                    c[i] += 1
+            letters = read_diagonals(bases, w)
+            sets = [(0, sum(c) + profile.bonus)]  # (decorated mask, dinv)
+            for i in valleys + tuple(t for t in profile.ties if w[t - 2] < w[t - 1]):
+                bit, drop = 1 << w[i - 1], c[i] + 1
+                sets += [(mask | bit, d - drop) for mask, d in sets]
+            for mask, d in sets:
+                key = (letters, mask, shift, d, area)
+                counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def fibers_by_sdw(
+    n: int, kind: str = "square", shard: int | None = None
+) -> tuple[dict[ShiftedDiagonalWord, QTPoly], ...]:
+    """Group the size-n family of each k by shifted diagonal word: for each
+    k, each realized word's fiber as its sum of q^dinv t^area.  With a
+    shard j in 0..n-1, only the paths whose area is j mod n; another shard
+    raises ValueError.  A fiber's size is its sum at q = t = 1.
+
+    One walk of the step words and their labelings gives every k
+    (:func:`_fiber_counts`), and each fiber's word is built once.
+    :func:`_fibers_by_paths`, which groups the paths of :func:`generate`,
+    is its test oracle."""
+    PathFamily(n, 0, kind)
+    grouped: list[dict] = [{} for _ in range(n)]  # k -> (letters, mask, shift) -> terms
+    for (letters, mask, shift, d, a), count in _fiber_counts(n, kind, shard).items():
+        grouped[mask.bit_count()].setdefault((letters, mask, shift), {})[d, a] = count
+    return tuple(
+        {
+            ShiftedDiagonalWord(
+                DecoratedPermutation(letters, frozenset(v for v in letters if mask >> v & 1)),
+                shift,
+            ): QTPoly(terms)
+            for (letters, mask, shift), terms in fibers.items()
+        }
+        for fibers in grouped
+    )
+
+
+def _fibers_by_paths(family: PathFamily) -> dict[ShiftedDiagonalWord, QTPoly]:
+    """The fibers of one family, grouped path by path with
+    :func:`~pathlab.schedule.diagonal_word`, :func:`~pathlab.paths.dinv`
+    and :func:`~pathlab.paths.area`: the test oracle of
+    :func:`fibers_by_sdw`."""
     acc: dict[ShiftedDiagonalWord, dict] = {}
     for path in generate(family):
         terms = acc.setdefault(diagonal_word(path), {})
@@ -398,10 +529,22 @@ def fibers_by_sdw(family: PathFamily) -> dict[ShiftedDiagonalWord, QTPoly]:
     return {sdw: QTPoly(terms) for sdw, terms in acc.items()}
 
 
+# (n, kind) -> the (q, t)-enumerator for each k
+_QT_SUMS: dict[tuple[int, str], tuple[QTPoly, ...]] = {}
+
+
 def qt_enumerator(family: PathFamily) -> QTPoly:
     """Unsigned (q, t)-enumerator: sum of q^dinv t^area over the family, the
-    sum of its fibers."""
-    return sum(fibers_by_sdw(family).values(), QTPoly())
+    sum of its fibers.  One walk of :func:`_fiber_counts` gives every k of
+    size n and kind, kept in ``_QT_SUMS`` for the life of the process."""
+    key = (family.n, family.kind)
+    if key not in _QT_SUMS:
+        sums: list[dict[tuple[int, int], int]] = [{} for _ in range(family.n)]
+        for (_, mask, _, d, a), count in _fiber_counts(*key, None).items():
+            acc = sums[mask.bit_count()]
+            acc[d, a] = acc.get((d, a), 0) + count
+        _QT_SUMS[key] = tuple(map(QTPoly, sums))
+    return _QT_SUMS[key][family.k]
 
 
 def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLabeledPath]:

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .paths import DecoratedLabeledPath, NonStandardLabeling, area_word, word_shift
-from .poly import QTPoly, q_analog
+from .poly import QTPoly
 
 
 @dataclass(frozen=True)
@@ -113,22 +114,43 @@ def parse_perm(text: str) -> DecoratedPermutation:
     return make_perm(values, decorated)
 
 
+def diagonal_bases(word: Sequence[int]) -> tuple[int, ...]:
+    """The sort key of each north step of an area word, less its label:
+    step i with label w_i sorts by ``(a_i - min a) * (n + 1) + n - w_i``,
+    so one sort of plain ints reads the lowest diagonal first and each
+    diagonal in decreasing label order.  A step word fixes the bases for
+    all of its labelings; :func:`read_diagonals` adds the labels."""
+    m, low = len(word) + 1, min(word, default=0)
+    return tuple([(d - low) * m + m - 1 for d in word])
+
+
+def read_diagonals(bases: Sequence[int], labels: Sequence[int]) -> tuple[int, ...]:
+    """The labels, a permutation of 1..n, read diagonal by diagonal: lowest
+    diagonal first and decreasing within each, as :func:`diagonal_word`
+    reads a path, with the :func:`diagonal_bases` of its area word.  Each
+    key leaves n - w mod n + 1, so the sorted keys give back the letters."""
+    m = len(labels) + 1
+    # a list, not a generator: tuple() of a generator allocates a guessed
+    # size and resizes, which raised the peak memory of 15,000 benchmark path
+    # queries by 2 MB (CPython 3.11)
+    return tuple([m - 1 - key % m for key in sorted(map(sub, bases, labels))])
+
+
 def diagonal_word(path: DecoratedLabeledPath) -> ShiftedDiagonalWord:
     """Labels read off diagonal by diagonal, lowest first and decreasing
-    within each diagonal, the labels of decorated steps decorated; paired
-    with the shift.
+    within each diagonal (:func:`read_diagonals`), the labels of decorated
+    steps decorated; paired with the shift.
     """
     labels = path.labels
     n = len(labels)
     if sorted(labels) != list(range(1, n + 1)):
         raise NonStandardLabeling("diagonal words require standard labels 1..n")
     a = area_word(path)
-    # a list, not a generator: tuple() of a generator allocates a guessed
-    # size and resizes, which raised the peak memory of 15,000 benchmark path
-    # queries by 2 MB (CPython 3.11)
-    values = tuple([c for _, c in sorted(zip(a, labels), key=lambda dc: (dc[0], -dc[1]))])
     decorated = frozenset(labels[i - 1] for i in path.decorations)
-    return ShiftedDiagonalWord(DecoratedPermutation(values, decorated), word_shift(a))
+    return ShiftedDiagonalWord(
+        DecoratedPermutation(read_diagonals(diagonal_bases(a), labels), decorated),
+        word_shift(a),
+    )
 
 
 def descents(seq: Sequence[int]) -> tuple[int, ...]:
@@ -146,8 +168,13 @@ def maj(seq: Sequence[int] | DecoratedPermutation) -> int:
 
 
 def revmaj(seq: Sequence[int] | DecoratedPermutation) -> int:
-    """maj of the reversed word; decorations are ignored."""
-    return maj(_letters(seq)[::-1])
+    """maj of the reversed word; decorations are ignored.  The reversed
+    word of length n descends at position n - j exactly where the word
+    ascends from position j to j + 1, so one pass over the word sums
+    n - j over its ascents."""
+    values = _letters(seq)
+    n = len(values)
+    return sum([n - j for j in range(1, n) if values[j - 1] < values[j]])
 
 
 def decreasing_runs(word: DecoratedPermutation | Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -472,9 +499,25 @@ def u_statistic(sdw: ShiftedDiagonalWord) -> int:
 
 def schedule_rhs(sdw: ShiftedDiagonalWord) -> QTPoly:
     """Closed form for the (q, t)-enumerator of the fiber of a shifted
-    diagonal word: t^revmaj * q^u * product of q-analogs of the schedules."""
-    word = sdw.word
-    out = QTPoly.monomial(u_statistic(sdw), revmaj(word))
+    diagonal word: t^revmaj * q^u * product of q-analogs of the schedules.
+
+    The product is one coefficient list in q.  Multiplying by
+    [w]_q = 1 + q + ... + q^(w-1) makes each new coefficient the sum of a
+    window of w old ones, kept as a running sum: add the coefficient that
+    enters the window, drop the one that leaves it.  A zero schedule zeroes
+    the product, and [1]_q leaves it as it is."""
+    coeffs = [1]
     for w in schedule_numbers(sdw):
-        out = out * q_analog(w)
-    return out
+        if w == 0:
+            return QTPoly()
+        if w > 1:
+            window, out = 0, []
+            for d in range(len(coeffs) + w - 1):
+                if d < len(coeffs):
+                    window += coeffs[d]
+                if d >= w:
+                    window -= coeffs[d - w]
+                out.append(window)
+            coeffs = out
+    u, r = u_statistic(sdw), revmaj(sdw.word)
+    return QTPoly({(u + d, r): c for d, c in enumerate(coeffs)})

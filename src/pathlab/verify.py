@@ -7,16 +7,18 @@ raises a pathlab error fails with the error as its witness.  The suites back
 both the test suite and the ``pathlab verify`` command.
 
 A check sweeps only what its invariant can depend on: ``sdw-area`` takes
-the undecorated paths, since decorations change neither area nor revmaj,
-and ``euler`` reads the undecorated sums off the insertion DP of the word sums.
+the undecorated labelings of each step word, since decorations change
+neither area nor revmaj, and ``euler`` reads the undecorated sums off the
+insertion DP of the word sums.
 
 The suites in :data:`SHARDED` split size n into n shards along the loop the
-check already runs: k, the first letter of a permutation, the m of delta, or
-the area mod n of a schedule-one path.  Such a check runs one key,
-``check(n, shard)``, and a size is its n cells.  A shard may read the key of
-every item to find its own, but it repeats no other shard's work, except in
-``delta-bijection``: every m shard decorates all (n - 1)! sources again,
-since keying it by the source would leave some cells empty.
+check already runs: k, the first letter of a permutation, the m of delta,
+the area mod n of a schedule-one path, or the area mod n of the paths of a
+fiber.  Such a check runs one key, ``check(n, shard)``, and a size is its n
+cells.  A shard may read the key of every item to find its own, but it
+repeats no other shard's work, except in ``delta-bijection``: every m shard
+decorates all (n - 1)! sources again, since keying it by the source would
+leave some cells empty.
 Every (check, n, shard) cell is independent and deterministic; a shard
 reuses no result another cell cached, so it does the same work on whichever
 worker runs it.  Cells are spread over worker processes and merged back into
@@ -72,11 +74,14 @@ def check_schedule_formula(n: int, shard: int) -> str | None:
     """Fiberwise: for every realized shifted diagonal word, the (q, t) sum of
     q^dinv t^area over its fiber equals the closed form.  At q = t = 1 the
     closed form is the product of the schedule numbers, so the fiber size
-    follows.  Sharded by k."""
-    fibers = enumeration.fibers_by_sdw(enumeration.PathFamily(n, shard, "square"))
-    for sdw, qt in fibers.items():
-        if qt != schedule.schedule_rhs(sdw):
-            return f"{sdw} qt mismatch"
+    follows.  Sharded by area mod n: a fiber's paths share their area, the
+    revmaj of its word (``sdw-area``), so each fiber lies in one shard, and
+    one walk of the shard's step words gives its fibers for every k
+    (:func:`~pathlab.enumeration.fibers_by_sdw`)."""
+    for fibers in enumeration.fibers_by_sdw(n, "square", shard):
+        for sdw, qt in fibers.items():
+            if qt != schedule.schedule_rhs(sdw):
+                return f"{sdw} qt mismatch"
     return None
 
 
@@ -360,10 +365,16 @@ def check_euler(n: int) -> str | None:
 def check_sdw_area(n: int) -> str | None:
     """area equals revmaj of the diagonal word for every path.  Decorations
     change neither the area, nor the letters of the diagonal word, nor
-    revmaj, so the undecorated paths cover every k."""
-    for path in enumeration.generate(enumeration.PathFamily(n, 0, "square")):
-        if paths.area(path) != schedule.revmaj(schedule.diagonal_word(path).word):
-            return str(path)
+    revmaj, so the undecorated paths cover every k.  Each step word's area
+    comes from its profile, and each labeling's letters from the reading
+    that :func:`~pathlab.schedule.diagonal_word` uses
+    (:func:`~pathlab.schedule.read_diagonals`); a path is built only to
+    name a failure."""
+    for steps, profile, bases, columns in enumeration.labeled_step_words(n, "square"):
+        for labels in zip(*columns):
+            letters = schedule.read_diagonals(bases, labels)
+            if schedule.revmaj(letters) != profile.area:
+                return str(paths.DecoratedLabeledPath(steps, labels))
     return None
 
 

@@ -237,8 +237,18 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("kind, pairs", [("square", 27), ("dyck", 16)])
     def test_states_its_cost_on_stderr(self, capsys, kind, pairs):
-        # the same line as table --method brute, whatever k
-        code, _, err = run(capsys, "enumerate", "--n", "3", "--k", "1", "--kind", kind)
+        # at k = 0 the same line as table --method brute
+        code, _, err = run(capsys, "enumerate", "--n", "3", "--k", "0", "--kind", kind)
+        assert code == 0
+        assert err == f"# brute force visits {pairs} (steps, labels) pairs\n"
+
+    @pytest.mark.parametrize(
+        "kind, k, pairs", [("square", 1, 26), ("dyck", 1, 15), ("square", 2, 12), ("dyck", 2, 6)]
+    )
+    def test_cost_counts_the_pairs_read(self, capsys, kind, k, pairs):
+        # generate passes over the step words with fewer than k valleys and
+        # ties, so past k = 0 it reads fewer pairs than table --method brute
+        code, _, err = run(capsys, "enumerate", "--n", "3", "--k", str(k), "--kind", kind)
         assert code == 0
         assert err == f"# brute force visits {pairs} (steps, labels) pairs\n"
 

@@ -19,6 +19,7 @@ from pathlab.enumeration import (
     S_brute,
     _composition_columns,
     _decoration_sets,
+    _fibers_by_paths,
     _label_slices,
     _presences,
     _signed_sums,
@@ -30,6 +31,7 @@ from pathlab.enumeration import (
     fibers_by_sdw,
     generate,
     qt_enumerator,
+    read_pair_count,
     schedule_one_paths,
     step_words,
 )
@@ -39,6 +41,7 @@ from pathlab.paths import (
     attack_pairs,
     contractible_valleys,
     dinv,
+    shift,
     validate,
 )
 from pathlab.poly import QTPoly, TPoly
@@ -240,8 +243,8 @@ def _attack_pairs(profile, w):
 class TestStepProfile:
     def test_matches_definitional_forms(self):
         """For every (steps, labels) pair of both kinds with n <= 5, the
-        profile gives the area, attack pairs (so the count per left index)
-        and contractible valleys of paths.py."""
+        profile gives the area, shift, attack pairs (so the count per left
+        index) and contractible valleys of paths.py."""
         for n in range(1, 6):
             for kind in KINDS:
                 for w in step_words(n, kind):
@@ -249,6 +252,7 @@ class TestStepProfile:
                     for labels in _labelings(column_sizes(w)):
                         base = validate(w, labels)
                         assert profile.area == area(base)
+                        assert profile.shift == shift(base)
                         assert profile.bonus + len(attack_pairs(base)) == dinv(base)
                         assert _attack_pairs(profile, (0,) + labels) == sorted(
                             (p.i, p.j) for p in attack_pairs(base)
@@ -288,6 +292,18 @@ class TestGenerate:
         )
         _, calls = profiled_calls({_valleys.__code__}, lambda: list(generate(family)))
         assert len(calls) == wanted
+
+    def test_read_pair_count_is_the_pairs_read(self):
+        """For every family of both kinds with n <= 5, read_pair_count is
+        the number of labelings generate reads, and bare_path_count at
+        k = 0."""
+        for n in range(1, 6):
+            for kind in KINDS:
+                for k in range(n):
+                    family = PathFamily(n, k, kind)
+                    _, calls = profiled_calls({_valleys.__code__}, lambda: list(generate(family)))
+                    assert read_pair_count(family) == len(calls), family
+                assert read_pair_count(PathFamily(n, 0, kind)) == bare_path_count(n, kind)
 
     def test_keeps_columns_not_tuples(self):
         # walking the 46,656 (steps, labels) pairs of size 6, with each
@@ -395,7 +411,9 @@ class TestSignedSums:
         )
 
     def test_qt_enumerator_specializes_to_brute(self):
-        for n in range(1, 5):
+        """At q = -1 the (q, t)-enumerator is the brute signed sum, for every
+        k, square and Dyck, n <= 5."""
+        for n in range(1, 6):
             for k in range(n):
                 assert qt_enumerator(PathFamily(n, k, "square")).eval_q(-1) == S_brute(n, k)
                 assert qt_enumerator(PathFamily(n, k, "dyck")).eval_q(-1) == D_brute(n, k)
@@ -416,12 +434,54 @@ class TestFibers:
                 qt = QTPoly.monomial(dinv(p), area(p))
                 sdw = diagonal_word(p)
                 grouped[sdw] = grouped.get(sdw, QTPoly()) + qt
-            assert fibers_by_sdw(fam) == grouped, fam
+            assert fibers_by_sdw(fam.n, fam.kind)[fam.k] == grouped, fam
 
     def test_fiber_sizes_sum_to_family(self):
         for fam in _families_up_to_four():
-            sizes = [qt.eval_q(1)(1) for qt in fibers_by_sdw(fam).values()]
+            sizes = [qt.eval_q(1)(1) for qt in fibers_by_sdw(fam.n, fam.kind)[fam.k].values()]
             assert sum(sizes) == sum(1 for _ in generate(fam)), fam
+
+    def test_walk_matches_the_path_oracle(self):
+        """For every k, square n <= 5 and Dyck n <= 6, the walk's fibers are
+        those grouped path by path, and qt_enumerator is their sum."""
+        for kind, top in (("square", 5), ("dyck", 6)):
+            for n in range(1, top + 1):
+                oracle = tuple(_fibers_by_paths(PathFamily(n, k, kind)) for k in range(n))
+                assert fibers_by_sdw(n, kind) == oracle, (n, kind)
+                for k, fibers in enumerate(oracle):
+                    total = sum(fibers.values(), QTPoly())
+                    assert qt_enumerator(PathFamily(n, k, kind)) == total, (n, k, kind)
+
+    def test_one_walk_gives_every_k(self):
+        # qt_enumerator walks the step words once for all k: Catalan(5)
+        # profiles for the Dyck family of size 5
+        enumeration._QT_SUMS.clear()
+        _, calls = profiled_calls(
+            {_step_profile.__code__},
+            lambda: [qt_enumerator(PathFamily(5, k, "dyck")) for k in range(5)],
+        )
+        assert len(calls) == 42
+
+    def test_shards_split_the_fibers(self):
+        """Shard j holds the fibers whose paths have area j mod n, each
+        whole, and the shards together are the whole walk's fibers; at
+        every n <= 5 each shard is the whole walk's fibers of that area."""
+        for n in range(1, 6):
+            whole = fibers_by_sdw(n)
+            for j in range(n):
+                part = fibers_by_sdw(n, "square", j)
+                for k in range(n):
+                    assert part[k] == {
+                        sdw: qt
+                        for sdw, qt in whole[k].items()
+                        if next(iter(qt.terms))[1] % n == j
+                    }, (n, j, k)
+                    assert all(dt % n == j for qt in part[k].values() for _, dt in qt.terms)
+
+    @pytest.mark.parametrize("shard", [5, -1])
+    def test_shard_out_of_range_raises(self, shard):
+        with pytest.raises(ValueError, match=f"shard must be in 0..4, got {shard}"):
+            fibers_by_sdw(5, "square", shard)
 
 
 class TestScheduleOnePaths:

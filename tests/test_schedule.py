@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pathlab.poly import QTPoly
+from pathlab.enumeration import KINDS, PathFamily, generate
+from pathlab.paths import area_word, word_shift
+from pathlab.poly import QTPoly, q_analog
 from pathlab.schedule import (
     DecoratedPermutation,
     LetterTable,
@@ -38,7 +40,7 @@ from pathlab.schedule import (
     u_statistic,
 )
 
-from conftest import BIG_WORD, FIBER_SHIFT, FIBER_WORD, profiled_calls
+from conftest import BIG_WORD, FIBER_SHIFT, FIBER_WORD, profiled_calls, random_square_path
 
 
 def all_decorated_perms(n):
@@ -82,6 +84,38 @@ class TestWordBasics:
         assert format_perm(sdw.word) == "3* 1 2"
         assert sdw.word.decorated == {3}  # the label of decorated step 3
         assert sdw.shift == 0
+
+    def test_revmaj_is_maj_of_the_reversed_word(self):
+        # every permutation with n <= 6, and the empty word
+        for n in range(7):
+            for values in itertools.permutations(range(1, n + 1)):
+                assert revmaj(values) == maj(values[::-1]), values
+
+    def test_diagonal_reading_matches_the_definitional_sort(self):
+        """diagonal_word, whose letters come from one sort of packed keys,
+        equals the labels sorted by (diagonal, decreasing label), with the
+        decorated steps' labels decorated and the path's shift: for every
+        path of both kinds with n <= 5, and 200 seeded square paths for
+        each n from 10 to 20."""
+
+        def definitional(path):
+            a = area_word(path)
+            pairs = sorted(zip(a, path.labels), key=lambda dc: (dc[0], -dc[1]))
+            decorated = frozenset(path.labels[i - 1] for i in path.decorations)
+            word = DecoratedPermutation(tuple(c for _, c in pairs), decorated)
+            return ShiftedDiagonalWord(word, word_shift(a))
+
+        small = (
+            p
+            for n in range(1, 6)
+            for kind in KINDS
+            for k in range(n)
+            for p in generate(PathFamily(n, k, kind))
+        )
+        rng = random.Random(33)
+        seeded = (random_square_path(rng, n) for n in range(10, 21) for _ in range(200))
+        for path in itertools.chain(small, seeded):
+            assert diagonal_word(path) == definitional(path), path
 
     def test_cyclic_runs(self):
         # 8 4 2 becomes a decreasing run after adding some m modulo 8
@@ -276,6 +310,25 @@ class TestProductFormula:
             {(1, 6): 1, (2, 6): 4, (3, 6): 6, (4, 6): 4, (5, 6): 1}
         )
         assert schedule_rhs(sdw).eval_q(1)(1) == 16
+
+    def test_matches_the_q_analog_product(self):
+        """schedule_rhs, one coefficient list of window sums, equals
+        t^revmaj q^u times the QTPoly product of the q-analogs of the
+        schedule numbers: for every decorated permutation with n <= 5 at
+        every shift up to its number of runs, a superset of the realized
+        shifted diagonal words that includes zero schedules (at the last
+        shift, and wherever a letter's schedule value is 0)."""
+        zero = 0
+        for n in range(1, 6):
+            for word in all_decorated_perms(n):
+                for s in range(len(decreasing_runs(word)) + 1):
+                    sdw = ShiftedDiagonalWord(word, s)
+                    product = QTPoly.monomial(u_statistic(sdw), revmaj(word))
+                    for w in schedule_numbers(sdw):
+                        product = product * q_analog(w)
+                    assert schedule_rhs(sdw) == product, sdw
+                    zero += not product
+        assert zero > 0
 
     def test_count_is_product_of_schedules(self, big_word):
         # the closed form at q = t = 1, so a fiber's size, is the product of

@@ -253,6 +253,40 @@ def test_area_shards_split_bare_paths_evenly():
     assert sizes == [7776] * 6
 
 
+def test_schedule_formula_cells_are_never_empty():
+    # the fibers of each (n, shard) cell of schedule-formula, over every k,
+    # for n <= 6: sharded by area mod n, no cell is empty
+    counts = {
+        n: [sum(map(len, enumeration.fibers_by_sdw(n, "square", j))) for j in range(n)]
+        for n in range(1, 7)
+    }
+    assert counts == {
+        1: [1],
+        2: [2, 3],
+        3: [9, 11, 9],
+        4: [53, 55, 51, 50],
+        5: [370, 363, 353, 357, 366],
+        6: [3067, 3017, 2995, 3024, 3072, 3094],
+    }
+
+
+def test_fiber_walks_build_no_paths():
+    """schedule-formula and sdw-area read every path's statistics off its
+    step word's profile and labeling: neither makes a generate,
+    diagonal_word, dinv or area call (checked at n = 4)."""
+    codes = {
+        enumeration.generate.__code__,
+        schedule.diagonal_word.__code__,
+        paths.dinv.__code__,
+        paths.area.__code__,
+    }
+    for check, args in [(verify.check_sdw_area, (4,))] + [
+        (verify.check_schedule_formula, (4, j)) for j in range(4)
+    ]:
+        passed, calls = profiled_calls(codes, check, *args)
+        assert passed is None and calls == [], (check.__name__, args)
+
+
 def test_cancellation_path_streams_each_seed_once(monkeypatch):
     seen = []
     original = bridge.schedule_one_paths
@@ -368,6 +402,26 @@ def test_schedule_formula_catches_a_wrong_closed_form(monkeypatch):
     monkeypatch.setattr(schedule, "schedule_rhs", lambda sdw: original(sdw) * q)
     report = list(run_suite("schedule-formula", 2, jobs=1))[0]
     assert not report.ok and report.witness.endswith(" qt mismatch")
+
+
+def _one_more_area(step_profile):
+    return lambda steps: step_profile(steps)._replace(area=step_profile(steps).area + 1)
+
+
+@pytest.mark.parametrize(
+    "module, name, fault",
+    [
+        (schedule, "revmaj", lambda revmaj: lambda seq: revmaj(seq) + 1),
+        (enumeration, "_step_profile", _one_more_area),
+    ],
+)
+def test_sdw_area_catches_area_not_revmaj(monkeypatch, module, name, fault):
+    # a wrong revmaj, or a wrong area, fails the first size with its one
+    # path as the witness
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    report = list(run_suite("sdw-area", 2, jobs=1))[0]
+    assert not report.ok and report.witness == "NE:1:"
+    assert paths.parse_path(report.witness) == paths.DecoratedLabeledPath("NE", (1,))
 
 
 def test_phi_bijection_catches_moved_letters(monkeypatch):
