@@ -18,10 +18,11 @@ lexicographic order, so it keeps each composition's columns until the
 walk ends and reads the labelings off them.  The signed sums and the
 schedule-one stream score every labeling of a step word at once, with a
 few big-int operations per decoration set, on its composition's bit
-slices (:func:`_label_slices`).  Both walk :func:`_slice_groups`, the
-step words grouped by composition with one composition's slices held at
-a time, and both walk the sets of valleys and ties present on their
-:func:`_presences` with :func:`_decoration_sets`.  The stream reads a
+slices (:func:`_label_slices`).  Both walk :func:`_step_groups`, the
+step words grouped by composition, building a group's slices when they
+reach it, so they hold one composition's slices at a time, and both
+walk the sets of valleys and ties present on their :func:`_presences`
+with :func:`_decoration_sets`.  The stream reads a
 composition's columns only to name the paths it yields, and yields each
 one where its walk finds it.
 
@@ -162,8 +163,8 @@ def _label_slices(sizes: tuple[int, ...]) -> tuple[int, dict[tuple[int, int], in
     bits up puts the byte 16 w_x + w_y at every labeling, which a
     translation reads as one binary digit.  Labels must fit four bits, so n
     is at most 15 (a brute sum at n = 15 has 15^15 (steps, labels) pairs);
-    the one caller, :func:`_slice_groups`, checks that first
-    (:func:`check_sum_size`)."""
+    the walks reach it through :func:`_step_groups`, which checks that
+    first (:func:`check_sum_size`)."""
     n = sum(sizes)
     columns = _composition_columns(sizes)
     m = len(columns[0])
@@ -188,6 +189,7 @@ class _StepProfile(NamedTuple):
     by i, then j.
     """
 
+    word: tuple[int, ...]  # the area word
     area: int
     shift: int
     bonus: int  # north steps strictly below the main diagonal
@@ -199,10 +201,10 @@ class _StepProfile(NamedTuple):
 def _step_profile(steps: str) -> _StepProfile:
     """The label-free part of the area, attack pairs and valleys of a step
     word, with the rules of :func:`pathlab.paths.attack_pairs` and
-    :func:`pathlab.paths.contractible_valleys`, and its shift."""
+    :func:`pathlab.paths.contractible_valleys`, with its area word and
+    shift."""
     a = steps_area_word(steps)
     n = len(a)
-    shift = word_shift(a)
     candidates = []
     for i, j in itertools.combinations(range(1, n + 1), 2):
         if a[j - 1] == a[i - 1]:
@@ -210,8 +212,9 @@ def _step_profile(steps: str) -> _StepProfile:
         elif a[j - 1] + 1 == a[i - 1]:
             candidates.append((i, j, j, i))
     return _StepProfile(
-        area=sum(a) + n * shift,  # word_area(a)
-        shift=shift,
+        word=a,
+        area=word_area(a),
+        shift=word_shift(a),
         bonus=sum(1 for v in a if v < 0),
         candidates=tuple(candidates),
         valleys=((1,) if a[0] <= -1 else ())
@@ -258,19 +261,6 @@ def _step_groups(
         yield sizes, by_sizes.pop(sizes)
 
 
-def _slice_groups(
-    n: int, kind: str, shard: int | None
-) -> Iterator[tuple[tuple[int, ...], list[str], int, dict[tuple[int, int], int]]]:
-    """The groups of :func:`_step_groups`, each as ``(sizes, words, full,
-    less)`` with its composition's bit slices (:func:`_label_slices`).
-
-    A group's slices are built only when it is asked for, and the walk
-    keeps none of them, so a caller that drops them before asking for the
-    next group holds one composition's slices at a time."""
-    for sizes, words in _step_groups(n, kind, shard):
-        yield (sizes, words, *_label_slices(sizes))
-
-
 def labeled_step_words(
     n: int, kind: str = "square", shard: int | None = None
 ) -> Iterator[tuple[str, _StepProfile, tuple[int, ...], list[bytes]]]:
@@ -285,8 +275,8 @@ def labeled_step_words(
     for sizes, words in _step_groups(n, kind, shard):
         columns = _composition_columns(sizes)
         for steps in words:
-            bases = diagonal_bases(steps_area_word(steps))
-            yield steps, _step_profile(steps), bases, columns
+            profile = _step_profile(steps)
+            yield steps, profile, diagonal_bases(profile.word), columns
         del columns  # before the next composition's columns are built
 
 
@@ -373,7 +363,7 @@ def _signed_sums(n: int, kind: str, shard: int | None) -> tuple[TPoly, ...]:
     ``_SIGNED_SUMS`` for the life of the process.
 
     The step words are walked grouped by column composition
-    (:func:`_slice_groups`), one composition's bit slices held at a time,
+    (:func:`_step_groups`), one composition's bit slices held at a time,
     bit l standing for labeling l.  A Dyck step word is exactly a square
     one with no north step below the diagonal (``bonus == 0``), and its
     labelings are those of its composition, so a square walk over the whole
@@ -401,7 +391,8 @@ def _signed_sums(n: int, kind: str, shard: int | None) -> tuple[TPoly, ...]:
     sums = {kind: [dict() for _ in range(n)]}  # kind -> k -> area -> sum
     if kind == "square" and shard is None:
         sums["dyck"] = [dict() for _ in range(n)]
-    for _, words, full, less in _slice_groups(n, kind, shard):
+    for sizes, words in _step_groups(n, kind, shard):
+        full, less = _label_slices(sizes)
         for steps in words:
             profile = _step_profile(steps)
             odd = [0] * (n + 1)  # by left index: labelings with odd c_i
@@ -497,19 +488,21 @@ def fibers_by_sdw(
     raises ValueError.  A fiber's size is its sum at q = t = 1.
 
     One walk of the step words and their labelings gives every k
-    (:func:`_fiber_counts`), and each fiber's word is built once.
+    (:func:`_fiber_counts`).  A decorated word is built once for all of its
+    shifts, so the schedule table it caches is built once too.
     :func:`_fibers_by_paths`, which groups the paths of :func:`generate`,
     is its test oracle."""
     PathFamily(n, 0, kind)
     grouped: list[dict] = [{} for _ in range(n)]  # k -> (letters, mask, shift) -> terms
+    words: dict[tuple[tuple[int, ...], int], DecoratedPermutation] = {}
     for (letters, mask, shift, d, a), count in _fiber_counts(n, kind, shard).items():
         grouped[mask.bit_count()].setdefault((letters, mask, shift), {})[d, a] = count
+        if (letters, mask) not in words:
+            decorated = frozenset(v for v in letters if mask >> v & 1)
+            words[letters, mask] = DecoratedPermutation(letters, decorated)
     return tuple(
         {
-            ShiftedDiagonalWord(
-                DecoratedPermutation(letters, frozenset(v for v in letters if mask >> v & 1)),
-                shift,
-            ): QTPoly(terms)
+            ShiftedDiagonalWord(words[letters, mask], shift): QTPoly(terms)
             for (letters, mask, shift), terms in fibers.items()
         }
         for fibers in grouped
@@ -529,22 +522,14 @@ def _fibers_by_paths(family: PathFamily) -> dict[ShiftedDiagonalWord, QTPoly]:
     return {sdw: QTPoly(terms) for sdw, terms in acc.items()}
 
 
-# (n, kind) -> the (q, t)-enumerator for each k
-_QT_SUMS: dict[tuple[int, str], tuple[QTPoly, ...]] = {}
-
-
 def qt_enumerator(family: PathFamily) -> QTPoly:
     """Unsigned (q, t)-enumerator: sum of q^dinv t^area over the family, the
-    sum of its fibers.  One walk of :func:`_fiber_counts` gives every k of
-    size n and kind, kept in ``_QT_SUMS`` for the life of the process."""
-    key = (family.n, family.kind)
-    if key not in _QT_SUMS:
-        sums: list[dict[tuple[int, int], int]] = [{} for _ in range(family.n)]
-        for (_, mask, _, d, a), count in _fiber_counts(*key, None).items():
-            acc = sums[mask.bit_count()]
-            acc[d, a] = acc.get((d, a), 0) + count
-        _QT_SUMS[key] = tuple(map(QTPoly, sums))
-    return _QT_SUMS[key][family.k]
+    sum of its fibers, read off one walk of :func:`_fiber_counts`."""
+    terms: dict[tuple[int, int], int] = {}
+    for (_, mask, _, d, a), count in _fiber_counts(family.n, family.kind, None).items():
+        if mask.bit_count() == family.k:
+            terms[d, a] = terms.get((d, a), 0) + count
+    return QTPoly(terms)
 
 
 def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLabeledPath]:
@@ -579,7 +564,7 @@ def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLa
 
     Decorating steps changes neither the diagonals nor the labels, so every
     labeling of a step word is scored at once on the bit slices of its
-    composition, walked as the signed sums walk them (:func:`_slice_groups`),
+    composition, walked as the signed sums walk them (:func:`_step_groups`),
     bit l standing for labeling l.  The sets D of valleys and ties come
     from :func:`_decoration_sets`, a set present on the AND of its
     members' :func:`_presences`.  Whether a
@@ -591,7 +576,7 @@ def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLa
 
     Each path is yielded where the walk finds it, so the stream's order is
     the walk's, the same on every run for one (n, shard): the groups of
-    :func:`_slice_groups`, by first appearance of their composition among
+    :func:`_step_groups`, by first appearance of their composition among
     the shard's step words; a group's words lexicographically; a word's
     decoration sets in the depth-first order of :func:`_decoration_sets`;
     and a set's labelings by rank, the order of
@@ -601,11 +586,13 @@ def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLa
     first path as soon as the first group has a hit.
     """
     check_sum_size(n, "schedule-one paths")
-    for sizes, words, full, less in _slice_groups(n, "square", shard):
+    for sizes, words in _step_groups(n, "square", shard):
+        full, less = _label_slices(sizes)
         columns = None
         for steps in words:
-            a = (None,) + steps_area_word(steps)  # a[i] is step i's diagonal
-            presences = _presences(_step_profile(steps), full, less)
+            profile = _step_profile(steps)
+            a = (None,) + profile.word  # a[i] is step i's diagonal
+            presences = _presences(profile, full, less)
             zero = [i for i in range(1, n + 1) if a[i] == 0]
             movable = {i for i, _ in presences}
             if sum(1 for i in zero if i not in movable) > 1:

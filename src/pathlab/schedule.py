@@ -16,7 +16,7 @@ from operator import sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .paths import DecoratedLabeledPath, NonStandardLabeling, area_word, word_shift
-from .poly import QTPoly
+from .poly import QTPoly, q_analog
 
 
 @dataclass(frozen=True)
@@ -499,25 +499,10 @@ def u_statistic(sdw: ShiftedDiagonalWord) -> int:
 
 def schedule_rhs(sdw: ShiftedDiagonalWord) -> QTPoly:
     """Closed form for the (q, t)-enumerator of the fiber of a shifted
-    diagonal word: t^revmaj * q^u * product of q-analogs of the schedules.
-
-    The product is one coefficient list in q.  Multiplying by
-    [w]_q = 1 + q + ... + q^(w-1) makes each new coefficient the sum of a
-    window of w old ones, kept as a running sum: add the coefficient that
-    enters the window, drop the one that leaves it.  A zero schedule zeroes
-    the product, and [1]_q leaves it as it is."""
-    coeffs = [1]
+    diagonal word: t^revmaj * q^u * product of q-analogs of the schedules."""
+    word = sdw.word
+    out = QTPoly.monomial(u_statistic(sdw), revmaj(word))
     for w in schedule_numbers(sdw):
-        if w == 0:
-            return QTPoly()
-        if w > 1:
-            window, out = 0, []
-            for d in range(len(coeffs) + w - 1):
-                if d < len(coeffs):
-                    window += coeffs[d]
-                if d >= w:
-                    window -= coeffs[d - w]
-                out.append(window)
-            coeffs = out
-    u, r = u_statistic(sdw), revmaj(sdw.word)
-    return QTPoly({(u + d, r): c for d, c in enumerate(coeffs)})
+        if w != 1:  # [1]_q = 1
+            out = out * q_analog(w)
+    return out

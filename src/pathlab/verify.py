@@ -369,7 +369,10 @@ def check_sdw_area(n: int) -> str | None:
     comes from its profile, and each labeling's letters from the reading
     that :func:`~pathlab.schedule.diagonal_word` uses
     (:func:`~pathlab.schedule.read_diagonals`); a path is built only to
-    name a failure."""
+    name a failure.  The witness is the first failing path in the order of
+    :func:`~pathlab.enumeration.labeled_step_words`, step words grouped by
+    column composition, which need not be the first in
+    :func:`~pathlab.enumeration.generate`'s lexicographic order."""
     for steps, profile, bases, columns in enumeration.labeled_step_words(n, "square"):
         for labels in zip(*columns):
             letters = schedule.read_diagonals(bases, labels)

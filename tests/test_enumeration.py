@@ -23,7 +23,7 @@ from pathlab.enumeration import (
     _label_slices,
     _presences,
     _signed_sums,
-    _slice_groups,
+    _step_groups,
     _step_profile,
     _valleys,
     bare_path_count,
@@ -179,7 +179,8 @@ class TestDecorationSets:
         labeling, with their present slice and the XOR of the starting
         flips and theirs, from no flips and from some."""
         for n in range(1, 6):
-            for _, words, full, less in _slice_groups(n, "square", None):
+            for sizes, words in _step_groups(n, "square", None):
+                full, less = _label_slices(sizes)
                 for steps in words:
                     presences = _presences(_step_profile(steps), full, less)
                     choices = [(i, on, full >> i) for i, on in presences]
@@ -453,14 +454,10 @@ class TestFibers:
                     assert qt_enumerator(PathFamily(n, k, kind)) == total, (n, k, kind)
 
     def test_one_walk_gives_every_k(self):
-        # qt_enumerator walks the step words once for all k: Catalan(5)
+        # fibers_by_sdw walks the step words once for all k: Catalan(5)
         # profiles for the Dyck family of size 5
-        enumeration._QT_SUMS.clear()
-        _, calls = profiled_calls(
-            {_step_profile.__code__},
-            lambda: [qt_enumerator(PathFamily(5, k, "dyck")) for k in range(5)],
-        )
-        assert len(calls) == 42
+        fibers, calls = profiled_calls({_step_profile.__code__}, fibers_by_sdw, 5, "dyck")
+        assert len(fibers) == 5 and len(calls) == 42
 
     def test_shards_split_the_fibers(self):
         """Shard j holds the fibers whose paths have area j mod n, each

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from pathlab.enumeration import KINDS, PathFamily, generate
 from pathlab.paths import area_word, word_shift
-from pathlab.poly import QTPoly, q_analog
+from pathlab.poly import QTPoly
 from pathlab.schedule import (
     DecoratedPermutation,
     LetterTable,
@@ -310,25 +310,6 @@ class TestProductFormula:
             {(1, 6): 1, (2, 6): 4, (3, 6): 6, (4, 6): 4, (5, 6): 1}
         )
         assert schedule_rhs(sdw).eval_q(1)(1) == 16
-
-    def test_matches_the_q_analog_product(self):
-        """schedule_rhs, one coefficient list of window sums, equals
-        t^revmaj q^u times the QTPoly product of the q-analogs of the
-        schedule numbers: for every decorated permutation with n <= 5 at
-        every shift up to its number of runs, a superset of the realized
-        shifted diagonal words that includes zero schedules (at the last
-        shift, and wherever a letter's schedule value is 0)."""
-        zero = 0
-        for n in range(1, 6):
-            for word in all_decorated_perms(n):
-                for s in range(len(decreasing_runs(word)) + 1):
-                    sdw = ShiftedDiagonalWord(word, s)
-                    product = QTPoly.monomial(u_statistic(sdw), revmaj(word))
-                    for w in schedule_numbers(sdw):
-                        product = product * q_analog(w)
-                    assert schedule_rhs(sdw) == product, sdw
-                    zero += not product
-        assert zero > 0
 
     def test_count_is_product_of_schedules(self, big_word):
         # the closed form at q = t = 1, so a fiber's size, is the product of

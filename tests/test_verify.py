@@ -243,14 +243,15 @@ def test_area_shards_split_brute_sums(n):
 
 
 def test_area_shards_split_bare_paths_evenly():
-    sizes = [
+    # a composition's full slice has one bit per labeling
+    labelings = [
         sum(
-            len(words) * full.bit_count()  # one bit per labeling
-            for _, words, full, _ in enumeration._slice_groups(6, "square", j)
+            len(words) * enumeration._label_slices(sizes)[0].bit_count()
+            for sizes, words in enumeration._step_groups(6, "square", j)
         )
         for j in range(6)
     ]
-    assert sizes == [7776] * 6
+    assert labelings == [7776] * 6
 
 
 def test_schedule_formula_cells_are_never_empty():
@@ -422,6 +423,17 @@ def test_sdw_area_catches_area_not_revmaj(monkeypatch, module, name, fault):
     report = list(run_suite("sdw-area", 2, jobs=1))[0]
     assert not report.ok and report.witness == "NE:1:"
     assert paths.parse_path(report.witness) == paths.DecoratedLabeledPath("NE", (1,))
+
+
+def test_sdw_area_witness_is_the_walks_first_failure(monkeypatch):
+    # a revmaj wrong only where it is 2 fails first at n = 3, with the first
+    # path of area 2 in the walk's order (step words grouped by column
+    # composition), not generate's first, ENNENE:1,2,3:
+    revmaj = schedule.revmaj
+    monkeypatch.setattr(schedule, "revmaj", lambda seq: revmaj(seq) + (revmaj(seq) == 2))
+    reports = list(run_suite("sdw-area", 3, jobs=1))
+    assert [r.ok for r in reports] == [True, True, False]
+    assert reports[-1].witness == "NEENNE:1,2,3:"
 
 
 def test_phi_bijection_catches_moved_letters(monkeypatch):
