@@ -26,10 +26,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .paths import DecoratedLabeledPath, area_word
-from .schedule import ShiftedDiagonalWord, diagonal_word, ones_shifts
+from .schedule import diagonal_word, ones_shifts
 
 
 class CycleError(ValueError):
@@ -252,19 +252,10 @@ def ordered_cycle(path: DecoratedLabeledPath) -> tuple[DecoratedLabeledPath, ...
     return tuple([q for q, _ in ranked])
 
 
-def sched_one_members(
-    members: Iterable[DecoratedLabeledPath],
-    words: Mapping[DecoratedLabeledPath, ShiftedDiagonalWord] | None = None,
-) -> frozenset[DecoratedLabeledPath]:
-    """The given members whose schedule word is all ones.  ``words`` may
-    hold members' diagonal words that the caller already has; the others
-    are computed here."""
-    words = words or {}
+def sched_one_members(members: Iterable[DecoratedLabeledPath]) -> frozenset[DecoratedLabeledPath]:
+    """The given members whose schedule word is all ones."""
     return frozenset(
-        q
-        for q in members
-        if (sdw := words[q] if q in words else diagonal_word(q)).shift
-        in ones_shifts(sdw.word)
+        q for q in members if (sdw := diagonal_word(q)).shift in ones_shifts(sdw.word)
     )
 
 

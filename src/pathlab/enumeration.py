@@ -9,22 +9,24 @@ the generated families without materializing them.
 
 Every stream walks labeled paths in two levels.  What a step word fixes
 for all of its labelings (the area and shift, which pairs of north steps
-can attack, which steps are valleys whatever the labels) is its profile,
-derived once per step word by :func:`_step_profile`.  What a column
-composition gives all of its step words is made once per walk, from its
-labelings as byte columns (:func:`_composition_columns`).
-:func:`generate` compares labels per (steps, labels) pair and keeps
-lexicographic order, so it keeps each composition's columns until the
-walk ends and reads the labelings off them.  The signed sums and the
-schedule-one stream score every labeling of a step word at once, with a
-few big-int operations per decoration set, on its composition's bit
-slices (:func:`_label_slices`).  Both walk :func:`_step_groups`, the
-step words grouped by composition, building a group's slices when they
-reach it, so they hold one composition's slices at a time, and both
-walk the sets of valleys and ties present on their :func:`_presences`
-with :func:`_decoration_sets`.  The stream reads a
-composition's columns only to name the paths it yields, and yields each
-one where its walk finds it.
+can attack, which steps can be contractible valleys) is its profile, made
+once per step word by :func:`_step_profile`; the profile carries the word,
+and it is what every walk passes around.  Its decorable steps hold the
+valley rule, read once per labeling by :func:`_valleys` and once per
+slice of labelings by :func:`_presences`.  What a column composition
+gives all of its step words is made once per walk, from its labelings as
+byte columns (:func:`_composition_columns`).  :func:`generate` compares
+labels per (steps, labels) pair and keeps lexicographic order, so it
+keeps each composition's columns until the walk ends and reads the
+labelings off them.  The signed sums and the schedule-one stream score
+every labeling of a step word at once, with a few big-int operations per
+decoration set, on its composition's bit slices (:func:`_label_slices`).
+Both walk :func:`_step_groups`, the profiles grouped by composition,
+building a group's slices when they reach it, so they hold one
+composition's slices at a time, and both walk the sets of decorable
+steps present on their :func:`_presences` with :func:`_decoration_sets`.
+The stream reads a composition's columns only to name the paths it
+yields, and yields each one where its walk finds it.
 
 The fibers by shifted diagonal word, and the (q, t)-enumerator summed
 from them, read each labeling of a step word once, off the byte columns
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -89,26 +92,19 @@ def step_words(n: int, kind: str = "square") -> Iterator[str]:
     A word is fixed by the positions of its first n - 1 east steps, since
     its last step is east, and lexicographic order of the position tuples is
     the words' order: where two tuples first differ, the smaller one puts an
-    east step where the other puts a north step.  East step i (0-based) sits
-    at a position from ``lowest[i]`` to n + i: at least i, and at least
-    2i + 1 in a Dyck word, which has i + 1 north steps before it.  The next
-    tuple moves the last east step that can move one place right, and puts
-    each later one at its lowest position or just after the one before it,
-    whichever is later.  No recursion, and the first word comes at once for
-    any n; there is no word for n < 1."""
-    lowest = [2 * i + 1 if kind == "dyck" else i for i in range(n - 1)]
-    easts = lowest
-    while n > 0:  # no word for n < 1; otherwise the loop ends at its return
+    east step where the other puts a north step.  So the tuples of
+    :func:`itertools.combinations` of 0..2n - 2 come in the words' order.
+    A Dyck word has i + 1 north steps before its east step i (0-based), so
+    it is a tuple with e_i >= 2i + 1.  There is no word for n < 1."""
+    if n < 1:
+        return
+    for easts in itertools.combinations(range(2 * n - 1), n - 1):
+        if kind == "dyck" and not all(map(operator.ge, easts, range(1, 2 * n, 2))):
+            continue
         steps = ["N"] * (2 * n - 1) + ["E"]
         for pos in easts:
             steps[pos] = "E"
         yield "".join(steps)
-        for j in reversed(range(n - 1)):
-            if easts[j] < n + j:
-                break
-        else:
-            return
-        easts = easts[:j] + [max(easts[j] + 1 + i - j, lowest[i]) for i in range(j, n - 1)]
 
 
 def column_sizes(steps: str) -> tuple[int, ...]:
@@ -180,28 +176,30 @@ def _label_slices(sizes: tuple[int, ...]) -> tuple[int, dict[tuple[int, int], in
 
 
 class _StepProfile(NamedTuple):
-    """What a step word fixes for every labeling of it.
+    """A step word with what it fixes for every labeling of it.
 
     North steps are numbered 1..n as in :mod:`pathlab.paths`.  A candidate
     (i, j, lo, hi) is a pair of steps i < j that attacks exactly when
     w_lo < w_hi: a primary candidate (a_j = a_i) has lo, hi = i, j, and a
     secondary one (a_j + 1 = a_i) has lo, hi = j, i.  Candidates are ordered
-    by i, then j.
+    by i, then j.  A decorable step (i, tie) can be a contractible valley:
+    one whatever the labels, or, for a tie (a_{i-1} = a_i), exactly when
+    w_{i-1} < w_i.  Decorable steps are increasing.
     """
 
+    steps: str
     word: tuple[int, ...]  # the area word
     area: int
     shift: int
     bonus: int  # north steps strictly below the main diagonal
     candidates: tuple[tuple[int, int, int, int], ...]
-    valleys: tuple[int, ...]  # contractible whatever the labels
-    ties: tuple[int, ...]  # i with a_{i-1} = a_i: contractible iff w_{i-1} < w_i
+    decorable: tuple[tuple[int, bool], ...]  # (i, is_tie)
 
 
 def _step_profile(steps: str) -> _StepProfile:
-    """The label-free part of the area, attack pairs and valleys of a step
-    word, with the rules of :func:`pathlab.paths.attack_pairs` and
-    :func:`pathlab.paths.contractible_valleys`, with its area word and
+    """A step word with the label-free part of its area, attack pairs and
+    valleys, by the rules of :func:`pathlab.paths.attack_pairs` and
+    :func:`pathlab.paths.contractible_valleys`, and its area word and
     shift."""
     a = steps_area_word(steps)
     n = len(a)
@@ -211,43 +209,43 @@ def _step_profile(steps: str) -> _StepProfile:
             candidates.append((i, j, i, j))
         elif a[j - 1] + 1 == a[i - 1]:
             candidates.append((i, j, j, i))
+    falls = enumerate(zip(a, a[1:]), start=2)
     return _StepProfile(
+        steps=steps,
         word=a,
         area=word_area(a),
         shift=word_shift(a),
         bonus=sum(1 for v in a if v < 0),
         candidates=tuple(candidates),
-        valleys=((1,) if a[0] <= -1 else ())
-        + tuple(i for i in range(2, n + 1) if a[i - 2] > a[i - 1]),
-        ties=tuple(i for i in range(2, n + 1) if a[i - 2] == a[i - 1]),
+        decorable=(((1, False),) if a[0] <= -1 else ())
+        + tuple((i, x == y) for i, (x, y) in falls if x >= y),
     )
 
 
 def _valleys(profile: _StepProfile, labels: tuple[int, ...]) -> list[int]:
     """Contractible valleys of the path whose step i carries label
     ``labels[i - 1]``, increasing."""
-    ties = [i for i in profile.ties if labels[i - 2] < labels[i - 1]]
-    return sorted(profile.valleys + tuple(ties))
+    return [i for i, tie in profile.decorable if not tie or labels[i - 2] < labels[i - 1]]
 
 
 def _presences(
     profile: _StepProfile, full: int, less: dict[tuple[int, int], int]
 ) -> list[tuple[int, int]]:
-    """The steps that can be contractible valleys, increasing, each with the
-    slice of labelings on which it is one: ``full`` for a valley, and
-    ``less[t - 1, t]`` for a tie t."""
-    valleys = [(i, full) for i in profile.valleys]
-    return sorted(valleys + [(t, less[t - 1, t]) for t in profile.ties])
+    """The decorable steps, increasing, each with the slice of labelings on
+    which it is a contractible valley: ``less[i - 1, i]`` for a tie i, and
+    ``full`` for any other."""
+    return [(i, less[i - 1, i] if tie else full) for i, tie in profile.decorable]
 
 
 def _step_groups(
     n: int, kind: str, shard: int | None
-) -> Iterator[tuple[tuple[int, ...], list[str]]]:
+) -> Iterator[tuple[tuple[int, ...], Iterator[_StepProfile]]]:
     """The step words of size n grouped by column composition, each group
-    as ``(sizes, words)``; with a shard j, only the words whose area is j
-    mod n, and a shard outside 0..n-1 raises ValueError.  The groups come
-    in the order their compositions first appear among the step words, and
-    a group's words in lexicographic order.  The n <= 15 bound of the
+    as ``(sizes, profiles)``, its words' :func:`_step_profile` made one at a
+    time as the walk reaches them; with a shard j, only the words whose area
+    is j mod n, and a shard outside 0..n-1 raises ValueError.  The groups
+    come in the order their compositions first appear among the step words,
+    and a group's words in lexicographic order.  The n <= 15 bound of the
     labelings (:func:`check_sum_size`) is checked before the words are
     grouped, which at n = 16 would list 3*10^8 of them first."""
     check_sum_size(n)
@@ -258,25 +256,24 @@ def _step_groups(
         if shard is None or word_area(steps_area_word(steps)) % n == shard:
             by_sizes.setdefault(column_sizes(steps), []).append(steps)
     for sizes in list(by_sizes):
-        yield sizes, by_sizes.pop(sizes)
+        yield sizes, map(_step_profile, by_sizes.pop(sizes))
 
 
 def labeled_step_words(
     n: int, kind: str = "square", shard: int | None = None
-) -> Iterator[tuple[str, _StepProfile, tuple[int, ...], list[bytes]]]:
-    """Each step word of size n as ``(steps, profile, bases, columns)``:
-    its :func:`_step_profile`, the sort keys that read any labeling's
+) -> Iterator[tuple[_StepProfile, tuple[int, ...], list[bytes]]]:
+    """Each step word of size n as ``(profile, bases, columns)``: its
+    :func:`_step_profile`, the sort keys that read any labeling's
     diagonal word (:func:`~pathlab.schedule.diagonal_bases`), and its
     composition's byte columns (:func:`_composition_columns`), which
     ``zip(*columns)`` reads as its labelings.  With a shard j, only the
     words whose area is j mod n.  The words come grouped by composition as
     :func:`_step_groups` gives them, one composition's columns held at a
     time; n is at most 15 (:func:`check_sum_size`)."""
-    for sizes, words in _step_groups(n, kind, shard):
+    for sizes, profiles in _step_groups(n, kind, shard):
         columns = _composition_columns(sizes)
-        for steps in words:
-            profile = _step_profile(steps)
-            yield steps, profile, diagonal_bases(profile.word), columns
+        for profile in profiles:
+            yield profile, diagonal_bases(profile.word), columns
         del columns  # before the next composition's columns are built
 
 
@@ -291,7 +288,7 @@ def _decoration_sets(
     ``full`` and their slices, and ``flipped`` the XOR of ``flips`` and
     their flips.  A set is extended only while ``present`` is nonzero.
 
-    A step word of size n has at most n - 1 valleys and ties, so no set
+    A step word of size n has at most n - 1 decorable steps, so no set
     passes the n - 1 decorations of a family: all n would need a_1 <= -1
     and a weakly decreasing area word, but a path ending east has
     a_n >= 0."""
@@ -311,14 +308,13 @@ def bare_path_count(n: int, kind: str = "square") -> int:
     return n**n if kind == "square" else (n + 1) ** (n - 1)
 
 
-def _kept_step_words(family: PathFamily) -> Iterator[tuple[str, _StepProfile]]:
-    """The family's step words with at least k valleys and ties, each with
-    its profile, in lexicographic order: a word with fewer has no path in
-    the family."""
-    for steps in step_words(family.n, family.kind):
-        profile = _step_profile(steps)
-        if len(profile.valleys) + len(profile.ties) >= family.k:
-            yield steps, profile
+def _kept_step_words(family: PathFamily) -> Iterator[_StepProfile]:
+    """The profiles of the family's step words with at least k decorable
+    steps, in lexicographic order: a word with fewer has no path in the
+    family."""
+    for profile in map(_step_profile, step_words(family.n, family.kind)):
+        if len(profile.decorable) >= family.k:
+            yield profile
 
 
 def read_pair_count(family: PathFamily) -> int:
@@ -326,15 +322,15 @@ def read_pair_count(family: PathFamily) -> int:
     family: the n!/(c_1! c_2! ...) labelings of each step word it keeps,
     c_i its column sizes.  At k = 0 this is :func:`bare_path_count`."""
     return sum(
-        math.factorial(family.n) // math.prod(map(math.factorial, column_sizes(steps)))
-        for steps, _ in _kept_step_words(family)
+        math.factorial(family.n) // math.prod(map(math.factorial, column_sizes(profile.steps)))
+        for profile in _kept_step_words(family)
     )
 
 
 def generate(family: PathFamily) -> Iterator[DecoratedLabeledPath]:
     """Every path in the family, in the canonical deterministic order.
 
-    A step word with fewer than k valleys and ties has no path in the
+    A step word with fewer than k decorable steps has no path in the
     family, so it is passed over before its labelings are read
     (:func:`read_pair_count` counts the pairs read).  A composition's
     labelings can be asked for again at any later step word, so its
@@ -343,13 +339,13 @@ def generate(family: PathFamily) -> Iterator[DecoratedLabeledPath]:
     (:func:`check_sum_size`)."""
     check_sum_size(family.n, "labeled paths")
     columns: dict[tuple[int, ...], list[bytes]] = {}
-    for steps, profile in _kept_step_words(family):
-        sizes = column_sizes(steps)
+    for profile in _kept_step_words(family):
+        sizes = column_sizes(profile.steps)
         if sizes not in columns:
             columns[sizes] = _composition_columns(sizes)
         for labels in zip(*columns[sizes]):
             for combo in itertools.combinations(_valleys(profile, labels), family.k):
-                yield DecoratedLabeledPath(steps, labels, frozenset(combo))
+                yield DecoratedLabeledPath(profile.steps, labels, frozenset(combo))
 
 
 # (n, kind, shard) -> the sums for each k; a square walk over the whole
@@ -391,10 +387,9 @@ def _signed_sums(n: int, kind: str, shard: int | None) -> tuple[TPoly, ...]:
     sums = {kind: [dict() for _ in range(n)]}  # kind -> k -> area -> sum
     if kind == "square" and shard is None:
         sums["dyck"] = [dict() for _ in range(n)]
-    for sizes, words in _step_groups(n, kind, shard):
+    for sizes, profiles in _step_groups(n, kind, shard):
         full, less = _label_slices(sizes)
-        for steps in words:
-            profile = _step_profile(steps)
+        for profile in profiles:
             odd = [0] * (n + 1)  # by left index: labelings with odd c_i
             for i, j, lo, _ in profile.candidates:
                 odd[i] ^= less[i, j] if lo == i else less[i, j] ^ full
@@ -451,17 +446,17 @@ def _fiber_counts(
     shift, dinv and area.  Every k at once, and no path is built.
 
     Each step word fixes the area, the shift, the attack candidates and the
-    valleys and ties (its profile), and the sort keys of the diagonal
+    decorable steps (its profile), and the sort keys of the diagonal
     reading (:func:`labeled_step_words`).  Per labeling, one pass over the
     candidates counts the attack pairs c_i at each left index i, P in all,
     and one sort of packed ints reads the diagonal word
     (:func:`~pathlab.schedule.read_diagonals`).  Decorating a valley i
     takes its c_i pairs and one more off dinv, so the sets D of the
-    labeling's valleys and ties, built by doubling, have
+    labeling's :func:`_valleys`, built by doubling, have
     ``dinv = P + bonus - sum over i in D of (c_i + 1)``."""
     counts: dict[tuple[tuple[int, ...], int, int, int, int], int] = {}
-    for _, profile, bases, columns in labeled_step_words(n, kind, shard):
-        area, shift, valleys = profile.area, profile.shift, profile.valleys
+    for profile, bases, columns in labeled_step_words(n, kind, shard):
+        area, shift = profile.area, profile.shift
         pairs = [(i, lo - 1, hi - 1) for i, _, lo, hi in profile.candidates]
         for w in zip(*columns):
             c = [0] * (n + 1)
@@ -470,7 +465,7 @@ def _fiber_counts(
                     c[i] += 1
             letters = read_diagonals(bases, w)
             sets = [(0, sum(c) + profile.bonus)]  # (decorated mask, dinv)
-            for i in valleys + tuple(t for t in profile.ties if w[t - 2] < w[t - 1]):
+            for i in _valleys(profile, w):
                 bit, drop = 1 << w[i - 1], c[i] + 1
                 sets += [(mask | bit, d - drop) for mask, d in sets]
             for mask, d in sets:
@@ -586,15 +581,13 @@ def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLa
     first path as soon as the first group has a hit.
     """
     check_sum_size(n, "schedule-one paths")
-    for sizes, words in _step_groups(n, "square", shard):
+    for sizes, profiles in _step_groups(n, "square", shard):
         full, less = _label_slices(sizes)
         columns = None
-        for steps in words:
-            profile = _step_profile(steps)
+        for profile in profiles:
             a = (None,) + profile.word  # a[i] is step i's diagonal
-            presences = _presences(profile, full, less)
             zero = [i for i in range(1, n + 1) if a[i] == 0]
-            movable = {i for i, _ in presences}
+            movable = {i for i, _ in profile.decorable}
             if sum(1 for i in zero if i not in movable) > 1:
                 continue
 
@@ -608,7 +601,7 @@ def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLa
                     on = less[x, y] if x < y else less[y, x] ^ full
                     low[i].append((j, on))
                     high[j].append((i, on))
-            choices = [(i, on, 0) for i, on in presences]
+            choices = [(i, on, 0) for i, on in _presences(profile, full, less)]
             for dec, ok, _ in _decoration_sets(choices, full, 0):
                 if sum(1 for i in zero if i not in dec) > 1:
                     continue
@@ -633,6 +626,6 @@ def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLa
                     bit = ok & -ok
                     l = bit.bit_length() - 1
                     labels = tuple([c[l] for c in columns])
-                    yield DecoratedLabeledPath(steps, labels, frozenset(dec))
+                    yield DecoratedLabeledPath(profile.steps, labels, frozenset(dec))
                     ok ^= bit
         del full, less, columns  # before the next composition's slices are built

@@ -196,9 +196,9 @@ def _ladder_cycle_witness(ladder: tuple[paths.DecoratedLabeledPath, ...]) -> str
     """The per-cycle part of :func:`check_dinv_ladder`; each member's
     diagonal word is computed once, and its ladder position, which comes
     from :func:`~pathlab.cutting.cycle_dinvs`, is checked against
-    :func:`~pathlab.paths.dinv`.  Once the word is known constant, every
-    member's schedule word is read off the base's word object, whose
-    all-ones shifts are then found once for the whole cycle."""
+    :func:`~pathlab.paths.dinv`.  Once the word is known constant, its
+    all-ones shifts are found once for the whole cycle, and a member's
+    schedule word is all ones when its shift is one of them."""
     base = ladder[0]
     words = {member: schedule.diagonal_word(member) for member in ladder}
     word, base_area = words[base].word, paths.area(base)
@@ -212,8 +212,8 @@ def _ladder_cycle_witness(ladder: tuple[paths.DecoratedLabeledPath, ...]) -> str
     geometric = [cutting.psi(base, i) for i in cutting.geometric_order(base)]
     if geometric != list(ladder):
         return "geometric order differs"
-    shared = {q: schedule.ShiftedDiagonalWord(word, sdw.shift) for q, sdw in words.items()}
-    listed = cutting.sched_one_members(ladder, shared)
+    ones = schedule.ones_shifts(word)
+    listed = {q for q in ladder if words[q].shift in ones}
     criterion = {
         q
         for q in ladder
@@ -353,12 +353,23 @@ def check_euler(n: int) -> str | None:
     For odd n, S(n, 0) has its closed form; for even n no parity-algorithm
     output is undecorated, so the insertion DP's S(n, 0) vanishes there.
     At every n, D(n, 0) = t^floor(n^2 / 4) euler_t(n): checked, not proved
-    (observed on the DP for every n <= 24)."""
+    (observed on the DP for every n <= 24).  For every k < n, D(n, k) has
+    lowest degree floor((n - k)^2 / 4) and top degree C(n, 2) - C(k + 1, 2),
+    every coefficient between them positive, and D(n, n - 2)(1) is
+    2^(n - 1) - 1: checked, not proved (observed on the DP for every
+    n <= 20, the suite's default size)."""
     closed = adr.euler_specialization(n) if n % 2 else poly.TPoly()
     if adr.S_fast(n, 0) != closed:
         return f"S({n},0) != {closed}"
     if adr.D_fast(n, 0) != poly.TPoly.monomial(n * n // 4) * poly.euler_t(n):
         return f"D({n},0) != t^{n * n // 4} euler_t({n})"
+    for k in range(n):
+        coeffs = adr.D_fast(n, k).coeffs
+        low, top = (n - k) ** 2 // 4, math.comb(n, 2) - math.comb(k + 1, 2)
+        if len(coeffs) != top + 1 or any(coeffs[:low]) or min(coeffs[low:]) <= 0:
+            return f"D({n},{k}) is not positive exactly on degrees {low}..{top}"
+    if n >= 2 and adr.D_fast(n, n - 2)(1) != 2 ** (n - 1) - 1:
+        return f"D({n},{n - 2})(1) != 2^{n - 1} - 1"
     return None
 
 
@@ -373,11 +384,11 @@ def check_sdw_area(n: int) -> str | None:
     :func:`~pathlab.enumeration.labeled_step_words`, step words grouped by
     column composition, which need not be the first in
     :func:`~pathlab.enumeration.generate`'s lexicographic order."""
-    for steps, profile, bases, columns in enumeration.labeled_step_words(n, "square"):
+    for profile, bases, columns in enumeration.labeled_step_words(n, "square"):
         for labels in zip(*columns):
             letters = schedule.read_diagonals(bases, labels)
             if schedule.revmaj(letters) != profile.area:
-                return str(paths.DecoratedLabeledPath(steps, labels))
+                return str(paths.DecoratedLabeledPath(profile.steps, labels))
     return None
 
 

@@ -161,13 +161,6 @@ class TestBigCycle:
         got = {format_path(p) for p in sched_one_members(members)}
         assert got == set(BIG_SCHED_ONE)
 
-    def test_schedule_one_members_from_given_words(self, big_cycle_paths, monkeypatch):
-        members = cutting_cycle(big_cycle_paths[0]).members
-        words = {q: diagonal_word(q) for q in members}
-        monkeypatch.setattr(cutting, "diagonal_word", None)  # a call would raise
-        got = {format_path(p) for p in sched_one_members(members, words)}
-        assert got == set(BIG_SCHED_ONE)
-
     def test_shape_of_canonical(self, big_cycle_paths):
         assert shape_stretches(big_cycle_paths[0]) == Stretches(
             head="EN", body="NENNNNENE", tail="EEENE"

@@ -179,24 +179,21 @@ class TestDecorationSets:
         labeling, with their present slice and the XOR of the starting
         flips and theirs, from no flips and from some."""
         for n in range(1, 6):
-            for sizes, words in _step_groups(n, "square", None):
+            for sizes, profiles in _step_groups(n, "square", None):
                 full, less = _label_slices(sizes)
-                for steps in words:
-                    presences = _presences(_step_profile(steps), full, less)
+                for profile in profiles:
+                    presences = _presences(profile, full, less)
                     choices = [(i, on, full >> i) for i, on in presences]
                     for flips in (0, full // 3):
                         walked = list(_decoration_sets(choices, full, flips))
                         oracle = _decoration_sets_by_subsets(choices, full, flips)
-                        assert sorted(walked) == sorted(oracle), (steps, flips)
+                        assert sorted(walked) == sorted(oracle), (profile.steps, flips)
 
     def test_no_set_passes_n_minus_one(self):
         """Every step word with n <= 9 has at most n - 1 valleys and ties,
         so no decoration set passes the largest k; some word has n - 1."""
         for n in range(1, 10):
-            most = max(
-                len(profile.valleys) + len(profile.ties)
-                for profile in map(_step_profile, step_words(n))
-            )
+            most = max(len(profile.decorable) for profile in map(_step_profile, step_words(n)))
             assert most == n - 1, n
 
 
@@ -262,6 +259,24 @@ class TestStepProfile:
                             contractible_valleys(base)
                         )
 
+    def test_presences_are_the_valleys_of_each_labeling(self):
+        """For every step word of both kinds with n <= 5, the presences are
+        increasing, and bit l of a step's slice is set exactly when the step
+        is a contractible valley of the path with labeling l; no other step
+        is one."""
+        for n in range(1, 6):
+            for kind in KINDS:
+                for sizes, profiles in _step_groups(n, kind, None):
+                    full, less = _label_slices(sizes)
+                    for profile in profiles:
+                        presences = _presences(profile, full, less)
+                        order = [i for i, _ in presences]
+                        assert order == sorted(set(order))
+                        for l, labels in enumerate(_labelings(sizes)):
+                            present = {i for i, on in presences if on >> l & 1}
+                            base = validate(profile.steps, labels)
+                            assert present == contractible_valleys(base), (base, l)
+
 
 class TestGenerate:
     def test_counts_match_naive_product(self):
@@ -289,7 +304,7 @@ class TestGenerate:
         wanted = sum(
             len(_labelings(column_sizes(w)))
             for w in step_words(6)
-            if len(_step_profile(w).valleys) + len(_step_profile(w).ties) >= family.k
+            if len(_step_profile(w).decorable) >= family.k
         )
         _, calls = profiled_calls({_valleys.__code__}, lambda: list(generate(family)))
         assert len(calls) == wanted

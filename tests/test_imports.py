@@ -1,5 +1,5 @@
-"""Every module of the package and of the test suite uses each name it
-imports."""
+"""Every module of the package, of the test suite and of the tools uses
+each name it imports."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_no_unused_imports():
     unused = {}
-    for path in [*ROOT.glob("src/pathlab/*.py"), *ROOT.glob("tests/*.py")]:
+    for path in [*ROOT.glob("src/pathlab/*.py"), *ROOT.glob("tests/*.py"), *ROOT.glob("tools/*.py")]:
         tree = ast.parse(path.read_text())
         imported = {
             (alias.asname or alias.name).partition(".")[0]

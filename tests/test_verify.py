@@ -60,6 +60,31 @@ def test_euler_checks_the_dyck_form(monkeypatch):
     assert verify.check_euler(3) is not None
 
 
+@pytest.mark.parametrize(
+    "k, fault, witness",
+    [
+        (1, lambda d: d * poly.TPoly.monomial(1), "D(4,1) is not positive exactly on degrees 2..5"),
+        (
+            1,
+            lambda d: poly.TPoly(d.coeffs[:3] + (0,) + d.coeffs[4:]),
+            "D(4,1) is not positive exactly on degrees 2..5",
+        ),
+        (2, lambda d: d + poly.TPoly.monomial(1), "D(4,2)(1) != 2^3 - 1"),
+    ],
+    ids=["degrees", "hole", "at-one"],
+)
+def test_euler_checks_every_k(monkeypatch, k, fault, witness):
+    # D(4, 1) = 2t^2 + 5t^3 + 3t^4 + t^5 moved up one degree or with its t^3
+    # term gone, or D(4, 2) with one more path at t = 1; the other k left right
+    original = adr.D_fast
+
+    def faulty(n, j):
+        return fault(original(n, j)) if j == k else original(n, j)
+
+    monkeypatch.setattr(adr, "D_fast", faulty)
+    assert verify.check_euler(4) == witness
+
+
 def test_shape_fails_on_a_path_that_is_not_schedule_one(monkeypatch):
     # its middle stretch holds two consecutive east steps
     def not_schedule_one(n, shard=None):
@@ -246,8 +271,8 @@ def test_area_shards_split_bare_paths_evenly():
     # a composition's full slice has one bit per labeling
     labelings = [
         sum(
-            len(words) * enumeration._label_slices(sizes)[0].bit_count()
-            for sizes, words in enumeration._step_groups(6, "square", j)
+            len(list(profiles)) * enumeration._label_slices(sizes)[0].bit_count()
+            for sizes, profiles in enumeration._step_groups(6, "square", j)
         )
         for j in range(6)
     ]
@@ -383,9 +408,9 @@ def _reversed_word(sdw):
             "geometric order differs",
         ),
         (
-            cutting,
-            "sched_one_members",
-            lambda original: lambda members, words=None: frozenset(),
+            schedule,
+            "ones_shifts",
+            lambda original: lambda word: frozenset(),
             "schedule-one members differ",
         ),
     ],
