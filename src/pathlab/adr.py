@@ -191,7 +191,9 @@ def delta(m: int, word: DecoratedPermutation) -> DecoratedPermutation:
     return DecoratedPermutation(values, frozenset(decorated))
 
 
-@lru_cache(maxsize=None)
+# one entry, the last pass: `pathlab table` asks for S and then D of one n
+# in one process, and both read this pass
+@lru_cache(maxsize=1)
 def _chain_counts(n: int) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
     """Permutations of size n counted by (chain decorations k, revmaj), split
     by whether their first decreasing run keeps exactly two undecorated letters.
@@ -253,16 +255,18 @@ def _chain_counts(n: int) -> tuple[dict[tuple[int, int], int], dict[tuple[int, i
     return unpack(two), unpack(other)
 
 
-@lru_cache(maxsize=None)
-def _fast_sums(n: int, flat: bool) -> tuple[TPoly, ...]:
-    """t^revmaj of the decorating-algorithm outputs, bucketed by decoration
-    count; parity algorithm for the signed square sums, shift-zero algorithm
-    for the signed Dyck sums.
+def fast_sums(n: int, kind: str = "square") -> tuple[TPoly, ...]:
+    """For each k, t^revmaj summed over the decorating-algorithm outputs
+    with k decorations: the parity algorithm's for the signed square sums,
+    which vanish when n - k is even, since every output leaves an odd number
+    undecorated; the shift-zero algorithm's for the signed Dyck sums.
 
     Both algorithms decorate the cyclic-run chain, then maybe the first
-    letter, so both come from one pass of the insertion DP
+    letter, so both kinds come from one pass of the insertion DP
     :func:`_chain_counts`, polynomial in n; :func:`_sweep_sums` is its
     oracle."""
+    PathFamily(n, 0, kind)
+    flat = kind == "dyck"
     acc: list[dict[int, int]] = [dict() for _ in range(n)]
     two, other = _chain_counts(n)
     for first_run_two, counts in ((True, two), (False, other)):
@@ -272,12 +276,12 @@ def _fast_sums(n: int, flat: bool) -> tuple[TPoly, ...]:
     return tuple(TPoly.from_counts(bucket) for bucket in acc)
 
 
-def _sweep_sums(n: int, flat: bool) -> tuple[TPoly, ...]:
-    """:func:`_fast_sums` by decorating all n! permutations: the test oracle
+def _sweep_sums(n: int, kind: str) -> tuple[TPoly, ...]:
+    """:func:`fast_sums` by decorating all n! permutations: the test oracle
     for the insertion DP."""
-    acc: list[dict[int, int]] = [dict() for _ in range(max(n, 1))]
+    acc: list[dict[int, int]] = [dict() for _ in range(n)]
     for values in itertools.permutations(range(1, n + 1)):
-        word = _decorate(values, flat)
+        word = _decorate(values, kind == "dyck")
         k = len(word.decorated)
         d = revmaj(word)
         acc[k][d] = acc[k].get(d, 0) + 1
@@ -285,36 +289,31 @@ def _sweep_sums(n: int, flat: bool) -> tuple[TPoly, ...]:
 
 
 def S_fast(n: int, k: int) -> TPoly:
-    """Word-level value of the signed square enumerator: the sum of t^revmaj
-    over parity-algorithm outputs with k decorations, which is zero when
-    n - k is even, since every output leaves an odd number undecorated."""
+    """``fast_sums(n)[k]``, one k of the square sums; no module of the
+    package calls it."""
     PathFamily(n, k)
-    return _fast_sums(n, flat=False)[k]
+    return fast_sums(n)[k]
 
 
 def D_fast(n: int, k: int) -> TPoly:
-    """Word-level value of the signed Dyck enumerator: the sum of t^revmaj
-    over shift-zero-algorithm outputs with k decorations.  D_fast(0, 0) = 1
-    (empty path)."""
-    if n == 0:
-        return TPoly.one() if k == 0 else TPoly()
+    """``fast_sums(n, "dyck")[k]``, one k of the Dyck sums; no module of
+    the package calls it."""
     PathFamily(n, k, "dyck")
-    return _fast_sums(n, flat=True)[k]
+    return fast_sums(n, "dyck")[k]
 
 
-def S_recursive(n: int, k: int) -> TPoly:
-    """Square enumerator via the Dyck one: [n]_t (D(n-1, k) + D(n-1, k-1))
-    when n - k is odd, zero otherwise; D(-1, .) = D(., -1) = 0."""
-    PathFamily(n, k)
-    if (n - k) % 2 == 0:
-        return TPoly()
-
-    def d(nn: int, kk: int) -> TPoly:
-        if nn < 0 or kk < 0 or (nn > 0 and kk >= nn):
-            return TPoly()
-        return D_fast(nn, kk)
-
-    return t_analog(n) * (d(n - 1, k) + d(n - 1, k - 1))
+def recursive_sums(n: int) -> tuple[TPoly, ...]:
+    """The square sums via the Dyck ones, for each k: [n]_t (D(n-1, k) +
+    D(n-1, k-1)) when n - k is odd, zero otherwise, where D(0, 0) = 1 (the
+    empty path) and D(n-1, j) = 0 for any other j outside 0..n-2.  One DP
+    pass of size n - 1 (:func:`fast_sums`)."""
+    PathFamily(n, 0)
+    dyck = (*fast_sums(n - 1, "dyck"), TPoly()) if n > 1 else (TPoly.one(),)
+    below = (TPoly(),) + dyck  # below[k] = D(n-1, k-1)
+    scale = t_analog(n)
+    return tuple(
+        scale * (dyck[k] + below[k]) if (n - k) % 2 else TPoly() for k in range(n)
+    )
 
 
 def euler_specialization(n: int) -> TPoly:

@@ -14,7 +14,7 @@ import sys
 from typing import Iterable
 
 from . import __version__
-from .adr import D_fast, S_fast, S_recursive, dyck_decorate, is_adr, parity_decorate
+from .adr import dyck_decorate, fast_sums, is_adr, parity_decorate, recursive_sums
 from .bridge import path_from_sdw
 from .cutting import (
     CycleError,
@@ -24,13 +24,12 @@ from .cutting import (
     sched_one_members,
 )
 from .enumeration import (
-    D_brute,
     PathFamily,
-    S_brute,
     bare_path_count,
     check_sum_size,
     generate,
     read_pair_count,
+    signed_sums,
 )
 from .paths import (
     area,
@@ -83,22 +82,24 @@ def _state_cost(pairs: int) -> None:
 
 
 def cmd_table(args) -> int:
+    # (stat, method) -> the sums of every k, from fn(n, kind)
     methods = {
-        ("S", "brute"): S_brute,
-        ("S", "fast"): S_fast,
-        ("S", "recursive"): S_recursive,
-        ("D", "brute"): D_brute,
-        ("D", "fast"): D_fast,
+        ("S", "brute"): signed_sums,
+        ("S", "fast"): fast_sums,
+        ("S", "recursive"): lambda n, _: recursive_sums(n),
+        ("D", "brute"): signed_sums,
+        ("D", "fast"): fast_sums,
     }
     fn = methods.get((args.stat, args.method))
     if fn is None:
         raise CliError(f"method {args.method!r} is not available for stat {args.stat!r}")
     if args.n < 1:
         raise CliError(f"--n must be at least 1, got {args.n}")
+    kind = "square" if args.stat == "S" else "dyck"
     if args.method == "brute":
         check_sum_size(args.n)
-        _state_cost(bare_path_count(args.n, "square" if args.stat == "S" else "dyck"))
-    rows = [(k, fn(args.n, k)) for k in range(args.n)]
+        _state_cost(bare_path_count(args.n, kind))
+    rows = list(enumerate(fn(args.n, kind)))
     payload = {
         "stat": args.stat,
         "n": args.n,

@@ -348,15 +348,19 @@ def generate(family: PathFamily) -> Iterator[DecoratedLabeledPath]:
                 yield DecoratedLabeledPath(profile.steps, labels, frozenset(combo))
 
 
-# (n, kind, shard) -> the sums for each k; a square walk over the whole
-# family fills the Dyck entry too
+# (n, kind, shard) -> the sums of the last walk, cleared before each walk
+# stores its own; a square walk over the whole family fills the Dyck entry
+# too, which `pathlab table` reads when it asks for S and then D of one n in
+# one process
 _SIGNED_SUMS: dict[tuple[int, str, int | None], tuple[TPoly, ...]] = {}
 
 
-def _signed_sums(n: int, kind: str, shard: int | None) -> tuple[TPoly, ...]:
-    """For each k, the sum of (-1)^dinv t^area over the size-n family; with
-    a shard j, over the paths whose area is j mod n.  Sums are kept in
-    ``_SIGNED_SUMS`` for the life of the process.
+def signed_sums(n: int, kind: str = "square", shard: int | None = None) -> tuple[TPoly, ...]:
+    """For each k, the sum of (-1)^dinv t^area over the standard decorated
+    paths of size n with k decorations; with a shard j in 0..n-1, over the
+    paths whose area is j mod n, and another shard raises ValueError.  n is
+    at most 15 (:func:`check_sum_size`).  The last walk's sums stay in
+    ``_SIGNED_SUMS``.
 
     The step words are walked grouped by column composition
     (:func:`_step_groups`), one composition's bit slices held at a time,
@@ -382,6 +386,7 @@ def _signed_sums(n: int, kind: str, shard: int | None) -> tuple[TPoly, ...]:
     Area is constant across a step word, so its sums add into one vector
     indexed by k.
     """
+    PathFamily(n, 0, kind)
     if (n, kind, shard) in _SIGNED_SUMS:
         return _SIGNED_SUMS[n, kind, shard]
     sums = {kind: [dict() for _ in range(n)]}  # kind -> k -> area -> sum
@@ -406,35 +411,24 @@ def _signed_sums(n: int, kind: str, shard: int | None) -> tuple[TPoly, ...]:
                     if contrib:
                         acc[k][profile.area] = acc[k].get(profile.area, 0) + contrib
         del full, less  # before the next composition's slices are built
+    _SIGNED_SUMS.clear()
     for got, acc in sums.items():
         _SIGNED_SUMS[n, got, shard] = tuple(TPoly.from_counts(bucket) for bucket in acc)
     return _SIGNED_SUMS[n, kind, shard]
 
 
-def S_brute(n: int, k: int, shard: int | None = None) -> TPoly:
-    """Signed t-enumerator of square paths: sum of (-1)^dinv t^area over the
-    standard decorated square paths of size n with k decorations.  With a
-    shard j in 0..n-1, only its terms t^a with a = j mod n, from those
-    paths alone; another shard raises ValueError.
-
-    One walk of :func:`_signed_sums`, grouped by column composition, gives
-    every k; without a shard it also gives every :func:`D_brute` of size n,
-    the Dyck step words being the square ones with no north step below the
-    diagonal."""
-    PathFamily(n, k, "square")
-    return _signed_sums(n, "square", shard)[k]
+def S_brute(n: int, k: int) -> TPoly:
+    """``signed_sums(n)[k]``, one k of the square sums; no module of the
+    package calls it."""
+    PathFamily(n, k)
+    return signed_sums(n)[k]
 
 
 def D_brute(n: int, k: int) -> TPoly:
-    """Signed t-enumerator of Dyck paths: sum of (-1)^dinv t^area over the
-    standard decorated Dyck paths of size n with k decorations.
-
-    Read from the memo of :func:`_signed_sums` when a whole square walk of
-    size n (:func:`S_brute` without a shard) has run; otherwise one walk
-    over the Dyck step words alone, grouped by column composition, gives
-    every k."""
+    """``signed_sums(n, "dyck")[k]``, one k of the Dyck sums; no module of
+    the package calls it."""
     PathFamily(n, k, "dyck")
-    return _signed_sums(n, "dyck", None)[k]
+    return signed_sums(n, "dyck")[k]
 
 
 def _fiber_counts(
@@ -517,14 +511,16 @@ def _fibers_by_paths(family: PathFamily) -> dict[ShiftedDiagonalWord, QTPoly]:
     return {sdw: QTPoly(terms) for sdw, terms in acc.items()}
 
 
-def qt_enumerator(family: PathFamily) -> QTPoly:
-    """Unsigned (q, t)-enumerator: sum of q^dinv t^area over the family, the
-    sum of its fibers, read off one walk of :func:`_fiber_counts`."""
-    terms: dict[tuple[int, int], int] = {}
-    for (_, mask, _, d, a), count in _fiber_counts(family.n, family.kind, None).items():
-        if mask.bit_count() == family.k:
-            terms[d, a] = terms.get((d, a), 0) + count
-    return QTPoly(terms)
+def qt_sums(n: int, kind: str = "square") -> tuple[QTPoly, ...]:
+    """For each k, the unsigned (q, t)-enumerator: the sum of q^dinv t^area
+    over the size-n family with k decorations, the sum of its fibers, every
+    k read off one walk of :func:`_fiber_counts`."""
+    PathFamily(n, 0, kind)
+    terms: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
+    for (_, mask, _, d, a), count in _fiber_counts(n, kind, None).items():
+        by_k = terms[mask.bit_count()]
+        by_k[d, a] = by_k.get((d, a), 0) + count
+    return tuple(map(QTPoly, terms))
 
 
 def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLabeledPath]:

@@ -103,14 +103,14 @@ def check_interval(n: int, shard: int) -> str | None:
 def check_cancellation_word(n: int) -> str | None:
     """Brute signed square sums match the word-level fast sums for every k,
     and vanish when n - k is even."""
+    brute, dyck_brute = enumeration.signed_sums(n), enumeration.signed_sums(n, "dyck")
+    fast, dyck_fast = adr.fast_sums(n), adr.fast_sums(n, "dyck")
     for k in range(n):
-        brute = enumeration.S_brute(n, k)
-        if (n - k) % 2 == 0 and brute != poly.TPoly():
+        if (n - k) % 2 == 0 and brute[k] != poly.TPoly():
             return f"S({n},{k}) nonzero"
-        if brute != adr.S_fast(n, k):
+        if brute[k] != fast[k]:
             return f"S({n},{k}) mismatch"
-        dyck_brute = enumeration.D_brute(n, k)
-        if dyck_brute != adr.D_fast(n, k):
+        if dyck_brute[k] != dyck_fast[k]:
             return f"D({n},{k}) mismatch"
     return None
 
@@ -153,11 +153,12 @@ def check_cancellation_path(n: int, shard: int) -> str | None:
                 return f"{word} has {count} schedule-one members for {len(shifts)} shifts"
     if members:
         return f"{next(iter(members))} is not an all-ones word"
+    brute = enumeration.signed_sums(n, "square", shard)
     for k in range(n):
         if (n - k) % 2 == 0:
             continue
         got = Counter(paths.area(c) for c in classes if len(c.decorations) == k)
-        if enumeration.S_brute(n, k, shard) != poly.TPoly.from_counts(got):
+        if brute[k] != poly.TPoly.from_counts(got):
             return f"k={k}"
     return None
 
@@ -328,23 +329,18 @@ def check_delta_bijection(n: int, shard: int) -> str | None:
 def check_recursion(n: int) -> str | None:
     """S(n, k) = [n]_t (D(n-1, k) + D(n-1, k-1)) for n - k odd via the fast
     word-level sums."""
-    for k in range(n):
-        if adr.S_fast(n, k) != adr.S_recursive(n, k):
+    for k, (fast, recursive) in enumerate(zip(adr.fast_sums(n), adr.recursive_sums(n))):
+        if fast != recursive:
             return f"k={k}"
     return None
 
 
 def check_sum_factorial(n: int) -> str | None:
     """Summing either fast enumerator over all k gives [n]_t!."""
-    total_s = poly.TPoly()
-    total_d = poly.TPoly()
-    for k in range(n):
-        total_s = total_s + adr.S_fast(n, k)
-        total_d = total_d + adr.D_fast(n, k)
-    if total_s != poly.t_factorial(n):
-        return f"sum S = {total_s}"
-    if total_d != poly.t_factorial(n):
-        return f"sum D = {total_d}"
+    for stat, kind in (("S", "square"), ("D", "dyck")):
+        total = sum(adr.fast_sums(n, kind), poly.TPoly())
+        if total != poly.t_factorial(n):
+            return f"sum {stat} = {total}"
     return None
 
 
@@ -359,16 +355,16 @@ def check_euler(n: int) -> str | None:
     2^(n - 1) - 1: checked, not proved (observed on the DP for every
     n <= 20, the suite's default size)."""
     closed = adr.euler_specialization(n) if n % 2 else poly.TPoly()
-    if adr.S_fast(n, 0) != closed:
+    if adr.fast_sums(n)[0] != closed:
         return f"S({n},0) != {closed}"
-    if adr.D_fast(n, 0) != poly.TPoly.monomial(n * n // 4) * poly.euler_t(n):
+    dyck = adr.fast_sums(n, "dyck")
+    if dyck[0] != poly.TPoly.monomial(n * n // 4) * poly.euler_t(n):
         return f"D({n},0) != t^{n * n // 4} euler_t({n})"
-    for k in range(n):
-        coeffs = adr.D_fast(n, k).coeffs
+    for k, coeffs in enumerate(d.coeffs for d in dyck):
         low, top = (n - k) ** 2 // 4, math.comb(n, 2) - math.comb(k + 1, 2)
         if len(coeffs) != top + 1 or any(coeffs[:low]) or min(coeffs[low:]) <= 0:
             return f"D({n},{k}) is not positive exactly on degrees {low}..{top}"
-    if n >= 2 and adr.D_fast(n, n - 2)(1) != 2 ** (n - 1) - 1:
+    if n >= 2 and dyck[n - 2](1) != 2 ** (n - 1) - 1:
         return f"D({n},{n - 2})(1) != 2^{n - 1} - 1"
     return None
 

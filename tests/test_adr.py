@@ -18,12 +18,13 @@ from pathlab.adr import (
     D_fast,
     NotAnADR,
     S_fast,
-    _fast_sums,
+    _chain_counts,
     _sweep_sums,
     adr_decorations,
     delta,
     dyck_decorate,
     euler_specialization,
+    fast_sums,
     is_adr,
     is_flat_adr,
     parity_decorate,
@@ -233,15 +234,30 @@ class TestFastSums:
     @pytest.mark.parametrize("flat", [False, True])
     def test_dp_matches_sweep(self, flat):
         # both algorithms, every k, every n <= 8
+        kind = "dyck" if flat else "square"
         for n in range(1, 9):
-            assert _fast_sums(n, flat) == _sweep_sums(n, flat), n
+            assert fast_sums(n, kind) == _sweep_sums(n, kind), n
 
     @pytest.mark.parametrize("flat", [False, True])
     def test_dp_sums_to_factorial_at_twenty(self, flat):
         total = TPoly.zero()
-        for bucket in _fast_sums(20, flat):
+        for bucket in fast_sums(20, "dyck" if flat else "square"):
             total = total + bucket
         assert total == t_factorial(20)
+
+    def test_memo_holds_the_last_pass(self):
+        """The Dyck sums right after the square ones of the same n run no
+        DP pass of their own, and the DP memo keeps the last pass alone:
+        asking again for the n before it runs that pass again."""
+        dp = {_chain_counts.__wrapped__.__code__}
+        fast_sums(6)
+        _, square = profiled_calls(dp, fast_sums, 7)
+        _, dyck = profiled_calls(dp, fast_sums, 7, "dyck")
+        _, again = profiled_calls(dp, fast_sums, 6, "dyck")
+        assert [call.locals["n"] for call in square] == [7]
+        assert dyck == []
+        assert [call.locals["n"] for call in again] == [6]
+        assert _chain_counts.cache_info().currsize == 1
 
     def test_euler_specialization(self):
         assert euler_specialization(1) == TPoly.one()

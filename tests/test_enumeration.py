@@ -13,16 +13,13 @@ from pathlab import enumeration
 from pathlab.adr import adr_decorations
 from pathlab.bridge import path_from_sdw
 from pathlab.enumeration import (
-    D_brute,
     KINDS,
     PathFamily,
-    S_brute,
     _composition_columns,
     _decoration_sets,
     _fibers_by_paths,
     _label_slices,
     _presences,
-    _signed_sums,
     _step_groups,
     _step_profile,
     _valleys,
@@ -30,9 +27,10 @@ from pathlab.enumeration import (
     column_sizes,
     fibers_by_sdw,
     generate,
-    qt_enumerator,
+    qt_sums,
     read_pair_count,
     schedule_one_paths,
+    signed_sums,
     step_words,
 )
 from pathlab.paths import (
@@ -152,9 +150,9 @@ class TestLabelSlices:
 
     def test_labels_must_fit_four_bits(self):
         # raised before the walk, which meets 3*10^8 square step words at n = 16
-        for call in (lambda: S_brute(16, 0), lambda: S_brute(16, 0, 3), lambda: D_brute(16, 0)):
+        for shard, kind in ((None, "square"), (3, "square"), (None, "dyck")):
             with pytest.raises(ValueError, match="up to n = 15"):
-                call()
+                signed_sums(16, kind, shard)
 
 
 def _decoration_sets_by_subsets(choices, full, flips):
@@ -223,7 +221,7 @@ class TestSliceGroups:
                 {column_sizes(p.steps) for p in paths}
             )
             enumeration._SIGNED_SUMS.clear()
-            _, calls = profiled_calls(codes, _signed_sums, n, "square", j)
+            _, calls = profiled_calls(codes, signed_sums, n, "square", j)
             assert built(calls, _label_slices) == compositions
             assert {c.caller for c in calls if c.code is _composition_columns.__code__} == {
                 _label_slices.__code__,
@@ -368,45 +366,57 @@ def _naive_signed_sum(paths) -> TPoly:
 
 class TestSignedSums:
     def test_brute_sums_match_naive(self):
-        """S_brute/D_brute equal (-1)^dinv t^area summed over generate, with
+        """The signed sums equal (-1)^dinv t^area summed over generate, with
         dinv from paths.py, for every k and n <= 5."""
         for n in range(1, 6):
-            for k in range(n):
-                for fn, kind in ((S_brute, "square"), (D_brute, "dyck")):
-                    assert fn(n, k) == _naive_signed_sum(generate(PathFamily(n, k, kind)))
+            for kind in KINDS:
+                naive = tuple(
+                    _naive_signed_sum(generate(PathFamily(n, k, kind))) for k in range(n)
+                )
+                assert signed_sums(n, kind) == naive, (n, kind)
 
     def test_brute_shards_match_naive(self):
-        """S_brute(n, k, j) is that sum over the paths with area = j mod n,
-        for every n <= 5, k and j."""
+        """Shard j of the square sums is that sum over the paths with
+        area = j mod n, for every n <= 5, k and j."""
         for n in range(1, 6):
             for k in range(n):
                 family = list(generate(PathFamily(n, k, "square")))
                 for j in range(n):
                     shard = (p for p in family if area(p) % n == j)
-                    assert S_brute(n, k, j) == _naive_signed_sum(shard), (n, k, j)
+                    assert signed_sums(n, "square", j)[k] == _naive_signed_sum(shard), (n, k, j)
 
     def test_square_walk_yields_the_dyck_sums(self):
-        """For every n <= 7 and k, D_brute read after S_brute equals a Dyck
-        walk of its own; S then D profiles the C(2n - 1, n - 1) square step
-        words once, and D alone only the Catalan(n) Dyck ones."""
+        """For every n <= 7, the Dyck sums read after the square ones equal a
+        Dyck walk of its own; S then D profiles the C(2n - 1, n - 1) square
+        step words once, and D alone only the Catalan(n) Dyck ones."""
         codes = {_step_profile.__code__}
         for n in range(1, 8):
             enumeration._SIGNED_SUMS.clear()
-            alone, calls = profiled_calls(codes, lambda: [D_brute(n, k) for k in range(n)])
+            alone, calls = profiled_calls(codes, signed_sums, n, "dyck")
             assert len(calls) == math.comb(2 * n, n) // (n + 1)
             enumeration._SIGNED_SUMS.clear()
             after, calls = profiled_calls(
-                codes, lambda: [(S_brute(n, k), D_brute(n, k)) for k in range(n)]
+                codes, lambda: (signed_sums(n), signed_sums(n, "dyck"))
             )
             assert len(calls) == math.comb(2 * n - 1, n - 1)
-            assert [d for _, d in after] == alone, n
+            assert after[1] == alone, n
+
+    def test_memo_holds_the_last_walk(self):
+        """Each walk replaces the memo with its own sums: a square walk's
+        square and Dyck sums, or a shard's sums alone."""
+        signed_sums(4)
+        assert set(enumeration._SIGNED_SUMS) == {(4, "square", None), (4, "dyck", None)}
+        signed_sums(5, "square", 2)
+        assert set(enumeration._SIGNED_SUMS) == {(5, "square", 2)}
+        signed_sums(3, "dyck")
+        assert set(enumeration._SIGNED_SUMS) == {(3, "dyck", None)}
 
     @pytest.mark.parametrize("shard", [4, -1])
     def test_shard_out_of_range_raises(self, shard):
         # and keeps no empty sums for it
         enumeration._SIGNED_SUMS.clear()
         with pytest.raises(ValueError, match=f"shard must be in 0..3, got {shard}"):
-            S_brute(4, 1, shard)
+            signed_sums(4, "square", shard)
         assert enumeration._SIGNED_SUMS == {}
 
     def test_holds_one_composition_at_a_time(self):
@@ -415,24 +425,22 @@ class TestSignedSums:
         enumeration._SIGNED_SUMS.clear()
         tracemalloc.start()
         try:
-            _signed_sums(8, "square", None)
+            signed_sums(8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * 2**20
 
-    def test_qt_enumerator_frozen_value(self):
-        assert qt_enumerator(PathFamily(2, 0, "square")) == QTPoly(
-            {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}
-        )
+    def test_qt_sums_frozen_value(self):
+        assert qt_sums(2)[0] == QTPoly({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})
 
-    def test_qt_enumerator_specializes_to_brute(self):
+    def test_qt_sums_specialize_to_brute(self):
         """At q = -1 the (q, t)-enumerator is the brute signed sum, for every
-        k, square and Dyck, n <= 5."""
-        for n in range(1, 6):
-            for k in range(n):
-                assert qt_enumerator(PathFamily(n, k, "square")).eval_q(-1) == S_brute(n, k)
-                assert qt_enumerator(PathFamily(n, k, "dyck")).eval_q(-1) == D_brute(n, k)
+        k, square and Dyck, n <= 6."""
+        for n in range(1, 7):
+            for kind in KINDS:
+                at_minus_one = tuple(qt.eval_q(-1) for qt in qt_sums(n, kind))
+                assert at_minus_one == signed_sums(n, kind), (n, kind)
 
 
 def _families_up_to_four():
@@ -459,14 +467,13 @@ class TestFibers:
 
     def test_walk_matches_the_path_oracle(self):
         """For every k, square n <= 5 and Dyck n <= 6, the walk's fibers are
-        those grouped path by path, and qt_enumerator is their sum."""
+        those grouped path by path, and qt_sums are their sums."""
         for kind, top in (("square", 5), ("dyck", 6)):
             for n in range(1, top + 1):
                 oracle = tuple(_fibers_by_paths(PathFamily(n, k, kind)) for k in range(n))
                 assert fibers_by_sdw(n, kind) == oracle, (n, kind)
-                for k, fibers in enumerate(oracle):
-                    total = sum(fibers.values(), QTPoly())
-                    assert qt_enumerator(PathFamily(n, k, kind)) == total, (n, k, kind)
+                totals = tuple(sum(fibers.values(), QTPoly()) for fibers in oracle)
+                assert qt_sums(n, kind) == totals, (n, kind)
 
     def test_one_walk_gives_every_k(self):
         # fibers_by_sdw walks the step words once for all k: Catalan(5)

@@ -1,5 +1,6 @@
 """Every module of the package, of the test suite and of the tools uses
-each name it imports."""
+each name it imports, and no module of the package calls a per-k view of
+the sums."""
 
 from __future__ import annotations
 
@@ -24,3 +25,22 @@ def test_no_unused_imports():
         if imported - used:
             unused[path.name] = sorted(imported - used)
     assert unused == {}
+
+
+# one k of an all-k function, kept for scripts outside the package
+PER_K_VIEWS = {"S_brute", "D_brute", "S_fast", "D_fast"}
+
+
+def test_package_calls_no_per_k_view():
+    """The package reads every k from one call of an all-k function, never
+    from a per-k view in a loop over k."""
+    calls = {}
+    for path in ROOT.glob("src/pathlab/*.py"):
+        names = {
+            node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+        }
+        if names & PER_K_VIEWS:
+            calls[path.name] = sorted(names & PER_K_VIEWS)
+    assert calls == {}
