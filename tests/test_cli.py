@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import json
@@ -350,3 +351,35 @@ def test_readme_lists_the_verify_suites():
     assert sizes == {check_id: max_n for check_id, (_, max_n) in verify.CHECKS.items()}
     sharded = re.search(r"Each size of (.*?) runs as n shards", text).group(1)
     assert set(_names(sharded)) == verify.SHARDED
+
+
+def _defines(path: Path, names: list[str]) -> bool:
+    """Whether the test module at path defines the class and function that
+    names (``Class``, ``test``) spell, each inside the one before it."""
+    scope = ast.parse(path.read_text()).body
+    for name in names:
+        found = [
+            node for node in scope
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name
+        ]
+        if not found:
+            return False
+        scope = found[0].body
+    return True
+
+
+def test_readme_oracle_table_names_existing_checks():
+    # every row's last cell names tests (file::Class::test) or verify suites
+    text = README.read_text()
+    table = text[text.index("### Oracle ranges"):].split("\n\n")[2]
+    rows = table.splitlines()[2:]
+    assert len(rows) >= 10
+    for row in rows:
+        named = _names(row.rstrip(" |").rsplit(" | ", 1)[1])
+        assert named, row
+        for name in named:
+            if name.startswith("verify "):
+                assert name.removeprefix("verify ") in verify.CHECKS, name
+            else:
+                file, *names = name.split("::")
+                assert _defines(README.parent / file, names), name

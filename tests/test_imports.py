@@ -1,6 +1,6 @@
 """Every module of the package, of the test suite and of the tools uses
 each name it imports, and no module of the package calls a per-k view of
-the sums."""
+the sums or reads another module's private names."""
 
 from __future__ import annotations
 
@@ -44,3 +44,43 @@ def test_package_calls_no_per_k_view():
         if names & PER_K_VIEWS:
             calls[path.name] = sorted(names & PER_K_VIEWS)
     assert calls == {}
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _root(node: ast.expr) -> ast.expr:
+    """The start of an attribute chain: ``x`` of ``x.y._z``."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node
+
+
+def test_package_reads_no_other_modules_private_names():
+    """No module of the package imports another module's underscore name,
+    nor reads one off a name it imported (``x._y`` or ``x.Y._z``, for a
+    module x or an object imported from one): what a module keeps private,
+    such as the polynomial core or a test oracle, stays in that module."""
+    reads = {}
+    for path in ROOT.glob("src/pathlab/*.py"):
+        tree = ast.parse(path.read_text())
+        aliases = [
+            alias
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        ]
+        imported = {(alias.asname or alias.name).partition(".")[0] for alias in aliases}
+        names = {alias.name for alias in aliases if _is_private(alias.name)}
+        names |= {
+            ast.unparse(node)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and _is_private(node.attr)
+            and isinstance(_root(node), ast.Name)
+            and _root(node).id in imported
+        }
+        if names:
+            reads[path.name] = sorted(names)
+    assert reads == {}

@@ -105,6 +105,40 @@ class TestQTPoly:
         assert str(p) == "1 + 3*t - 2*q*t^2 - q^2"
 
 
+class TestValidation:
+    """Both kinds hold int coefficients at nonnegative exponents only."""
+
+    def test_negative_degree_does_not_overwrite_the_top(self):
+        with pytest.raises(ValueError):
+            TPoly.from_counts({2: 5, -1: 1})
+
+    def test_negative_degree_alone_raises_value_error(self):
+        with pytest.raises(ValueError):
+            TPoly.from_counts({-1: 1})
+
+    def test_non_integral_coefficient_of_tpoly_raises(self):
+        with pytest.raises(TypeError):
+            TPoly([1.5])
+
+    def test_non_integral_coefficient_of_qtpoly_raises(self):
+        with pytest.raises(TypeError):
+            QTPoly({(0, 0): 1.5})
+
+
+def _in_qt(p: TPoly) -> QTPoly:
+    """p as a QTPoly whose terms all have q-degree 0."""
+    return QTPoly({(0, d): c for d, c in enumerate(p.coeffs)})
+
+
+class TestKindsAgree:
+    @given(tpolys, tpolys, st.integers(-3, 3))
+    def test_embedding_commutes_with_arithmetic(self, a, b, q):
+        assert _in_qt(a) + _in_qt(b) == _in_qt(a + b)
+        assert _in_qt(a) - _in_qt(b) == _in_qt(a - b)
+        assert _in_qt(a) * _in_qt(b) == _in_qt(a * b)
+        assert _in_qt(a).eval_q(q) == a
+
+
 class TestSpecialPolynomials:
     def test_t_analog(self):
         assert t_analog(1) == TPoly([1])

@@ -93,6 +93,84 @@ def test_euler_checks_every_k(monkeypatch, k, fault, witness):
     assert verify.check_euler(4) == witness
 
 
+def _first_failure(check_id: str, max_n: int) -> tuple[int, str]:
+    """The size and witness of the suite's first failing size up to max_n."""
+    report = next(r for r in run_suite(check_id, max_n, jobs=1) if not r.ok)
+    return report.params["n"], report.witness
+
+
+def test_interval_catches_a_gap_in_the_schedule_values(monkeypatch):
+    # every schedule value 2 read as 3, so {1, 3} is no initial segment
+    original = schedule.schedule_numbers
+    monkeypatch.setattr(
+        schedule, "schedule_numbers", lambda sdw: tuple(3 if w == 2 else w for w in original(sdw))
+    )
+    assert _first_failure("interval", 3) == (2, "(2, 1) shift 0: (1, 3)")
+
+
+def _doubled(sums):
+    return tuple(s + s for s in sums)
+
+
+@pytest.mark.parametrize(
+    "fault, failure",
+    [
+        (lambda sums, kind: (poly.TPoly.one(),) * len(sums), (2, "S(2,0) nonzero")),
+        (lambda sums, kind: _doubled(sums) if kind == "square" else sums, (1, "S(1,0) mismatch")),
+        (lambda sums, kind: _doubled(sums) if kind == "dyck" else sums, (1, "D(1,0) mismatch")),
+    ],
+    ids=["nonzero", "square", "dyck"],
+)
+def test_cancellation_word_catches_wrong_brute_sums(monkeypatch, fault, failure):
+    # brute sums of one at every k, or doubled for one kind
+    original = enumeration.signed_sums
+    monkeypatch.setattr(
+        enumeration,
+        "signed_sums",
+        lambda n, kind="square", shard=None: fault(original(n, kind, shard), kind),
+    )
+    assert _first_failure("cancellation-word", 3) == failure
+
+
+@pytest.mark.parametrize(
+    "name, failure",
+    [
+        ("parity_decorate", "odd [DecoratedPermutation(values=(1, 2), decorated=frozenset({1}))]"),
+        ("dyck_decorate", "flat [DecoratedPermutation(values=(1, 2), decorated=frozenset())]"),
+    ],
+)
+def test_decorate_unique_catches_the_other_algorithm(monkeypatch, name, failure):
+    # each algorithm swapped for the other: at n = 2 they decorate 1 2 apart
+    other = {"parity_decorate": adr.dyck_decorate, "dyck_decorate": adr.parity_decorate}
+    monkeypatch.setattr(adr, name, other[name])
+    assert _first_failure("decorate-unique", 3) == (2, f"(1, 2): {failure}")
+
+
+def test_recursion_catches_a_wrong_sum(monkeypatch):
+    # S(n, 1) one degree too high: S(2, 1) = 1 + t read as t + t^2
+    original = adr.recursive_sums
+    t = poly.TPoly.monomial(1)
+
+    def faulty(n):
+        return tuple(s * t if k == 1 else s for k, s in enumerate(original(n)))
+
+    monkeypatch.setattr(adr, "recursive_sums", faulty)
+    assert _first_failure("recursion", 3) == (2, "k=1")
+
+
+def test_sum_factorial_catches_a_missing_k(monkeypatch):
+    # the Dyck sums without k = 2, so the first size that has one misses
+    # D(3, 2) = 1 from [3]_t! = t^3 + 2t^2 + 2t + 1
+    original = adr.fast_sums
+
+    def faulty(n, kind="square"):
+        sums = original(n, kind)
+        return tuple(poly.TPoly() if (kind, k) == ("dyck", 2) else s for k, s in enumerate(sums))
+
+    monkeypatch.setattr(adr, "fast_sums", faulty)
+    assert _first_failure("sum-factorial", 4) == (3, "sum D = t^3 + 2*t^2 + 2*t")
+
+
 def test_shape_fails_on_a_path_that_is_not_schedule_one(monkeypatch):
     # its middle stretch holds two consecutive east steps
     def not_schedule_one(n, shard=None):
