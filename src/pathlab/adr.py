@@ -18,16 +18,17 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import AbstractSet, Iterator, Sequence
 
 from .enumeration import PathFamily
 from .poly import TPoly, t_analog, euler_t
 from .schedule import (
     DecoratedPermutation,
-    LetterTable,
     decreasing_runs,
+    exactly_one,
     lmcr_start,
     make_perm,
     ones_shifts,
@@ -60,24 +61,62 @@ def adr_decorations(values: Sequence[int]) -> Iterator[ADRWitness]:
     """Every ADR decoration of the permutation, with its witness, by size of
     the decoration set and then as ``itertools.combinations`` takes the
     letters, in word order.  For n <= 8 no permutation has two ADR
-    decorations of one size, so only the size orders them there.  The runs
-    and their :class:`~pathlab.schedule.LetterTable` are built once, and
-    each decoration set is tested against the table.
+    decorations of one size, so only the size orders them there.
 
-    A decorated letter needs low value 1, so a letter whose low mask is
+    A decorated letter needs low value 1, so a letter whose low set is
     empty is never decorated.  That is the word's last letter and no other:
     any other letter is followed by a smaller letter of its run or by the
-    next run's first letter, which is larger.  So only the other letters are
-    combined, which keeps the order of ``itertools.combinations``, halves
-    the sets tested, and tests no fully decorated nonempty word."""
+    next run's first letter, which is larger.  So only the other n - 1
+    letters are decorated, which halves the sets and finds no fully
+    decorated nonempty word.
+
+    Their 2^(n-1) sets are scored at once on bit slices, as
+    :func:`~pathlab.enumeration.schedule_one_paths` scores the labelings
+    of a step word: bit t stands for the set that holds the i-th letter
+    exactly when bit i of t is set.  With the low, zero and high values of
+    :class:`~pathlab.schedule.ScheduleTable`, a letter's low or high value
+    is 1 on :func:`~pathlab.schedule.exactly_one` of the slices of the
+    undecorated letters in its low or high set, and its zero value is 1
+    where no letter above it in its run is undecorated; a decorated letter
+    reads low at every shift.  Shift s holds where every run before s
+    reads all ones low, run s zero, and every run after s high.  The runs
+    come from one scan of the word, and no schedule word is built."""
     values = tuple(values)
-    table = LetterTable(decreasing_runs(values))
-    letters = values[:-1]
-    for r in range(len(letters) + 1):
-        for combo in itertools.combinations(letters, r):
-            shifts = table.ones_shifts(combo)
-            if shifts:
-                yield ADRWitness(DecoratedPermutation(values, frozenset(combo)), shifts)
+    if not values:
+        yield is_adr(DecoratedPermutation((), frozenset()))
+        return
+    n = len(values)
+    full = (1 << (1 << n - 1)) - 1
+    decorated = dict.fromkeys(values, 0)  # letter -> the sets holding it
+    for i, c in enumerate(values[:-1]):  # 2^i clear bits, then 2^i set, repeated
+        decorated[c] = int(("1" * (1 << i) + "0" * (1 << i)) * (1 << n - 2 - i), 2)
+    free = {c: full ^ on for c, on in decorated.items()}
+    runs = decreasing_runs(values) + ((),)  # nothing before run 0 or after the last
+    reads = []  # per run, the sets on which all its letters read 1 low, zero, high
+    for i, run in enumerate(runs[:-1]):
+        lo = ze = hi = full
+        above = 0  # the sets leaving a letter of the run above c undecorated
+        for c in run:
+            lows = [free[d] for d in run if d < c] + [free[d] for d in runs[i + 1] if d > c]
+            highs = [free[d] for d in run if d > c] + [free[d] for d in runs[i - 1] if d < c]
+            low_one = exactly_one(lows)
+            lo &= low_one
+            as_low = low_one & decorated[c]  # a decorated letter reads low at every shift
+            hi &= as_low | free[c] & exactly_one(highs)
+            ze &= as_low | free[c] & ~above
+            above |= free[c]
+        reads.append((lo, ze, hi))
+    low, zero, high = zip(*reads)
+    ok = [reduce(operator.and_, low[:s] + high[s + 1 :], zero[s]) for s in range(len(zero))]
+    found = []
+    hits = reduce(operator.or_, ok)
+    while hits:
+        t = hits.bit_length() - 1
+        hits ^= 1 << t
+        found.append((t.bit_count(), [i for i in range(n - 1) if t >> i & 1], t))
+    for _, members, t in sorted(found):
+        word = DecoratedPermutation(values, frozenset(values[i] for i in members))
+        yield ADRWitness(word, frozenset(s for s, on in enumerate(ok) if on >> t & 1))
 
 
 def is_flat_adr(word: DecoratedPermutation) -> bool:

@@ -232,7 +232,14 @@ def cmd_enumerate(args) -> int:
         raise CliError(f"enumerate goes up to n = {ENUMERATE_MAX_N}, got n = {args.n}")
     _state_cost(read_pair_count(family))
     if args.format == "json":
-        print(json.dumps([format_path(p) for p in generate(family)], indent=2))
+        # json.dumps(list, indent=2), one path at a time, never the whole
+        # list; no family is empty (NENE...NE with increasing labels has
+        # n - 1 tie valleys), so the array is never "[]"
+        sep = "[\n  "
+        for path in generate(family):
+            print(sep + json.dumps(format_path(path)), end="")
+            sep = ",\n  "
+        print("\n]")
     else:
         for path in generate(family):
             print(format_path(path))

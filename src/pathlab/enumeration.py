@@ -62,6 +62,7 @@ from .schedule import (
     ShiftedDiagonalWord,
     diagonal_bases,
     diagonal_word,
+    exactly_one,
     read_diagonals,
 )
 
@@ -542,8 +543,8 @@ def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLa
     step 1 never rises.  Every pair of adjacent occupied diagonals therefore
     meets at an ascent, and each diagonal reads as a decreasing run.  With
     the runs the diagonals, the schedule word is all ones at the path's
-    shift (:meth:`~pathlab.schedule.LetterTable.ones_shifts`) exactly when
-    every step meets its rule:
+    shift (:func:`~pathlab.schedule.ones_shifts`) exactly when every step
+    meets its rule:
 
     * a decorated step, and an undecorated one below diagonal 0, has exactly
       one undecorated step in its *low* set: the steps of its diagonal with
@@ -558,12 +559,12 @@ def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLa
     composition, walked as the signed sums walk them (:func:`_step_groups`),
     bit l standing for labeling l.  The sets D of valleys and ties come
     from :func:`_decoration_sets`, a set present on the AND of its
-    members' :func:`_presences`.  Whether a
-    step lies in another's low or high set is one slice, ``less`` or its
-    complement, and "exactly one" is two planes over the undecorated
-    members' slices, ``many |= one & x; one |= x``, leaving ``one & ~many``.
-    The third rule reads D alone, so a step word with two steps on
-    diagonal 0 that are never valleys has no hit at all.
+    members' :func:`_presences`.  Whether a step lies in another's low or
+    high set is one slice, ``less`` or its complement, and "exactly one" is
+    :func:`~pathlab.schedule.exactly_one` of the undecorated members'
+    slices, as :func:`~pathlab.adr.adr_decorations` scores the decoration
+    sets of a permutation.  The third rule reads D alone, so a step word
+    with two steps on diagonal 0 that are never valleys has no hit at all.
 
     Each path is yielded where the walk finds it, so the stream's order is
     the walk's, the same on every run for one (n, shard): the groups of
@@ -608,12 +609,7 @@ def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLa
                         rule = high[i]
                     else:
                         continue
-                    one = many = 0
-                    for j, x in rule:
-                        if j not in dec:
-                            many |= one & x
-                            one |= x
-                    ok &= one & ~many
+                    ok &= exactly_one([x for j, x in rule if j not in dec])
                     if not ok:
                         break
                 if ok and columns is None:

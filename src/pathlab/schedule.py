@@ -380,81 +380,29 @@ def schedule_numbers(sdw: ShiftedDiagonalWord) -> tuple[int, ...]:
     return table.row(sdw.shift)
 
 
-class LetterTable:
-    """The schedule values of one permutation's letters as bitmasks, so that
-    any decoration set is tested for all-ones shifts without recounting:
-    for the sweep over a permutation's decoration sets in
-    ``adr_decorations``, its only user, where no one word's
-    :class:`ScheduleTable` serves.  ``schedule_one_paths`` applies the same
-    low, high and zero rules to all labelings of a step word at once, on
-    bit slices.
-
-    Built from the letters of each decreasing run, in run order; the order
-    of letters inside a run does not matter.  For a letter c of run r_i the
-    table holds its *low* mask (letters of r_i below c and of r_{i+1} above
-    c) and its *high* mask (letters of r_i above c and of r_{i-1} below c),
-    and for each run the mask of all its letters.  With the decorated
-    letters as one :func:`_letter_mask` D, c's low or high value is
-    ``(mask & ~D).bit_count()``, and a run meets the zero values when it
-    holds at most one undecorated letter.
-    """
-
-    __slots__ = ("_runs",)
-
-    def __init__(self, runs: Sequence[Sequence[int]]):
-        masks = [_letter_mask(run) for run in runs] + [0]
-        table = []
-        for i, run in enumerate(runs):
-            # masks[-1] is the 0 appended, so run 0 has nothing below it
-            here, above, below = masks[i], masks[i + 1], masks[i - 1]
-            letters = []
-            for c in run:
-                bit = 1 << c
-                under, over = bit - 1, -bit << 1  # the letters below c, above c
-                letters.append((bit, here & under | above & over, here & over | below & under))
-            table.append((here, tuple(letters)))
-        self._runs = tuple(table)
-
-    def ones_shifts(self, decorated: Iterable[int]) -> frozenset[int]:
-        """Every shift at which the word with these decorated letters has
-        the all-ones schedule word, as :func:`ones_shifts` gives it: every
-        decorated letter needs low value 1 and every undecorated one low
-        value 1 before run s, zero value 1 in it and high value 1 after it
-        (:class:`ScheduleTable`)."""
-        if not self._runs:
-            return frozenset((0,))
-        decorated = _letter_mask(decorated)
-        undecorated = ~decorated
-        first_not_low = len(self._runs) - 1  # a valid shift is at most this
-        last_not_high = 0  # and at least this
-        zero_ok = []
-        for i, (run, letters) in enumerate(self._runs):
-            low_ok = high_ok = True
-            for bit, low, high in letters:
-                low_one = (low & undecorated).bit_count() == 1
-                if bit & decorated:
-                    if not low_one:
-                        return frozenset()
-                    continue
-                low_ok = low_ok and low_one
-                high_ok = high_ok and (high & undecorated).bit_count() == 1
-            # zero value 1 for every undecorated letter: at most one in the run
-            zero_ok.append((run & undecorated).bit_count() <= 1)
-            if not low_ok:
-                first_not_low = min(first_not_low, i)
-            if not high_ok:
-                last_not_high = i
-        return frozenset(s for s in range(last_not_high, first_not_low + 1) if zero_ok[s])
-
-
 def ones_shifts(word: DecoratedPermutation) -> frozenset[int]:
     """Every shift at which the schedule word is all ones: the shifts below
     the number of runs whose :meth:`ScheduleTable.row` is all ones, found
     once per word and kept with it.  The empty word is all ones at shift 0
     only; a nonempty word has no all-ones shift at or past its number of
-    runs.  :func:`schedule_numbers_cyclic` and a :class:`LetterTable` of
-    the word's runs are its test oracles."""
+    runs.  :func:`schedule_numbers_cyclic` and the decoration sweep
+    :func:`~pathlab.adr.adr_decorations`, which share nothing with the
+    table, are its test oracles."""
     return word._ones
+
+
+def exactly_one(slices: Iterable[int]) -> int:
+    """The bits set in exactly one of the slices.  With bit l of every
+    slice standing for one object (a decoration set, a labeling), and one
+    slice per letter or step of a low or high set holding the objects in
+    which it is undecorated, these are the objects where that schedule
+    value is 1.  Two planes, ``one`` (set at least once) and ``many`` (at
+    least twice), leave ``one & ~many``."""
+    one = many = 0
+    for x in slices:
+        many |= one & x
+        one |= x
+    return one & ~many
 
 
 def schedule_numbers_cyclic(sdw: ShiftedDiagonalWord) -> tuple[int, ...]:

@@ -393,11 +393,11 @@ CHECKS: dict[str, tuple[Callable[..., str | None], int]] = {
     "schedule-formula": (check_schedule_formula, 5),
     "interval": (check_interval, 7),
     "cancellation-word": (check_cancellation_word, 7),
-    "cancellation-path": (check_cancellation_path, 5),
+    "cancellation-path": (check_cancellation_path, 6),
     "dinv-ladder": (check_dinv_ladder, 6),
     "shape": (check_shape, 6),
     "partition": (check_partition, 5),
-    "decorate-unique": (check_decorate_unique, 6),
+    "decorate-unique": (check_decorate_unique, 7),
     "phi-bijection": (check_phi_bijection, 7),
     "delta-bijection": (check_delta_bijection, 7),
     "recursion": (check_recursion, 12),

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
 
 import pytest
 
@@ -33,13 +32,15 @@ from pathlab.adr import (
 from pathlab.poly import TPoly, t_factorial
 from pathlab.schedule import (
     DecoratedPermutation,
-    LetterTable,
     _lmcr_start_by_windows,
+    _undecorated_runs,
     decreasing_runs,
+    diagonal_word,
     is_cyclic_run,
     lmcr_start,
     make_perm,
     parse_perm,
+    schedule_numbers,
 )
 
 from conftest import all_adrs, profiled_calls
@@ -68,7 +69,7 @@ class TestMembership:
         word = parse_perm("8 5* 2* 9 6* 1 7* 4* 3")
         assert 0 in is_adr(word).valid_shifts
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_decorations_match_the_per_word_sweep(self, n):
         # every decoration set by size, then as combinations of the letters
         # in word order, each word tested on its own; no two ADR decorations
@@ -85,24 +86,29 @@ class TestMembership:
             assert all(a < b for a, b in zip(sizes, sizes[1:])), values
             assert all(size < n for size in sizes)
 
-    def test_decorations_build_one_letter_table(self):
-        # every decoration set of a permutation that leaves its last letter
-        # undecorated is tested against one table of its runs: one
-        # decreasing_runs call and one build per permutation, and 720 * 2^5
-        # = 23,040 tests at n = 6, not 720 * 2^6
+    def test_decorations_scan_the_runs_once(self):
+        # every decoration set of a permutation is scored on bit slices of
+        # one decreasing_runs scan: no ScheduleTable, and no schedule word
+        # or diagonal word built for any set
         codes = {
             decreasing_runs.__code__,
-            LetterTable.__init__.__code__,
-            LetterTable.ones_shifts.__code__,
+            _undecorated_runs.__code__,
+            schedule_numbers.__code__,
+            diagonal_word.__code__,
         }
         for n in range(1, 7):
             for values in itertools.permutations(range(1, n + 1)):
                 _, calls = profiled_calls(codes, lambda: list(adr_decorations(values)))
-                assert Counter(call.code for call in calls) == {
-                    decreasing_runs.__code__: 1,
-                    LetterTable.__init__.__code__: 1,
-                    LetterTable.ones_shifts.__code__: 2 ** (n - 1),
-                }, values
+                assert [call.code for call in calls] == [decreasing_runs.__code__], values
+
+    def test_adr_word_counts(self):
+        # the ADR words of size n, summed over the permutations' decorations
+        counts = [
+            sum(1 for values in itertools.permutations(range(1, n + 1))
+                for _ in adr_decorations(values))
+            for n in range(1, 8)
+        ]
+        assert counts == [1, 3, 10, 43, 226, 1_398, 9_948]
 
     def test_all_adrs_counts(self):
         # representatives with an odd number of undecorated letters are in

@@ -15,11 +15,11 @@ from pathlab.cutting import canonical_rep
 from pathlab.paths import DecoratedLabeledPath, area, format_path, parse_path
 from pathlab.schedule import (
     DecoratedPermutation,
-    LetterTable,
     ShiftedDiagonalWord,
     _undecorated_runs,
     decreasing_runs,
     diagonal_word,
+    exactly_one,
     make_perm,
     parse_perm,
     schedule_numbers,
@@ -45,12 +45,12 @@ class TestPathFromSdw:
     def test_one_word_query_builds_one_table(self):
         # is_adr, the schedules at every shift and the rebuild of the path
         # all read the word's one cached table: one scan per decorated word
-        # and no LetterTable, for every permutation with n <= 5 and a seeded
-        # corpus of 44 with n 10 to 20
+        # and no bit-slice scoring of many decoration sets, for every
+        # permutation with n <= 5 and a seeded corpus of 44 with n 10 to 20
         rng = random.Random(24)
         perms = [p for n in range(1, 6) for p in itertools.permutations(range(1, n + 1))]
         perms += [tuple(rng.sample(range(1, n + 1), n)) for n in range(10, 21) for _ in range(4)]
-        codes = {_undecorated_runs.__code__, LetterTable.__init__.__code__}
+        codes = {_undecorated_runs.__code__, exactly_one.__code__}
 
         def query(word):
             shifts = is_adr(word).valid_shifts

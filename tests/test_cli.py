@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from pathlab import cli, verify
 from pathlab.cli import main
 from pathlab.cutting import CycleError, LadderViolation
+from pathlab.enumeration import KINDS, PathFamily, generate
+from pathlab.paths import format_path
 
 from conftest import BIG_CYCLE, BIG_SCHED_ONE, BIG_WORD, SMALL_PATH
 
@@ -230,6 +232,19 @@ class TestEnumerate:
         assert code == 0
         paths = json.loads(out)
         assert len(paths) == 4 and len(set(paths)) == 4
+
+    @pytest.mark.parametrize(
+        "n, k, kind",
+        [(n, k, kind) for kind in KINDS for n in range(1, 5) for k in range(n)],
+    )
+    def test_json_is_the_dumped_list(self, capsys, n, k, kind):
+        # the array is written path by path, byte for byte what
+        # json.dumps(list, indent=2) gives for the whole list
+        argv = ("--n", str(n), "--k", str(k), "--kind", kind)
+        code, out, _ = run(capsys, "enumerate", *argv, "--format", "json")
+        assert code == 0
+        listed = [format_path(p) for p in generate(PathFamily(n, k, kind))]
+        assert out == json.dumps(listed, indent=2) + "\n"
 
     def test_text_one_per_line(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--n", "3", "--k", "2", "--kind", "dyck")

@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pathlab.adr import adr_decorations
 from pathlab.enumeration import KINDS, PathFamily, generate
 from pathlab.paths import area_word, word_shift
 from pathlab.poly import QTPoly
 from pathlab.schedule import (
     DecoratedPermutation,
-    LetterTable,
     ShiftedDiagonalWord,
     _is_cyclic_run_by_rotation,
     _lmcr_start_by_windows,
@@ -260,20 +260,26 @@ class TestOnesShifts:
         schedule word is all ones, so none at or past the number of runs,
         and shift 0 alone for the empty word.  ones_shifts and
         schedule_numbers share the word's ScheduleTable, so the cyclic
-        formulation and a LetterTable of the runs, which share nothing with
-        it, are checked too."""
+        formulation and the bit-slice sweep of adr_decorations, which share
+        nothing with it, are checked too.  The sweep never decorates the
+        last letter, so a word with its last letter decorated must have no
+        all-ones shift."""
         assert ones_shifts(DecoratedPermutation((), frozenset())) == frozenset({0})
         words = 0
+        values = None
         for n in range(7):
             ones = (1,) * n
             for word in all_decorated_perms(n):
+                if word.values != values:
+                    values = word.values
+                    sweep = {w.word.decorated: w.valid_shifts for w in adr_decorations(values)}
                 shifts = ones_shifts(word)
                 for schedules in (schedule_numbers, schedule_numbers_cyclic):
                     assert shifts == {
                         s for s in range(n + 1)
                         if schedules(ShiftedDiagonalWord(word, s)) == ones
                     }, (word, schedules)
-                assert shifts == LetterTable(decreasing_runs(word)).ones_shifts(word.decorated)
+                assert shifts == sweep.get(word.decorated, frozenset()), word
                 words += 1
         assert words == 50_363
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from collections import Counter
 from dataclasses import replace
 
@@ -268,10 +270,15 @@ def test_dinv_ladder_checks_the_ladder_against_the_cycle(monkeypatch):
 
 
 def test_all_ones_searches_build_no_schedule_words():
-    # the sweep reads all-ones shifts off a LetterTable and the stream scores
-    # them on bit slices, so neither builds a diagonal word or a schedule word
+    # the decoration sweep and the stream score all-ones shifts on bit
+    # slices, so neither builds a ScheduleTable, a diagonal word or a
+    # schedule word for any decoration set
     (unique, seeds), calls = profiled_calls(
-        {schedule.schedule_numbers.__code__, schedule.diagonal_word.__code__},
+        {
+            schedule._undecorated_runs.__code__,
+            schedule.schedule_numbers.__code__,
+            schedule.diagonal_word.__code__,
+        },
         lambda: (
             [verify.check_decorate_unique(5, shard) for shard in range(5)],
             list(enumeration.schedule_one_paths(5)),
@@ -280,6 +287,31 @@ def test_all_ones_searches_build_no_schedule_words():
     assert unique == [None] * 5
     assert len(seeds) == 480
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "check_id, witness",
+    [
+        (
+            "decorate-unique",
+            "(1, 3, 2): odd [DecoratedPermutation(values=(1, 3, 2), decorated=frozenset()),"
+            " DecoratedPermutation(values=(1, 3, 2), decorated=frozenset({1, 3}))]",
+        ),
+        ("dinv-ladder", "LadderViolation: cycle of NENNEE:1,2,3: has dinv values [1, 1, 3]"),
+    ],
+)
+def test_exactly_one_read_as_at_least_one_fails_at_n_3(monkeypatch, check_id, witness):
+    # the decoration sweep and the stream both count a low or high set with
+    # schedule.exactly_one; read as "at least one", they admit words and
+    # paths whose schedule is not all ones, and both suites fail at n = 3
+    def at_least_one(slices):
+        return functools.reduce(operator.or_, slices, 0)
+
+    monkeypatch.setattr(adr, "exactly_one", at_least_one)
+    monkeypatch.setattr(enumeration, "exactly_one", at_least_one)
+    reports = list(run_suite(check_id, 3, jobs=1))
+    assert [r.ok for r in reports] == [True, True, False]
+    assert reports[-1].witness == witness
 
 
 def test_decorate_unique_finds_each_permutations_runs_once():
