@@ -350,9 +350,9 @@ def generate(family: PathFamily) -> Iterator[DecoratedLabeledPath]:
 
 
 # (n, kind, shard) -> the sums of the last walk, cleared before each walk
-# stores its own; a square walk over the whole family fills the Dyck entry
-# too, which `pathlab table` reads when it asks for S and then D of one n in
-# one process
+# stores its own; a square walk, whole or one shard, fills the Dyck entry of
+# the same shard too, which `pathlab table` reads when it asks for S and then
+# D of one n in one process
 _SIGNED_SUMS: dict[tuple[int, str, int | None], tuple[TPoly, ...]] = {}
 
 
@@ -367,9 +367,10 @@ def signed_sums(n: int, kind: str = "square", shard: int | None = None) -> tuple
     (:func:`_step_groups`), one composition's bit slices held at a time,
     bit l standing for labeling l.  A Dyck step word is exactly a square
     one with no north step below the diagonal (``bonus == 0``), and its
-    labelings are those of its composition, so a square walk over the whole
-    family also adds each such word's sums into the Dyck sums and keeps
-    both; a Dyck request walks the Dyck words alone.
+    labelings are those of its composition, so a square walk, over the
+    whole family or one area shard, also adds each such word's sums into the
+    Dyck sums of that shard and keeps both; a Dyck request walks the Dyck
+    words alone.
 
     A step word's labelings are scored at once.  A primary candidate (i, j)
     attacks on ``less[i, j]``, a secondary one on its complement, so XOR-ing
@@ -391,7 +392,7 @@ def signed_sums(n: int, kind: str = "square", shard: int | None = None) -> tuple
     if (n, kind, shard) in _SIGNED_SUMS:
         return _SIGNED_SUMS[n, kind, shard]
     sums = {kind: [dict() for _ in range(n)]}  # kind -> k -> area -> sum
-    if kind == "square" and shard is None:
+    if kind == "square":
         sums["dyck"] = [dict() for _ in range(n)]
     for sizes, profiles in _step_groups(n, kind, shard):
         full, less = _label_slices(sizes)

@@ -164,30 +164,29 @@ def check_cancellation_path(n: int, shard: int) -> str | None:
 
 
 def check_dinv_ladder(n: int, shard: int) -> str | None:
-    """Every schedule-one path lies in its own cycle, which has size n - k,
-    and its canonical member is the cycle's dinv-0 member.  Each such cycle
-    is checked once, however many schedule-one members it has: the ladder
-    holds exactly the cycle's members, their dinv values are 0..size-1,
+    """Every schedule-one path's canonical member is the dinv-0 member of its
+    cycle.  Each such cycle is built once, as a ladder from the first seed
+    met in it, and checked once, however many schedule-one members it has:
+    it has size n - k and holds that seed, its dinv values are 0..size-1,
     area and diagonal word are constant, and the geometric ordering from the
-    dinv-0 member reproduces the ladder.  Sharded by area mod n, which keeps
-    every cycle inside one shard."""
-    ladders: dict[frozenset, tuple[paths.DecoratedLabeledPath, ...]] = {}
+    dinv-0 member reproduces the ladder.  A later seed is looked up in the
+    ladders built so far; cutting and pasting is a group action, so its own
+    cycle is the one that holds it (``partition`` checks that for every
+    path).  Sharded by area mod n, which keeps every cycle inside one
+    shard."""
+    ladders: dict[paths.DecoratedLabeledPath, tuple[paths.DecoratedLabeledPath, ...]] = {}
     for seed in enumeration.schedule_one_paths(n, shard):
-        k = len(seed.decorations)
-        cycle = cutting.cutting_cycle(seed)
-        if len(cycle.members) != n - k:
-            return f"{seed} size {len(cycle.members)}"
-        if seed not in cycle.members:
-            return f"{seed} not in its own cycle"
-        ladder = ladders.get(cycle.members)
+        ladder = ladders.get(seed)
         if ladder is None:
             ladder = cutting.ordered_cycle(seed)
-            if set(ladder) != cycle.members:
-                return f"{seed} ladder members differ from its cycle"
+            if len(ladder) != n - len(seed.decorations):
+                return f"{seed} size {len(ladder)}"
+            if seed not in ladder:
+                return f"{seed} not in its own cycle"
             witness = _ladder_cycle_witness(ladder)
             if witness is not None:
                 return f"{seed} {witness}"
-            ladders[cycle.members] = ladder
+            ladders.update(dict.fromkeys(ladder, ladder))
         if cutting.canonical_rep(seed) != ladder[0]:
             return f"{seed} canonical is not the dinv-0 member"
     return None

@@ -103,7 +103,7 @@ class TestFiberPaths:
 class TestClasses:
     # the word bijection, member counts and area = revmaj are checked by the
     # cancellation-path suite, cycle sizes and dinv-0 canonicals by
-    # dinv-ladder (both run to n = 4 in test_verify.py)
+    # dinv-ladder (both run to n = 5 in test_verify.py)
     def test_smallest(self):
         assert classes(1) == Counter({parse_path("NE:1:"): 1})
 

@@ -401,13 +401,25 @@ class TestSignedSums:
             assert len(calls) == math.comb(2 * n - 1, n - 1)
             assert after[1] == alone, n
 
+    def test_square_shard_walk_yields_the_dyck_shard(self):
+        """For every n <= 6 and shard j, the Dyck sums of shard j read after
+        the square ones walk nothing and equal a Dyck walk of that shard."""
+        codes = {_step_profile.__code__}
+        for n in range(1, 7):
+            for j in range(n):
+                enumeration._SIGNED_SUMS.clear()
+                alone = signed_sums(n, "dyck", j)
+                signed_sums(n, "square", j)
+                after, calls = profiled_calls(codes, signed_sums, n, "dyck", j)
+                assert calls == [] and after == alone, (n, j)
+
     def test_memo_holds_the_last_walk(self):
         """Each walk replaces the memo with its own sums: a square walk's
-        square and Dyck sums, or a shard's sums alone."""
+        square and Dyck sums, whole or of one shard, or a Dyck walk's alone."""
         signed_sums(4)
         assert set(enumeration._SIGNED_SUMS) == {(4, "square", None), (4, "dyck", None)}
         signed_sums(5, "square", 2)
-        assert set(enumeration._SIGNED_SUMS) == {(5, "square", 2)}
+        assert set(enumeration._SIGNED_SUMS) == {(5, "square", 2), (5, "dyck", 2)}
         signed_sums(3, "dyck")
         assert set(enumeration._SIGNED_SUMS) == {(3, "dyck", None)}
 
@@ -451,15 +463,6 @@ def _families_up_to_four():
 
 
 class TestFibers:
-    def test_fibers_group_the_family(self):
-        for fam in _families_up_to_four():
-            grouped: dict = {}
-            for p in generate(fam):
-                qt = QTPoly.monomial(dinv(p), area(p))
-                sdw = diagonal_word(p)
-                grouped[sdw] = grouped.get(sdw, QTPoly()) + qt
-            assert fibers_by_sdw(fam.n, fam.kind)[fam.k] == grouped, fam
-
     def test_fiber_sizes_sum_to_family(self):
         for fam in _families_up_to_four():
             sizes = [qt.eval_q(1)(1) for qt in fibers_by_sdw(fam.n, fam.kind)[fam.k].values()]

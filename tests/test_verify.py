@@ -43,12 +43,6 @@ def inline_pool(monkeypatch):
     return InlinePool.sizes
 
 
-@pytest.mark.parametrize("check_id", sorted(CHECKS))
-def test_suite_passes_up_to_four(check_id):
-    reports = list(run_suite(check_id, 4, jobs=1))
-    assert [(r.params["n"], r.ok) for r in reports] == [(n, True) for n in range(1, 5)]
-
-
 def test_euler_checks_even_sizes(monkeypatch):
     # a DP that counts one undecorated parity output at every size
     monkeypatch.setattr(adr, "fast_sums", lambda n, kind="square": (poly.TPoly.one(),) * n)
@@ -183,21 +177,16 @@ def test_shape_fails_on_a_path_that_is_not_schedule_one(monkeypatch):
     assert not report.ok and report.witness.startswith("ShapeViolation:")
 
 
-def test_dinv_ladder_builds_one_cycle_per_seed(monkeypatch):
-    # 480 schedule-one seeds at n = 5 lie in 226 cycles, and each seed's
-    # cycle is built from the seed itself; keying cycles by member would skip
-    # the repeat builds, but then no suite would build the cycle of every
-    # seed at n = 6, above partition's default size
-    calls = []
-    original = cutting.cutting_cycle
-
-    def counting_cycle(path):
-        calls.append(path)
-        return original(path)
-
-    monkeypatch.setattr(cutting, "cutting_cycle", counting_cycle)
-    assert all(verify.check_dinv_ladder(5, shard) is None for shard in range(5))
-    assert len(calls) == 480
+def test_dinv_ladder_builds_one_cycle_per_seed():
+    # 480 schedule-one seeds at n = 5 lie in 226 cycles; a cycle is built
+    # once, as a ladder from the first seed met in it, and a later seed is
+    # looked up by member, so no seed's cycle is cut on its own
+    passed, calls = profiled_calls(
+        {cutting.cutting_cycle.__code__, cutting.ordered_cycle.__code__},
+        lambda: all(verify.check_dinv_ladder(5, shard) is None for shard in range(5)),
+    )
+    assert passed
+    assert Counter(call.code.co_name for call in calls) == {"ordered_cycle": 226}
 
 
 def test_dinv_ladder_checks_each_cycle_once(monkeypatch):
@@ -251,22 +240,7 @@ def test_dinv_ladder_checks_the_ladder_against_dinv(monkeypatch):
 
     monkeypatch.setattr(cutting, "cycle_dinvs", swapped)
     report = list(run_suite("dinv-ladder", 3, jobs=1))[-1]
-    assert not report.ok and report.witness.endswith(" ladder differs from dinv")
-
-
-def test_dinv_ladder_checks_the_ladder_against_the_cycle(monkeypatch):
-    # scores that drop each cycle's top member still ladder 0..size-2
-    original = cutting.cycle_dinvs
-
-    def dropped(path):
-        scores = original(path)
-        del scores[max(scores, key=scores.__getitem__)]
-        return scores
-
-    monkeypatch.setattr(cutting, "cycle_dinvs", dropped)
-    report = list(run_suite("dinv-ladder", 3, jobs=1))[-1]
-    assert not report.ok
-    assert report.witness.endswith(" ladder members differ from its cycle")
+    assert not report.ok and report.witness == "EENNNE:1,2,3: ladder differs from dinv"
 
 
 def test_all_ones_searches_build_no_schedule_words():
@@ -501,14 +475,34 @@ def _reversed_word(sdw):
     return replace(sdw, word=replace(sdw.word, values=sdw.word.values[::-1]))
 
 
+def _without_top(scores):
+    """Scores that drop a cycle's top member; they still ladder 0..size-2."""
+    top = max(scores, key=scores.__getitem__)
+    return {q: d for q, d in scores.items() if q != top}
+
+
 @pytest.mark.parametrize(
     "module, name, fault, witness",
     [
         (
             cutting,
-            "cutting_cycle",
-            lambda original: lambda path: cutting.CuttingCycle(frozenset({path})),
-            "size",
+            "cycle_dinvs",
+            lambda original: lambda path: {path: 0},
+            "size 1",
+        ),
+        (
+            cutting,
+            "cycle_dinvs",
+            lambda original: lambda path: _without_top(original(path)),
+            "size 3",
+        ),
+        (
+            cutting,
+            "cycle_dinvs",
+            lambda original: lambda path: {
+                ("stranger" if q == path else q): d for q, d in original(path).items()
+            },
+            "not in its own cycle",
         ),
         (
             cutting,
@@ -531,12 +525,21 @@ def _reversed_word(sdw):
             "schedule-one members differ",
         ),
     ],
-    ids=["one-member", "canonical", "word", "area", "geometric", "schedule-one"],
+    ids=[
+        "one-member",
+        "top-dropped",
+        "seed-missing",
+        "canonical",
+        "word",
+        "area",
+        "geometric",
+        "schedule-one",
+    ],
 )
 def test_dinv_ladder_catches_a_broken_invariant(monkeypatch, module, name, fault, witness):
     monkeypatch.setattr(module, name, fault(getattr(module, name)))
     report = list(run_suite("dinv-ladder", 4, jobs=1))[-1]
-    assert not report.ok and witness in report.witness
+    assert not report.ok and report.witness == f"EENNENNE:2,4,1,3: {witness}"
 
 
 def test_schedule_formula_catches_a_wrong_closed_form(monkeypatch):
@@ -683,6 +686,7 @@ def test_partition_checks_cycles_are_disjoint(monkeypatch):
 def test_reports_do_not_depend_on_jobs(check_id):
     serial = list(run_suite(check_id, 5, jobs=1))
     pooled = list(run_suite(check_id, 5, jobs=2))
+    assert [(r.params["n"], r.ok) for r in serial] == [(n, True) for n in range(1, 6)]
     assert [r.line() for r in serial] == [r.line() for r in pooled]
     shards = [n if check_id in SHARDED else 1 for n in range(1, 6)]
     assert [r.shards for r in serial] == [r.shards for r in pooled] == shards
