@@ -463,6 +463,15 @@ def _families_up_to_four():
 
 
 class TestFibers:
+    def test_fibers_group_the_family(self):
+        for fam in _families_up_to_four():
+            grouped: dict = {}
+            for p in generate(fam):
+                qt = QTPoly.monomial(dinv(p), area(p))
+                sdw = diagonal_word(p)
+                grouped[sdw] = grouped.get(sdw, QTPoly()) + qt
+            assert fibers_by_sdw(fam.n, fam.kind)[fam.k] == grouped, fam
+
     def test_fiber_sizes_sum_to_family(self):
         for fam in _families_up_to_four():
             sizes = [qt.eval_q(1)(1) for qt in fibers_by_sdw(fam.n, fam.kind)[fam.k].values()]

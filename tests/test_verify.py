@@ -43,6 +43,12 @@ def inline_pool(monkeypatch):
     return InlinePool.sizes
 
 
+@pytest.mark.parametrize("check_id", sorted(CHECKS))
+def test_suite_passes_up_to_four(check_id):
+    reports = list(run_suite(check_id, 4, jobs=1))
+    assert [(r.params["n"], r.ok) for r in reports] == [(n, True) for n in range(1, 5)]
+
+
 def test_euler_checks_even_sizes(monkeypatch):
     # a DP that counts one undecorated parity output at every size
     monkeypatch.setattr(adr, "fast_sums", lambda n, kind="square": (poly.TPoly.one(),) * n)
