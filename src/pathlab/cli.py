@@ -1,6 +1,10 @@
 """Command-line interface.
 
-Subcommands: table, verify, inspect, cycle, build, decorate, sched, enumerate.
+Subcommands: table, verify, inspect, cycle, build, decorate, sched, enumerate,
+each an entry of :data:`COMMANDS`.  A command parses its arguments with its
+own parser (:func:`build_parser` of its name), which builds no other
+command's subparser; the full parser handles ``--help``, ``--version`` and
+anything that names no command.
 Exit codes: 0 success, 1 a verification failed or a library guarantee broke
 (a :class:`~pathlab.cutting.CycleError`), 2 usage error (argparse's own
 convention for bad arguments is also 2).
@@ -11,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import __version__
 from .adr import dyck_decorate, fast_sums, is_adr, parity_decorate, recursive_sums
@@ -246,64 +250,87 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
+    return flags, options
+
+
+_FORMAT = _arg("--format", choices=("text", "json"), default="text")
+
+# every command, in the order --help lists them: its handler, its help and
+# the (flags, options) of each of its add_argument calls; a plain tuple,
+# since a NamedTuple class would add about 0.5 ms to importing this module
+COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str, tuple]] = {
+    "table": (cmd_table, "signed enumerator table for one n", (
+        _arg("--n", type=int, required=True),
+        _arg("--stat", choices=("S", "D"), default="S"),
+        _arg("--method", choices=("brute", "fast", "recursive"), default="fast"),
+        _FORMAT,
+    )),
+    "verify": (cmd_verify, "run a named verification suite", (
+        _arg("check", help=f"one of: {', '.join(sorted(CHECKS))}"),
+        _arg("--max-n", type=int, default=None),
+        _arg("--jobs", type=int, default=1,
+             help="worker processes, at most one per shard (default: 1)"),
+    )),
+    "inspect": (cmd_inspect, "statistics of a path or decorated permutation", (
+        _arg("object", help="path like NNEENE:1,2,3:3 or word like 7* 8 4* 2 3 5 6 1"),
+        _FORMAT,
+    )),
+    "cycle": (cmd_cycle, "cutting cycle of a path, in dinv order", (
+        _arg("path"),
+        _FORMAT,
+    )),
+    "build": (cmd_build, "the unique path of an all-ones word and shift", (
+        _arg("word"),
+        _arg("--shift", type=int, required=True),
+    )),
+    "decorate": (cmd_decorate, "canonical decoration of a permutation", (
+        _arg("perm"),
+        _arg("--mode", choices=("dyck", "parity"), default="parity"),
+    )),
+    "sched": (cmd_sched, "runs and schedule words of a decorated permutation", (
+        _arg("perm"),
+    )),
+    "enumerate": (cmd_enumerate, "list a whole path family", (
+        _arg("--n", type=int, required=True),
+        _arg("--k", type=int, required=True),
+        _arg("--kind", choices=("square", "dyck"), default="square"),
+        _FORMAT,
+    )),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the named command alone.  Both
+    give that command the same subparser, so its help, usage and errors
+    read the same."""
     parser = argparse.ArgumentParser(
         prog="pathlab",
         description="Statistics, schedules and cutting cycles of decorated labeled paths.",
     )
     parser.add_argument("--version", action="version", version=f"pathlab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("table", help="signed enumerator table for one n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--stat", choices=("S", "D"), default="S")
-    p.add_argument("--method", choices=("brute", "fast", "recursive"), default="fast")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(fn=cmd_table)
-
-    p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("check", help=f"one of: {', '.join(sorted(CHECKS))}")
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, at most one per shard (default: 1)")
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("inspect", help="statistics of a path or decorated permutation")
-    p.add_argument("object", help="path like NNEENE:1,2,3:3 or word like 7* 8 4* 2 3 5 6 1")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(fn=cmd_inspect)
-
-    p = sub.add_parser("cycle", help="cutting cycle of a path, in dinv order")
-    p.add_argument("path")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(fn=cmd_cycle)
-
-    p = sub.add_parser("build", help="the unique path of an all-ones word and shift")
-    p.add_argument("word")
-    p.add_argument("--shift", type=int, required=True)
-    p.set_defaults(fn=cmd_build)
-
-    p = sub.add_parser("decorate", help="canonical decoration of a permutation")
-    p.add_argument("perm")
-    p.add_argument("--mode", choices=("dyck", "parity"), default="parity")
-    p.set_defaults(fn=cmd_decorate)
-
-    p = sub.add_parser("sched", help="runs and schedule words of a decorated permutation")
-    p.add_argument("perm")
-    p.set_defaults(fn=cmd_sched)
-
-    p = sub.add_parser("enumerate", help="list a whole path family")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--kind", choices=("square", "dyck"), default="square")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(fn=cmd_enumerate)
-
+    # a one-command parser still names every command in the usage line that
+    # argparse prints with an error after the command, such as an extra
+    # operand; the full parser keeps no metavar, since argparse would then
+    # name the command argument by it in its own errors
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        fn, text, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # a command parses with its own parser; the full one handles the rest:
+    # --help, --version, an empty argv and an unknown command
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.fn(args)
     except (CliError, ValueError, KeyError) as exc:

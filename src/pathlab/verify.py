@@ -391,7 +391,7 @@ CHECKS: dict[str, tuple[Callable[..., str | None], int]] = {
     # check_id -> (function of n, and of a shard in SHARDED, default max_n)
     "schedule-formula": (check_schedule_formula, 5),
     "interval": (check_interval, 7),
-    "cancellation-word": (check_cancellation_word, 7),
+    "cancellation-word": (check_cancellation_word, 8),
     "cancellation-path": (check_cancellation_path, 6),
     "dinv-ladder": (check_dinv_ladder, 6),
     "shape": (check_shape, 6),

@@ -66,7 +66,7 @@ def test_criterion_01_small_signed_tables():
 def test_criterion_02_vanishing():
     with report("02 vanishing"):
         # brute = fast for S and D at every k, the oracle range of both brute sums
-        assert_suite_passes("cancellation-word", 7)
+        assert_suite_passes("cancellation-word", 8)
 
 
 def test_criterion_03_word_formula():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import contextlib
 import io
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathlab import cli, verify
+from pathlab import __version__, cli, verify
 from pathlab.cli import main
 from pathlab.cutting import CycleError, LadderViolation
 from pathlab.enumeration import KINDS, PathFamily, generate
@@ -333,6 +334,83 @@ class TestDomain:
             argv[1:1] = ["--shift", str(shift)]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 1, 2)
+
+
+COMMAND_NAMES = ["table", "verify", "inspect", "cycle", "build", "decorate", "sched", "enumerate"]
+USAGE = (
+    "usage: pathlab [-h] [--version]\n"
+    "               {table,verify,inspect,cycle,build,decorate,sched,enumerate} ...\n"
+)
+
+
+def exits(capsys, parse, argv):
+    """The exit code, stdout and stderr of an argv on which argparse exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestParser:
+    """A command parses with its own parser, the full parser answers
+    everything else, and both read the same."""
+
+    @pytest.fixture(autouse=True)
+    def _columns(self, monkeypatch):
+        # argparse wraps its usage lines to the terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("name", COMMAND_NAMES)
+    def test_command_help_matches_the_full_parser(self, capsys, name):
+        full = exits(capsys, cli.build_parser().parse_args, [name, "--help"])
+        assert full[0] == 0 and full[1].startswith(f"usage: pathlab {name} ")
+        assert exits(capsys, main, [name, "--help"]) == full
+
+    def test_help_lists_the_commands_in_order(self, capsys):
+        code, out, err = exits(capsys, main, ["--help"])
+        assert code == 0 and out.startswith(USAGE) and err == ""
+        assert re.findall(r"^    (\S+) ", out, re.M) == list(cli.COMMANDS) == COMMAND_NAMES
+
+    def test_version(self, capsys):
+        assert exits(capsys, main, ["--version"]) == (0, f"pathlab {__version__}\n", "")
+
+    def test_empty_argv(self, capsys):
+        err = USAGE + "pathlab: error: the following arguments are required: command\n"
+        assert exits(capsys, main, []) == (2, "", err)
+
+    def test_unknown_command(self, capsys):
+        choices = ", ".join(f"'{name}'" for name in COMMAND_NAMES)
+        err = USAGE + f"pathlab: error: argument command: invalid choice: 'nosuch' (choose from {choices})\n"
+        assert exits(capsys, main, ["nosuch"]) == (2, "", err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table", "--n", "x"),
+            ("table",),
+            ("table", "--n", "3", "--stat", "X"),
+            ("enumerate", "--n", "3"),
+            ("build", "1"),
+            ("verify",),
+        ],
+    )
+    def test_argparse_errors_exit_two(self, capsys, argv):
+        code, out, err = exits(capsys, main, argv)
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.splitlines()[-1].startswith(f"pathlab {argv[0]}: error:")
+        assert exits(capsys, cli.build_parser().parse_args, argv) == (code, out, err)
+
+    def test_a_command_builds_no_other_subparser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run(capsys, "table", "--n", "2")[0] == 0
+        assert built == ["pathlab", "pathlab table"]
 
 
 def test_readme_examples_exit_zero(capsys):
