@@ -18,19 +18,20 @@ gives all of its step words is made once per walk, from its labelings as
 byte columns (:func:`_composition_columns`).  :func:`generate` compares
 labels per (steps, labels) pair and keeps lexicographic order, so it
 keeps each composition's columns until the walk ends and reads the
-labelings off them.  The signed sums and the schedule-one stream score
-every labeling of a step word at once, with a few big-int operations per
-decoration set, on its composition's bit slices (:func:`_label_slices`).
-Both walk :func:`_step_groups`, the profiles grouped by composition,
-building a group's slices when they reach it, so they hold one
-composition's slices at a time, and both walk the sets of decorable
-steps present on their :func:`_presences` with :func:`_decoration_sets`.
-The stream reads a composition's columns only to name the paths it
-yields, and yields each one where its walk finds it.
+labelings off them.  Every other walk reads :func:`step_groups`, the
+profiles grouped by composition with the composition's columns, built
+once when the walk reaches the group.  The signed sums and the
+schedule-one stream score every labeling of a step word at once, with a
+few big-int operations per decoration set, on bit slices packed from
+those columns (:func:`_label_slices`), so they hold one composition's
+slices at a time, and both walk the sets of decorable steps present on
+their :func:`_presences` with :func:`_decoration_sets`.  The stream names
+the paths it yields from the group's columns, and yields each one where
+its walk finds it.
 
 The fibers by shifted diagonal word, and the (q, t)-enumerator summed
 from them, read each labeling of a step word once, off the byte columns
-of :func:`labeled_step_words`, for every k: its attack pairs per left
+of :func:`step_groups`, for every k: its attack pairs per left
 index, its diagonal word by one integer sort
 (:func:`~pathlab.schedule.read_diagonals`), and the dinv of each
 decoration set from the pairs (:func:`_fiber_counts`).  They build no
@@ -150,22 +151,25 @@ def _composition_columns(sizes: tuple[int, ...]) -> list[bytes]:
 _LESS = bytes(b"01"[v >> 4 < v & 15] for v in range(256))
 
 
-def _label_slices(sizes: tuple[int, ...]) -> tuple[int, dict[tuple[int, int], int]]:
-    """The labelings of a column composition as bit slices: with labeling l
-    the l-th of :func:`_composition_columns`, ``full`` has bits 0..m-1
-    set, and for north steps x < y, ``less[x, y]`` has bit l set when
-    labeling l has w_x < w_y.
+def _label_slices(columns: list[bytes]) -> tuple[int, dict[tuple[int, int], int]]:
+    """The labelings of a column composition, given as its byte columns
+    (:func:`_composition_columns`), as bit slices: with labeling l the l-th
+    of the columns, ``full`` has bits 0..m-1 set, and for north steps
+    x < y, ``less[x, y]`` has bit l set when labeling l has w_x < w_y.
 
     Each column becomes an int with labeling l in byte l; shifting w_x four
     bits up puts the byte 16 w_x + w_y at every labeling, which a
     translation reads as one binary digit.  Labels must fit four bits, so n
     is at most 15 (a brute sum at n = 15 has 15^15 (steps, labels) pairs);
-    the walks reach it through :func:`_step_groups`, which checks that
-    first (:func:`check_sum_size`)."""
-    n = sum(sizes)
-    columns = _composition_columns(sizes)
+    the walks reach it through :func:`step_groups`, which checks that
+    first (:func:`check_sum_size`).
+
+    The list is emptied, one column at a time as it is packed, so a caller
+    that holds no other reference to the columns never holds a column and
+    its packed int together; a caller that reads the columns afterwards
+    passes a copy."""
+    n = len(columns)
     m = len(columns[0])
-    # each byte column goes once packed, so the columns and ints never coexist
     packed = [int.from_bytes(columns.pop(0), "little") for _ in range(n)]
     less = {}
     for x in range(1, n + 1):
@@ -238,17 +242,22 @@ def _presences(
     return [(i, less[i - 1, i] if tie else full) for i, tie in profile.decorable]
 
 
-def _step_groups(
+def step_groups(
     n: int, kind: str, shard: int | None
-) -> Iterator[tuple[tuple[int, ...], Iterator[_StepProfile]]]:
+) -> Iterator[tuple[list[bytes], Iterator[_StepProfile]]]:
     """The step words of size n grouped by column composition, each group
-    as ``(sizes, profiles)``, its words' :func:`_step_profile` made one at a
-    time as the walk reaches them; with a shard j, only the words whose area
-    is j mod n, and a shard outside 0..n-1 raises ValueError.  The groups
-    come in the order their compositions first appear among the step words,
-    and a group's words in lexicographic order.  The n <= 15 bound of the
-    labelings (:func:`check_sum_size`) is checked before the words are
-    grouped, which at n = 16 would list 3*10^8 of them first."""
+    as ``(columns, profiles)``: the byte columns of the composition's
+    labelings (:func:`_composition_columns`), which ``zip(*columns)`` reads
+    as tuples, built once when the walk reaches the group, and its words'
+    :func:`_step_profile` made one at a time.  With a shard j, only the
+    words whose area is j mod n, and a shard outside 0..n-1 raises
+    ValueError.  The groups come in the order their compositions first
+    appear among the step words, and a group's words in lexicographic
+    order.  A walk that drops a group's columns, and what it built from
+    them, before it asks for the next group holds one composition at a
+    time.  The n <= 15 bound of the labelings (:func:`check_sum_size`) is
+    checked before the words are grouped, which at n = 16 would list 3*10^8
+    of them first."""
     check_sum_size(n)
     if shard is not None and not 0 <= shard < n:
         raise ValueError(f"shard must be in 0..{n - 1}, got {shard}")
@@ -257,25 +266,7 @@ def _step_groups(
         if shard is None or word_area(steps_area_word(steps)) % n == shard:
             by_sizes.setdefault(column_sizes(steps), []).append(steps)
     for sizes in list(by_sizes):
-        yield sizes, map(_step_profile, by_sizes.pop(sizes))
-
-
-def labeled_step_words(
-    n: int, kind: str = "square", shard: int | None = None
-) -> Iterator[tuple[_StepProfile, tuple[int, ...], list[bytes]]]:
-    """Each step word of size n as ``(profile, bases, columns)``: its
-    :func:`_step_profile`, the sort keys that read any labeling's
-    diagonal word (:func:`~pathlab.schedule.diagonal_bases`), and its
-    composition's byte columns (:func:`_composition_columns`), which
-    ``zip(*columns)`` reads as its labelings.  With a shard j, only the
-    words whose area is j mod n.  The words come grouped by composition as
-    :func:`_step_groups` gives them, one composition's columns held at a
-    time; n is at most 15 (:func:`check_sum_size`)."""
-    for sizes, profiles in _step_groups(n, kind, shard):
-        columns = _composition_columns(sizes)
-        for profile in profiles:
-            yield profile, diagonal_bases(profile.word), columns
-        del columns  # before the next composition's columns are built
+        yield _composition_columns(sizes), map(_step_profile, by_sizes.pop(sizes))
 
 
 def _decoration_sets(
@@ -364,13 +355,15 @@ def signed_sums(n: int, kind: str = "square", shard: int | None = None) -> tuple
     ``_SIGNED_SUMS``.
 
     The step words are walked grouped by column composition
-    (:func:`_step_groups`), one composition's bit slices held at a time,
-    bit l standing for labeling l.  A Dyck step word is exactly a square
-    one with no north step below the diagonal (``bonus == 0``), and its
-    labelings are those of its composition, so a square walk, over the
-    whole family or one area shard, also adds each such word's sums into the
-    Dyck sums of that shard and keeps both; a Dyck request walks the Dyck
-    words alone.
+    (:func:`step_groups`), each group's byte columns packed into its bit
+    slices (:func:`_label_slices`, which empties the column list as it
+    packs, so no column outlives its packing), one composition's slices
+    held at a time, bit l standing for labeling l.  A Dyck step word is
+    exactly a square one with no north step below the diagonal
+    (``bonus == 0``), and its labelings are those of its composition, so a
+    square walk, over the whole family or one area shard, also adds each
+    such word's sums into the Dyck sums of that shard and keeps both; a
+    Dyck request walks the Dyck words alone.
 
     A step word's labelings are scored at once.  A primary candidate (i, j)
     attacks on ``less[i, j]``, a secondary one on its complement, so XOR-ing
@@ -394,8 +387,8 @@ def signed_sums(n: int, kind: str = "square", shard: int | None = None) -> tuple
     sums = {kind: [dict() for _ in range(n)]}  # kind -> k -> area -> sum
     if kind == "square":
         sums["dyck"] = [dict() for _ in range(n)]
-    for sizes, profiles in _step_groups(n, kind, shard):
-        full, less = _label_slices(sizes)
+    for columns, profiles in step_groups(n, kind, shard):
+        full, less = _label_slices(columns)
         for profile in profiles:
             odd = [0] * (n + 1)  # by left index: labelings with odd c_i
             for i, j, lo, _ in profile.candidates:
@@ -441,32 +434,36 @@ def _fiber_counts(
     letters, its decorated letters as one mask (bit v for letter v), the
     shift, dinv and area.  Every k at once, and no path is built.
 
-    Each step word fixes the area, the shift, the attack candidates and the
-    decorable steps (its profile), and the sort keys of the diagonal
-    reading (:func:`labeled_step_words`).  Per labeling, one pass over the
-    candidates counts the attack pairs c_i at each left index i, P in all,
-    and one sort of packed ints reads the diagonal word
+    The step words come grouped by column composition with the
+    composition's byte columns (:func:`step_groups`).  Each step word fixes
+    the area, the shift, the attack candidates and the decorable steps (its
+    profile), and the sort keys of the diagonal reading
+    (:func:`~pathlab.schedule.diagonal_bases`).  Per labeling, one pass
+    over the candidates counts the attack pairs c_i at each left index i,
+    P in all, and one sort of packed ints reads the diagonal word
     (:func:`~pathlab.schedule.read_diagonals`).  Decorating a valley i
     takes its c_i pairs and one more off dinv, so the sets D of the
     labeling's :func:`_valleys`, built by doubling, have
     ``dinv = P + bonus - sum over i in D of (c_i + 1)``."""
     counts: dict[tuple[tuple[int, ...], int, int, int, int], int] = {}
-    for profile, bases, columns in labeled_step_words(n, kind, shard):
-        area, shift = profile.area, profile.shift
-        pairs = [(i, lo - 1, hi - 1) for i, _, lo, hi in profile.candidates]
-        for w in zip(*columns):
-            c = [0] * (n + 1)
-            for i, lo, hi in pairs:
-                if w[lo] < w[hi]:
-                    c[i] += 1
-            letters = read_diagonals(bases, w)
-            sets = [(0, sum(c) + profile.bonus)]  # (decorated mask, dinv)
-            for i in _valleys(profile, w):
-                bit, drop = 1 << w[i - 1], c[i] + 1
-                sets += [(mask | bit, d - drop) for mask, d in sets]
-            for mask, d in sets:
-                key = (letters, mask, shift, d, area)
-                counts[key] = counts.get(key, 0) + 1
+    for columns, profiles in step_groups(n, kind, shard):
+        for profile in profiles:
+            area, shift = profile.area, profile.shift
+            bases = diagonal_bases(profile.word)
+            pairs = [(i, lo - 1, hi - 1) for i, _, lo, hi in profile.candidates]
+            for w in zip(*columns):
+                c = [0] * (n + 1)
+                for i, lo, hi in pairs:
+                    if w[lo] < w[hi]:
+                        c[i] += 1
+                letters = read_diagonals(bases, w)
+                sets = [(0, sum(c) + profile.bonus)]  # (decorated mask, dinv)
+                for i in _valleys(profile, w):
+                    bit, drop = 1 << w[i - 1], c[i] + 1
+                    sets += [(mask | bit, d - drop) for mask, d in sets]
+                for mask, d in sets:
+                    key = (letters, mask, shift, d, area)
+                    counts[key] = counts.get(key, 0) + 1
     return counts
 
 
@@ -557,7 +554,7 @@ def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLa
 
     Decorating steps changes neither the diagonals nor the labels, so every
     labeling of a step word is scored at once on the bit slices of its
-    composition, walked as the signed sums walk them (:func:`_step_groups`),
+    composition, walked as the signed sums walk them (:func:`step_groups`),
     bit l standing for labeling l.  The sets D of valleys and ties come
     from :func:`_decoration_sets`, a set present on the AND of its
     members' :func:`_presences`.  Whether a step lies in another's low or
@@ -569,19 +566,18 @@ def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLa
 
     Each path is yielded where the walk finds it, so the stream's order is
     the walk's, the same on every run for one (n, shard): the groups of
-    :func:`_step_groups`, by first appearance of their composition among
+    :func:`step_groups`, by first appearance of their composition among
     the shard's step words; a group's words lexicographically; a word's
     decoration sets in the depth-first order of :func:`_decoration_sets`;
-    and a set's labelings by rank, the order of
-    :func:`_composition_columns`.  A composition's columns are built only
-    to name its hits, once its group has one, and go with the group and its
+    and a set's labelings by rank, the order of the group's columns.  The
+    slices are packed from a copy of the column list, since the hits are
+    named from the columns, and the columns go with the group and its
     slices, so the stream holds one composition at a time and yields its
     first path as soon as the first group has a hit.
     """
     check_sum_size(n, "schedule-one paths")
-    for sizes, profiles in _step_groups(n, "square", shard):
-        full, less = _label_slices(sizes)
-        columns = None
+    for columns, profiles in step_groups(n, "square", shard):
+        full, less = _label_slices(list(columns))
         for profile in profiles:
             a = (None,) + profile.word  # a[i] is step i's diagonal
             zero = [i for i in range(1, n + 1) if a[i] == 0]
@@ -613,8 +609,6 @@ def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLa
                     ok &= exactly_one([x for j, x in rule if j not in dec])
                     if not ok:
                         break
-                if ok and columns is None:
-                    columns = _composition_columns(sizes)
                 while ok:
                     bit = ok & -ok
                     l = bit.bit_length() - 1

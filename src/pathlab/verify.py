@@ -376,14 +376,16 @@ def check_sdw_area(n: int) -> str | None:
     that :func:`~pathlab.schedule.diagonal_word` uses
     (:func:`~pathlab.schedule.read_diagonals`); a path is built only to
     name a failure.  The witness is the first failing path in the order of
-    :func:`~pathlab.enumeration.labeled_step_words`, step words grouped by
-    column composition, which need not be the first in
+    :func:`~pathlab.enumeration.step_groups`, step words grouped by column
+    composition, which need not be the first in
     :func:`~pathlab.enumeration.generate`'s lexicographic order."""
-    for profile, bases, columns in enumeration.labeled_step_words(n, "square"):
-        for labels in zip(*columns):
-            letters = schedule.read_diagonals(bases, labels)
-            if schedule.revmaj(letters) != profile.area:
-                return str(paths.DecoratedLabeledPath(profile.steps, labels))
+    for columns, profiles in enumeration.step_groups(n, "square", None):
+        for profile in profiles:
+            bases = schedule.diagonal_bases(profile.word)
+            for labels in zip(*columns):
+                letters = schedule.read_diagonals(bases, labels)
+                if schedule.revmaj(letters) != profile.area:
+                    return str(paths.DecoratedLabeledPath(profile.steps, labels))
     return None
 
 

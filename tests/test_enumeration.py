@@ -20,7 +20,6 @@ from pathlab.enumeration import (
     _fibers_by_paths,
     _label_slices,
     _presences,
-    _step_groups,
     _step_profile,
     _valleys,
     bare_path_count,
@@ -31,6 +30,7 @@ from pathlab.enumeration import (
     read_pair_count,
     schedule_one_paths,
     signed_sums,
+    step_groups,
     step_words,
 )
 from pathlab.paths import (
@@ -127,7 +127,7 @@ class TestLabelSlices:
             assert len(compositions) == 2 ** (n - 1)
             for sizes in compositions:
                 labelings = _labelings(sizes)
-                full, less = _label_slices(sizes)
+                full, less = _label_slices(_composition_columns(sizes))
                 assert full == (1 << len(labelings)) - 1
                 assert sorted(less) == list(itertools.combinations(range(1, n + 1), 2))
                 for (x, y), slice_ in less.items():
@@ -142,7 +142,7 @@ class TestLabelSlices:
         # column did
         tracemalloc.start()
         try:
-            _label_slices((1,) * 8)
+            _label_slices(_composition_columns((1,) * 8))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -177,8 +177,8 @@ class TestDecorationSets:
         labeling, with their present slice and the XOR of the starting
         flips and theirs, from no flips and from some."""
         for n in range(1, 6):
-            for sizes, profiles in _step_groups(n, "square", None):
-                full, less = _label_slices(sizes)
+            for columns, profiles in step_groups(n, "square", None):
+                full, less = _label_slices(columns)
                 for profile in profiles:
                     presences = _presences(profile, full, less)
                     choices = [(i, on, full >> i) for i, on in presences]
@@ -197,36 +197,31 @@ class TestDecorationSets:
 
 class TestSliceGroups:
     def test_each_walk_builds_each_composition_once(self):
-        """At n = 6, for every shard, the schedule-one stream and a fresh
-        signed-sum walk build each composition's slices once; the stream
-        builds columns of its own only for the compositions of its paths,
-        and the sums build columns only inside the slices."""
+        """At n = 6, for every shard, the schedule-one stream, a fresh
+        signed-sum walk and the fiber walk each build every composition's
+        columns once, in step_groups alone; the slices are packed from
+        those columns, and the stream names its hits from them."""
         n = 6
-        codes = {_label_slices.__code__, _composition_columns.__code__}
-
-        def built(calls, fn, caller=None):
-            return Counter(
-                c.locals["sizes"]
-                for c in calls
-                if c.code is fn.__code__ and caller in (None, c.caller)
-            )
+        codes = {_composition_columns.__code__}
 
         for j in range(n):
             compositions = Counter(
                 {column_sizes(w) for w in step_words(n) if _step_profile(w).area % n == j}
             )
-            paths, calls = profiled_calls(codes, lambda: list(schedule_one_paths(n, j)))
-            assert built(calls, _label_slices) == compositions
-            assert built(calls, _composition_columns, schedule_one_paths.__code__) == Counter(
-                {column_sizes(p.steps) for p in paths}
-            )
             enumeration._SIGNED_SUMS.clear()
-            _, calls = profiled_calls(codes, signed_sums, n, "square", j)
-            assert built(calls, _label_slices) == compositions
-            assert {c.caller for c in calls if c.code is _composition_columns.__code__} == {
-                _label_slices.__code__,
-                _composition_columns.__code__,
+            walks = {
+                "stream": lambda: list(schedule_one_paths(n, j)),
+                "signed sums": lambda: signed_sums(n, "square", j),
+                "fibers": lambda: fibers_by_sdw(n, "square", j),
             }
+            for name, walk in walks.items():
+                _, calls = profiled_calls(codes, walk)
+                tops = [c.locals["sizes"] for c in calls if c.caller is step_groups.__code__]
+                assert Counter(tops) == compositions, (name, j)
+                assert {c.caller for c in calls} == {
+                    step_groups.__code__,
+                    _composition_columns.__code__,
+                }, (name, j)
 
 
 def _attack_pairs(profile, w):
@@ -264,13 +259,14 @@ class TestStepProfile:
         is one."""
         for n in range(1, 6):
             for kind in KINDS:
-                for sizes, profiles in _step_groups(n, kind, None):
-                    full, less = _label_slices(sizes)
+                for columns, profiles in step_groups(n, kind, None):
+                    labelings = list(zip(*columns))
+                    full, less = _label_slices(columns)
                     for profile in profiles:
                         presences = _presences(profile, full, less)
                         order = [i for i, _ in presences]
                         assert order == sorted(set(order))
-                        for l, labels in enumerate(_labelings(sizes)):
+                        for l, labels in enumerate(labelings):
                             present = {i for i, on in presences if on >> l & 1}
                             base = validate(profile.steps, labels)
                             assert present == contractible_valleys(base), (base, l)
@@ -432,8 +428,10 @@ class TestSignedSums:
         assert enumeration._SIGNED_SUMS == {}
 
     def test_holds_one_composition_at_a_time(self):
-        # the walk holds one composition's slices at a time: a peak of about
-        # 1.6 MiB, against 3.7 MiB when every composition's were kept
+        # the walk holds one composition's slices at a time, and each byte
+        # column goes as it is packed: a peak of about 0.9 MiB, against
+        # 1.2 MiB when the slices were packed from a copy of the columns,
+        # and 3.7 MiB when every composition's slices were kept
         enumeration._SIGNED_SUMS.clear()
         tracemalloc.start()
         try:
@@ -441,7 +439,7 @@ class TestSignedSums:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * 2**20
+        assert peak < 2**20
 
     def test_qt_sums_frozen_value(self):
         assert qt_sums(2)[0] == QTPoly({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})

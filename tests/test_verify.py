@@ -368,8 +368,8 @@ def test_area_shards_split_bare_paths_evenly():
     # a composition's full slice has one bit per labeling
     labelings = [
         sum(
-            len(list(profiles)) * enumeration._label_slices(sizes)[0].bit_count()
-            for sizes, profiles in enumeration._step_groups(6, "square", j)
+            len(list(profiles)) * enumeration._label_slices(columns)[0].bit_count()
+            for columns, profiles in enumeration.step_groups(6, "square", j)
         )
         for j in range(6)
     ]
