@@ -10,8 +10,9 @@ decoration set to any plain permutation; a toggle on the first letter
 connects the two outputs, and an affine extension step sends flat words of
 size n-1 to ADR words of size n.  Together they turn the signed path
 enumerators into explicit sums of t^revmaj over words.  An insertion DP
-computes those sums in time polynomial in n (n = 20 takes under a
-second); decorating all n! permutations, its test oracle, stops near n = 9.
+computes those sums with O(n^3) big-integer additions (in a fresh process,
+n = 28 takes about 2 s and n = 36 about 11 s and 850 MB); decorating all
+n! permutations, its test oracle, stops near n = 9.
 """
 
 from __future__ import annotations
@@ -230,6 +231,26 @@ def delta(m: int, word: DecoratedPermutation) -> DecoratedPermutation:
     return DecoratedPermutation(values, frozenset(decorated))
 
 
+def _packing(n: int) -> tuple[int, int]:
+    """How the insertion DP packs the counts of size n into one integer:
+    ``width`` bits per coefficient (no count exceeds n!), and revmaj inside a
+    decoration count's block of ``row`` bits."""
+    width = math.factorial(n).bit_length() + 1
+    return width, width * (n * (n - 1) // 2 + 1)
+
+
+def _unpack(n: int, packed: int) -> dict[tuple[int, int], int]:
+    """The nonzero counts of a packed integer of size n, by (decorations,
+    revmaj)."""
+    width, row = _packing(n)
+    mask, per_k = (1 << width) - 1, row // width  # per_k: revmaj 0..C(n, 2)
+    return {
+        divmod(slot, per_k): count
+        for slot in range(n * per_k)
+        if (count := packed >> (slot * width) & mask)
+    }
+
+
 # one entry, the last pass: `pathlab table` asks for S and then D of one n
 # in one process, and both read this pass
 @lru_cache(maxsize=1)
@@ -249,14 +270,92 @@ def _chain_counts(n: int) -> tuple[dict[tuple[int, int], int], dict[tuple[int, i
     is [new letter, old first].  A new letter below the old first adds t^L
     to revmaj.
 
-    Each state carries its counts packed into one integer, ``width`` bits per
-    coefficient (no count exceeds n!), revmaj inside a decoration count's
-    block of ``row`` bits, so adding two states' counts is one integer sum.
-    O(n^4) such sums in all.
+    Each state carries its counts packed into one integer
+    (:func:`_packing`), so adding two states' counts is one integer sum.
+    With d = [L > 1], whether an extended run decorates the old first
+    letter, rank r sends the state (l, f, a, u) to one of six destinations:
+
+    1. a = 0, f < r: (l + [l >= r], r, 0, min(3, u + 1 - d)), with d more
+       decorations;
+    2. a = 0, r <= f, r <= l: (l + 1, r, 1, 1), with d more decorations and
+       t^L;
+    3. a = 0, l < r <= f: (f + 1, r, 1, 1), with t^L;
+    4. a = 1, f < r <= l: (l + 1, r, 1, min(3, u + 1 - d)), with d more
+       decorations;
+    5. a = 1, l < r, f < r: (f, r, 0, min(3, u + 1));
+    6. a = 1, r <= f: (f + 1, r, 1, 1), with t^L.
+
+    From length 2 on every state has u = 2 - a: the one-letter suffix
+    (0, 0, 0, 1) goes to (0, 1, 0, 2) and (1, 0, 1, 1), and with d = 1
+    each destination keeps u = 2 - a.  So u needs no coordinate, and a
+    splits the words: those whose open run has no ascent keep two
+    undecorated letters in their first decreasing run, the others one.
+    The states of each a form a dense L x L block over (l, f),
+    and each destination of a rank sums part of one row (1, 2 and 4, over
+    f < r or f >= r at fixed l) or one column (3 and 5 over l < r, 6 over
+    every l, at fixed f).  Each row or column keeps its running sum as r
+    grows, so a length costs O(L^2) integer additions, O(n^3) in all.
+    Each block of the old length is dropped once read.  Only the totals of
+    the last length are read, so each of its blocks is one list standing
+    for every row, summed over all last ranks as it fills.
+    :func:`_chain_counts_by_states`, the same DP one state at a time, with
+    u, is its oracle.
     """
-    top = n * (n - 1) // 2  # largest revmaj
-    width = math.factorial(n).bit_length() + 1
-    row = width * (top + 1)
+    if n == 1:  # the one-letter suffix keeps one undecorated letter
+        return {}, _unpack(n, 1)
+    width, row = _packing(n)
+    blocks = [[[1]], [[0]]]  # blocks[ascents][last][first]: packed counts
+    for length in range(1, n):
+        size, ascent = length + 1, width * length
+        dec = row * (length > 1)
+        if length < n - 1:
+            grown = [[[0] * size for _ in range(size)] for _ in blocks]
+        else:  # every row one list
+            grown = [[[0] * size] * size for _ in blocks]
+        flat, rising = grown  # no ascent in the open run, or one
+        block = blocks.pop(0)
+        for f in range(length):  # transition 3
+            dest, s = rising[f + 1], 0
+            for r in range(f + 1):
+                dest[r] += s << ascent
+                s += block[r][f]
+        for l, cells in enumerate(block):  # transitions 1 and 2
+            whole, s = sum(cells) << dec, 0
+            up, same, fresh = flat[l + 1], flat[l], rising[l + 1]
+            for r in range(l + 1):
+                shifted = s << dec
+                up[r] += shifted
+                fresh[r] += (whole - shifted) << ascent
+                s += cells[r]
+            for r in range(l + 1, size):
+                same[r] += s << dec
+                if r < length:
+                    s += cells[r]
+        block = blocks.pop()
+        for f in range(length):  # transitions 5 and 6
+            column = [cells[f] for cells in block]
+            dest, total = rising[f + 1], sum(column) << ascent
+            for r in range(f + 1):
+                dest[r] += total
+            dest, s = flat[f], sum(column[: f + 1])
+            for r in range(f + 1, size):
+                dest[r] += s
+                if r < length:
+                    s += column[r]
+        for l, cells in enumerate(block):  # transition 4
+            dest, s = rising[l + 1], 0
+            for r in range(l + 1):
+                dest[r] += s << dec
+                s += cells[r]
+        blocks = grown
+    return _unpack(n, sum(flat[0])), _unpack(n, sum(rising[0]))
+
+
+def _chain_counts_by_states(n: int) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
+    """:func:`_chain_counts` one state at a time: the test oracle for its
+    streamed form.  Each reached state, in a dict, fans out to all L + 1
+    ranks, O(n^4) integer additions in all."""
+    width, row = _packing(n)
     states = {(0, 0, 0, 1): 1}  # the one-letter suffix
     for length in range(1, n):
         ascent = width * length
@@ -282,16 +381,7 @@ def _chain_counts(n: int) -> tuple[dict[tuple[int, int], int], dict[tuple[int, i
         states = grown
     two = sum(packed for key, packed in states.items() if key[3] == 2)
     other = sum(packed for key, packed in states.items() if key[3] != 2)
-    mask = (1 << width) - 1
-
-    def unpack(packed: int) -> dict[tuple[int, int], int]:
-        return {
-            divmod(slot, top + 1): count
-            for slot in range(n * (top + 1))
-            if (count := packed >> (slot * width) & mask)
-        }
-
-    return unpack(two), unpack(other)
+    return _unpack(n, two), _unpack(n, other)
 
 
 def fast_sums(n: int, kind: str = "square") -> tuple[TPoly, ...]:
@@ -353,6 +443,35 @@ def recursive_sums(n: int) -> tuple[TPoly, ...]:
     return tuple(
         scale * (dyck[k] + below[k]) if (n - k) % 2 else TPoly() for k in range(n)
     )
+
+
+def t_one_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """For every m = 0..n, the Dyck sums D(m, k) at t = 1 for k = 0..m - 1,
+    trailing zeros dropped (row 0 is D(0, 0) = 1, the empty path), read off
+    an exponential generating function: checked, not proved.
+
+    With s = sqrt(1 - y^2), the series F(x, y) of D(m, k)(1) y^k x^m / m!
+    appears to satisfy F'/F = s / (s cos(xs) - y sin(xs)), that is
+    F = E(xs + a) / E(a) with E = sec + tan and a = arcsin y: the Euler
+    numbers at y = 0, and 1 / (1 - x), the sums of every k, at y = 1.  The
+    denominator cos(xs) - (y/s) sin(xs) has the coefficients
+    c_2j = (-1)^j (1 - y^2)^j and c_2j+1 = -y c_2j; its reciprocal h has
+    h_0 = 1 and h_m = -sum over i = 1..m of C(m, i) c_i h_(m-i), and F' = hF
+    gives f_0 = 1 and f_(m+1) = sum over i = 0..m of C(m, i) h_i f_(m-i),
+    whose y^k coefficient is D(m + 1, k)(1).  The polynomials in y are
+    held as :class:`~pathlab.poly.TPoly`.  The ``egf`` suite holds the rows
+    to :func:`fast_sums` for every k; the square sums at t = 1 follow from
+    them as in :func:`recursive_sums`."""
+    c, h, f = [TPoly.one()], [TPoly.one()], [TPoly.one()]
+    for m in range(1, n + 1):
+        c.append(TPoly((0, -1)) * c[-1] if m % 2 else TPoly((-1, 0, 1)) * c[-2])
+        h.append(-sum(
+            (TPoly((math.comb(m, i),)) * c[i] * h[m - i] for i in range(1, m + 1)), TPoly()
+        ))
+        f.append(sum(
+            (TPoly((math.comb(m - 1, i),)) * h[i] * f[m - 1 - i] for i in range(m)), TPoly()
+        ))
+    return tuple(row.coeffs for row in f)
 
 
 def euler_specialization(n: int) -> TPoly:

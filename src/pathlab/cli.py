@@ -3,8 +3,8 @@
 Subcommands: table, verify, inspect, cycle, build, decorate, sched, enumerate,
 each an entry of :data:`COMMANDS`.  A command parses its arguments with its
 own parser (:func:`build_parser` of its name), which builds no other
-command's subparser; the full parser handles ``--help``, ``--version`` and
-anything that names no command.
+command's subparser and is built once per process; the full parser handles
+``--help``, ``--version`` and anything that names no command.
 Exit codes: 0 success, 1 a verification failed or a library guarantee broke
 (a :class:`~pathlab.cutting.CycleError`), 2 usage error (argparse's own
 convention for bad arguments is also 2).
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import Callable, Iterable
 
 from . import __version__
@@ -300,6 +301,10 @@ COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str, tuple]] = {
 }
 
 
+# one parser per command and one full parser for the life of the process:
+# parsing leaves a parser as it was, so a process that runs a command again
+# (`pathlab table` for S and then D, say) builds its parser once
+@lru_cache(maxsize=None)
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every command, or of the named command alone.  Both
     give that command the same subparser, so its help, usage and errors

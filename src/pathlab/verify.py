@@ -368,6 +368,24 @@ def check_euler(n: int) -> str | None:
     return None
 
 
+def check_egf(n: int) -> str | None:
+    """Both fast sums at t = 1, for every k, equal the rows of an
+    exponential generating function of the Dyck sums
+    (:func:`~pathlab.adr.t_one_rows`): checked, not proved.  The square
+    row is n (D(n-1, k) + D(n-1, k-1)) at t = 1 for odd n - k and zero
+    otherwise, the ``recursion`` identity at t = 1.  It needs no walk, so
+    it checks every k of the insertion DP at sizes no sweep reaches."""
+    rows = adr.t_one_rows(n)
+    pairs = itertools.zip_longest(rows[n - 1], (0, *rows[n - 1]), fillvalue=0)
+    square = [n * (a + b) if (n - k) % 2 else 0 for k, (a, b) in enumerate(pairs)]
+    for stat, kind, row in (("S", "square", square), ("D", "dyck", rows[n])):
+        got = (p(1) for p in adr.fast_sums(n, kind))
+        for k, (value, expected) in enumerate(itertools.zip_longest(got, row, fillvalue=0)):
+            if value != expected:
+                return f"{stat}({n},{k})(1) = {value}, the series gives {expected}"
+    return None
+
+
 def check_sdw_area(n: int) -> str | None:
     """area equals revmaj of the diagonal word for every path.  Decorations
     change neither the area, nor the letters of the diagonal word, nor
@@ -404,6 +422,7 @@ CHECKS: dict[str, tuple[Callable[..., str | None], int]] = {
     "recursion": (check_recursion, 12),
     "sum-factorial": (check_sum_factorial, 12),
     "euler": (check_euler, 20),
+    "egf": (check_egf, 20),
     "sdw-area": (check_sdw_area, 6),
 }
 

@@ -18,6 +18,7 @@ from pathlab.adr import (
     NotAnADR,
     S_fast,
     _chain_counts,
+    _chain_counts_by_states,
     _sweep_sums,
     adr_decorations,
     delta,
@@ -243,6 +244,11 @@ class TestFastSums:
         kind = "dyck" if flat else "square"
         for n in range(1, 9):
             assert fast_sums(n, kind) == _sweep_sums(n, kind), n
+
+    def test_streamed_dp_matches_the_state_dp(self):
+        # both halves, every n <= 16
+        for n in range(1, 17):
+            assert _chain_counts(n) == _chain_counts_by_states(n), n
 
     @pytest.mark.parametrize("flat", [False, True])
     def test_dp_sums_to_factorial_at_twenty(self, flat):

@@ -400,7 +400,9 @@ class TestParser:
         assert err.splitlines()[-1].startswith(f"pathlab {argv[0]}: error:")
         assert exits(capsys, cli.build_parser().parse_args, argv) == (code, out, err)
 
-    def test_a_command_builds_no_other_subparser(self, capsys, monkeypatch):
+    @staticmethod
+    def _count_builds(monkeypatch) -> list[str]:
+        """The prog of every parser built from here on, in order."""
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -409,8 +411,31 @@ class TestParser:
             built.append(self.prog)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        return built
+
+    def test_a_command_builds_no_other_subparser(self, capsys, monkeypatch):
+        cli.build_parser.cache_clear()
+        built = self._count_builds(monkeypatch)
         assert run(capsys, "table", "--n", "2")[0] == 0
         assert built == ["pathlab", "pathlab table"]
+
+    def test_a_reused_parser_answers_as_a_fresh_one(self, capsys, monkeypatch):
+        # S as text, D as JSON, an error, then S again, all in one process
+        argvs = [
+            ["table", "--n", "4"],
+            ["table", "--n", "4", "--stat", "D", "--format", "json"],
+            ["table", "--n", "0"],
+            ["table", "--n", "4"],
+        ]
+        fresh = []
+        for argv in argvs:
+            cli.build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        cli.build_parser.cache_clear()
+        built = self._count_builds(monkeypatch)
+        assert [run(capsys, *argv) for argv in argvs] == fresh
+        assert built == ["pathlab", "pathlab table"]
+        assert [code for code, _, _ in fresh] == [0, 0, 2, 0]
 
 
 def test_readme_examples_exit_zero(capsys):

@@ -173,6 +173,24 @@ def test_sum_factorial_catches_a_missing_k(monkeypatch):
     assert _first_failure("sum-factorial", 4) == (3, "sum D = t^3 + 2*t^2 + 2*t")
 
 
+def test_egf_catches_a_wrong_dp_count(monkeypatch):
+    # one more permutation of size 5 with one chain decoration and revmaj 4,
+    # first run not two: the parity algorithm decorates its first letter
+    # too (5 - 1 is even), so S(5, 2)(1) reads 91 for 90
+    original = adr._chain_counts
+
+    def perturbed(n):
+        two, other = original(n)
+        if n == 5:
+            other = {**other, (1, 4): other[1, 4] + 1}
+        return two, other
+
+    monkeypatch.setattr(adr, "_chain_counts", perturbed)
+    reports = list(run_suite("egf", 6, jobs=1))
+    assert [r.ok for r in reports] == [True] * 4 + [False, True]
+    assert reports[4].witness == "S(5,2)(1) = 91, the series gives 90"
+
+
 def test_shape_fails_on_a_path_that_is_not_schedule_one(monkeypatch):
     # its middle stretch holds two consecutive east steps
     def not_schedule_one(n, shard=None):
