@@ -11,7 +11,7 @@ connects the two outputs, and an affine extension step sends flat words of
 size n-1 to ADR words of size n.  Together they turn the signed path
 enumerators into explicit sums of t^revmaj over words.  An insertion DP
 computes those sums with O(n^3) big-integer additions (in a fresh process,
-n = 28 takes about 2 s and n = 36 about 11 s and 850 MB); decorating all
+n = 28 takes 1.5-2 s and n = 36 about 10 s and 830 MB); decorating all
 n! permutations, its test oracle, stops near n = 9.
 """
 
@@ -125,18 +125,6 @@ def is_flat_adr(word: DecoratedPermutation) -> bool:
     return 0 in ones_shifts(word)
 
 
-def _chain_decorations(values: tuple[int, ...]) -> set[int]:
-    """Shared core of both decorating algorithms: walk leftmost maximal
-    cyclic runs from the right end, decorating their interior letters."""
-    decorated: set[int] = set()
-    j = len(values)
-    while j > 1:
-        i = lmcr_start(values, j)
-        decorated.update(values[i : j - 1])
-        j = i
-    return decorated
-
-
 def _first_run_undecorated(values: tuple[int, ...], decorated: AbstractSet[int]) -> int:
     """Undecorated letters in the first decreasing run, which ends at the
     word's first ascent; 0 for the empty word."""
@@ -157,18 +145,25 @@ def _decorates_first(flat: bool, n: int, k: int, first_run_two: bool) -> bool:
 
 
 def _decorate(values: tuple[int, ...] | list[int], flat: bool) -> DecoratedPermutation:
-    """Both decorating algorithms: the cyclic-run walk, then the first letter
-    by :func:`_decorates_first`.  The parity algorithm has no output for the
-    empty word and raises ValueError."""
-    perm = make_perm(values)
-    if not (flat or perm.n):
+    """Both decorating algorithms: walk the leftmost maximal cyclic runs from
+    the right end, each ending where the last one starts, decorating their
+    interior letters; then the first letter by :func:`_decorates_first`.
+    The parity algorithm has no output for the empty word and raises
+    ValueError."""
+    values = make_perm(values).values
+    n = j = len(values)
+    if not (flat or n):
         raise ValueError("no decoration of the empty word leaves an odd number undecorated")
-    decorated = _chain_decorations(perm.values)
+    decorated: set[int] = set()
+    while j > 1:
+        i = lmcr_start(values, j)
+        decorated.update(values[i : j - 1])
+        j = i
     # only the shift-zero rule reads the first run
-    first_run_two = flat and _first_run_undecorated(perm.values, decorated) == 2
-    if _decorates_first(flat, perm.n, len(decorated), first_run_two):
-        decorated.add(perm.values[0])
-    return DecoratedPermutation(perm.values, frozenset(decorated))
+    first_run_two = flat and _first_run_undecorated(values, decorated) == 2
+    if _decorates_first(flat, n, len(decorated), first_run_two):
+        decorated.add(values[0])
+    return DecoratedPermutation(values, frozenset(decorated))
 
 
 def dyck_decorate(values: tuple[int, ...] | list[int]) -> DecoratedPermutation:
@@ -241,18 +236,23 @@ def _packing(n: int) -> tuple[int, int]:
 
 def _unpack(n: int, packed: int) -> dict[tuple[int, int], int]:
     """The nonzero counts of a packed integer of size n, by (decorations,
-    revmaj)."""
+    revmaj).  Each decoration count's block is cut off once and its revmaj
+    fields read from the block, so the whole integer is shifted n times."""
     width, row = _packing(n)
-    mask, per_k = (1 << width) - 1, row // width  # per_k: revmaj 0..C(n, 2)
-    return {
-        divmod(slot, per_k): count
-        for slot in range(n * per_k)
-        if (count := packed >> (slot * width) & mask)
-    }
+    mask, block_mask = (1 << width) - 1, (1 << row) - 1
+    counts = {}
+    for k in range(n):
+        block = packed >> (k * row) & block_mask
+        for d in range(row // width):  # revmaj 0..C(n, 2)
+            if count := block >> (d * width) & mask:
+                counts[k, d] = count
+    return counts
 
 
-# one entry, the last pass: `pathlab table` asks for S and then D of one n
-# in one process, and both read this pass
+# one entry, the last pass, which the S and D sums of one n both read: the
+# CLI asks for one stat per process, but the cancellation-word, sum-factorial,
+# euler and egf suites, and the benchmark's table op (two `cli.main` calls in
+# one worker), ask for both kinds of one n in one process
 @lru_cache(maxsize=1)
 def _chain_counts(n: int) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
     """Permutations of size n counted by (chain decorations k, revmaj), split

@@ -131,14 +131,8 @@ def cmd_verify(args) -> int:
     return CHECK_FAILED if failed else 0
 
 
-def _parse_object(text: str):
-    if ":" in text:
-        return parse_path(text)
-    return parse_perm(text)
-
-
 def cmd_inspect(args) -> int:
-    obj = _parse_object(args.object)
+    obj = parse_path(args.object) if ":" in args.object else parse_perm(args.object)
     if hasattr(obj, "steps"):
         path = obj
         sdw = diagonal_word(path)

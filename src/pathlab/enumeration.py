@@ -114,11 +114,11 @@ def column_sizes(steps: str) -> tuple[int, ...]:
     return tuple(len(block) for block in steps.split("E") if block)
 
 
-def check_sum_size(n: int, what: str = "brute-force sums") -> None:
-    """Raise ValueError, naming ``what``, past n = 15, where a label stops
-    fitting the four bits :func:`_label_slices` gives it."""
+def check_sum_size(n: int) -> None:
+    """Raise ValueError past n = 15, where a label stops fitting the four
+    bits :func:`_label_slices` gives it."""
     if n > 15:
-        raise ValueError(f"{what} go up to n = 15, got n = {n}")
+        raise ValueError(f"brute-force walks go up to n = 15, got n = {n}")
 
 
 def _composition_columns(sizes: tuple[int, ...]) -> list[bytes]:
@@ -329,7 +329,7 @@ def generate(family: PathFamily) -> Iterator[DecoratedLabeledPath]:
     columns are kept until the generator goes: 545,835 labelings of 8
     bytes (4.4 MB) at n = 8.  n is at most 15, as for the brute sums
     (:func:`check_sum_size`)."""
-    check_sum_size(family.n, "labeled paths")
+    check_sum_size(family.n)
     columns: dict[tuple[int, ...], list[bytes]] = {}
     for profile in _kept_step_words(family):
         sizes = column_sizes(profile.steps)
@@ -342,8 +342,9 @@ def generate(family: PathFamily) -> Iterator[DecoratedLabeledPath]:
 
 # (n, kind, shard) -> the sums of the last walk, cleared before each walk
 # stores its own; a square walk, whole or one shard, fills the Dyck entry of
-# the same shard too, which `pathlab table` reads when it asks for S and then
-# D of one n in one process
+# the same shard too.  The CLI asks for one stat per process; the Dyck entry
+# is read by the cancellation-word suite and by the benchmark's table op (two
+# `cli.main` calls in one worker), which ask for S and then D of one n
 _SIGNED_SUMS: dict[tuple[int, str, int | None], tuple[TPoly, ...]] = {}
 
 
@@ -527,7 +528,7 @@ def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLa
     word is all ones; with a shard j in 0..n-1, only those whose area is j
     mod n.  Labels must fit the four bits of :func:`_label_slices`, so n is
     at most 15; a larger n, or another shard, raises ValueError at the
-    first ``next``.
+    first ``next``, where :func:`step_groups` checks both.
 
     Area depends on the step word alone and is constant on a cutting cycle,
     so the n shards split the stream by step word and keep each cycle whole.
@@ -575,7 +576,6 @@ def schedule_one_paths(n: int, shard: int | None = None) -> Iterator[DecoratedLa
     slices, so the stream holds one composition at a time and yields its
     first path as soon as the first group has a hit.
     """
-    check_sum_size(n, "schedule-one paths")
     for columns, profiles in step_groups(n, "square", shard):
         full, less = _label_slices(list(columns))
         for profile in profiles:

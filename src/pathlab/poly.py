@@ -127,8 +127,8 @@ class TPoly(_IntPoly):
         return cls((1,))
 
     @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> "TPoly":
-        return cls.from_counts({degree: coeff})
+    def monomial(cls, degree: int) -> "TPoly":
+        return cls.from_counts({degree: 1})
 
     @classmethod
     def from_counts(cls, counts: Mapping[int, int]) -> "TPoly":
@@ -177,8 +177,8 @@ class QTPoly(_IntPoly):
         return [(xq + yq, xt + yt) for xq, xt in a for yq, yt in b]
 
     @classmethod
-    def monomial(cls, q_deg: int, t_deg: int, coeff: int = 1) -> "QTPoly":
-        return cls({(q_deg, t_deg): coeff})
+    def monomial(cls, q_deg: int, t_deg: int) -> "QTPoly":
+        return cls({(q_deg, t_deg): 1})
 
     def eval_q(self, q: int) -> TPoly:
         """Substitute an integer for q, leaving a polynomial in t."""

@@ -153,28 +153,27 @@ def diagonal_word(path: DecoratedLabeledPath) -> ShiftedDiagonalWord:
     )
 
 
-def descents(seq: Sequence[int]) -> tuple[int, ...]:
-    return tuple(i for i in range(1, len(seq)) if seq[i - 1] > seq[i])
-
-
 def _letters(word: DecoratedPermutation | Sequence[int]) -> tuple[int, ...]:
     """The letters of a decorated permutation, or of a plain sequence."""
     return word.values if isinstance(word, DecoratedPermutation) else tuple(word)
 
 
-def maj(seq: Sequence[int] | DecoratedPermutation) -> int:
-    """Sum of descent positions (1-based)."""
-    return sum(descents(_letters(seq)))
-
-
 def revmaj(seq: Sequence[int] | DecoratedPermutation) -> int:
-    """maj of the reversed word; decorations are ignored.  The reversed
-    word of length n descends at position n - j exactly where the word
-    ascends from position j to j + 1, so one pass over the word sums
-    n - j over its ascents."""
+    """The major index of the reversed word, the sum of its 1-based
+    descent positions; decorations are ignored.  The reversed word of
+    length n descends at position n - j exactly where the word ascends from
+    position j to j + 1, so one pass over the word sums n - j over its
+    ascents.  :func:`_revmaj_by_reversal` is the oracle."""
     values = _letters(seq)
     n = len(values)
     return sum([n - j for j in range(1, n) if values[j - 1] < values[j]])
+
+
+def _revmaj_by_reversal(values: Sequence[int]) -> int:
+    """:func:`revmaj` by reversing the word and summing its descent
+    positions."""
+    word = values[::-1]
+    return sum(i for i in range(1, len(word)) if word[i - 1] > word[i])
 
 
 def decreasing_runs(word: DecoratedPermutation | Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -276,36 +275,6 @@ def _lmcr_start_by_windows(values: Sequence[int], j: int) -> int:
     return i
 
 
-def _letter_mask(letters: Iterable[int]) -> int:
-    """Distinct letters as one int S, bit c set for letter c.  Then
-    #{d in S : d > c} is ``(S >> c + 1).bit_count()`` and #{d in S : d < c}
-    is ``(S & (1 << c) - 1).bit_count()``."""
-    return sum(1 << c for c in letters)
-
-
-def _undecorated_runs(word: DecoratedPermutation) -> tuple[list[int], list[int], int]:
-    """One scan of the word, a new decreasing run at each ascent: the
-    0-based position where each run starts, then n; each run's undecorated
-    letters as one :func:`_letter_mask`; and the decorated letters as one
-    mask."""
-    decorated = _letter_mask(word.decorated)
-    free = ~decorated
-    starts: list[int] = []
-    undec: list[int] = []
-    run = prev = 0  # prev is below every letter, so the first letter opens run 0
-    for pos, c in enumerate(word.values):
-        if c > prev:  # close the open run; the first close is of no run
-            undec.append(run & free)
-            run = 0
-            starts.append(pos)
-        prev = c
-        run |= 1 << c
-    undec.append(run & free)
-    del undec[0]
-    starts.append(len(word.values))
-    return starts, undec, decorated
-
-
 class ScheduleTable(NamedTuple):
     """The shift-independent schedule values of one decorated permutation.
 
@@ -334,20 +303,36 @@ class ScheduleTable(NamedTuple):
 
 
 def _schedule_table(word: DecoratedPermutation) -> ScheduleTable:
-    """The word's :class:`ScheduleTable` from one :func:`_undecorated_runs`
-    scan.  A run lists its letters in decreasing order, so the letters of
-    ṙ_i above c are those before it and the ones below c those after it,
-    both counted as the run is read; each neighbour run's count is one
-    popcount of its mask."""
-    starts, undec, decorated = _undecorated_runs(word)
-    undec.append(0)  # nothing after the last run, nor (undec[-1]) before run 0
+    """The word's :class:`ScheduleTable` from one scan of it, which opens a
+    new decreasing run at each ascent and keeps the 0-based position where
+    each run starts, then n, and each run's undecorated letters as one mask.
+    A run lists its letters in decreasing order, so the letters of ṙ_i above
+    c are those before it and the ones below c those after it, both counted
+    as the run is read; each neighbour run's count is one popcount of its
+    mask."""
     values = word.values
+    # a mask S has bit c set for letter c, so #{d in S : d > c} is
+    # (S >> c + 1).bit_count() and #{d in S : d < c} is (S & (1 << c) - 1).bit_count()
+    decorated = sum(1 << c for c in word.decorated)
+    free = ~decorated
+    starts: list[int] = []
+    undec: list[int] = []  # undec[i + 1] for run i; 0 before run 0 and after the last
+    run = prev = 0  # prev is below every letter, so the first letter opens run 0
+    for pos, c in enumerate(values):
+        if c > prev:  # close the open run; the first close is of no run
+            undec.append(run & free)
+            run = 0
+            starts.append(pos)
+        prev = c
+        run |= 1 << c
+    undec += (run & free, 0)
+    starts.append(len(values))
     low: list[int] = []
     zero: list[int] = []
     high: list[int] = []
     for i in range(len(starts) - 1):
-        above, below = undec[i + 1], undec[i - 1]
-        under = undec[i].bit_count()  # of ṙ_i, the letters below c once c is read
+        above, below = undec[i + 2], undec[i]
+        under = undec[i + 1].bit_count()  # of ṙ_i, the letters below c once c is read
         over = 0  # of ṙ_i, the letters before c, so above it
         for c in values[starts[i] : starts[i + 1]]:
             if decorated >> c & 1:

@@ -19,7 +19,9 @@ from pathlab.adr import (
     S_fast,
     _chain_counts,
     _chain_counts_by_states,
+    _packing,
     _sweep_sums,
+    _unpack,
     adr_decorations,
     delta,
     dyck_decorate,
@@ -34,7 +36,7 @@ from pathlab.poly import TPoly, t_factorial
 from pathlab.schedule import (
     DecoratedPermutation,
     _lmcr_start_by_windows,
-    _undecorated_runs,
+    _schedule_table,
     decreasing_runs,
     diagonal_word,
     is_cyclic_run,
@@ -45,6 +47,18 @@ from pathlab.schedule import (
 )
 
 from conftest import all_adrs, profiled_calls
+
+
+def _unpack_by_slots(n: int, packed: int) -> dict[tuple[int, int], int]:
+    """``_unpack`` one field at a time, the whole packed integer shifted to
+    each (decorations, revmaj) slot: its oracle."""
+    width, row = _packing(n)
+    mask, per_k = (1 << width) - 1, row // width
+    return {
+        divmod(slot, per_k): count
+        for slot in range(n * per_k)
+        if (count := packed >> (slot * width) & mask)
+    }
 
 
 class TestMembership:
@@ -93,7 +107,7 @@ class TestMembership:
         # or diagonal word built for any set
         codes = {
             decreasing_runs.__code__,
-            _undecorated_runs.__code__,
+            _schedule_table.__code__,
             schedule_numbers.__code__,
             diagonal_word.__code__,
         }
@@ -249,6 +263,21 @@ class TestFastSums:
         # both halves, every n <= 16
         for n in range(1, 17):
             assert _chain_counts(n) == _chain_counts_by_states(n), n
+
+    def test_readout_matches_the_slot_reader(self):
+        # seeded packed totals for every n <= 24, about half their fields
+        # zero and the others below 2^(width - 1), as no count exceeds n!;
+        # and the zero total
+        rng = random.Random(44)
+        for n in range(1, 25):
+            width, row = _packing(n)
+            packed = sum(
+                rng.randrange(1 << width - 1) << slot * width
+                for slot in range(n * (row // width))
+                if rng.random() < 0.5
+            )
+            assert _unpack(n, packed) == _unpack_by_slots(n, packed), n
+            assert _unpack(n, 0) == _unpack_by_slots(n, 0) == {}, n
 
     @pytest.mark.parametrize("flat", [False, True])
     def test_dp_sums_to_factorial_at_twenty(self, flat):

@@ -16,7 +16,7 @@ from pathlab.paths import DecoratedLabeledPath, area, format_path, parse_path
 from pathlab.schedule import (
     DecoratedPermutation,
     ShiftedDiagonalWord,
-    _undecorated_runs,
+    _schedule_table,
     decreasing_runs,
     diagonal_word,
     exactly_one,
@@ -50,7 +50,7 @@ class TestPathFromSdw:
         rng = random.Random(24)
         perms = [p for n in range(1, 6) for p in itertools.permutations(range(1, n + 1))]
         perms += [tuple(rng.sample(range(1, n + 1), n)) for n in range(10, 21) for _ in range(4)]
-        codes = {_undecorated_runs.__code__, exactly_one.__code__}
+        codes = {_schedule_table.__code__, exactly_one.__code__}
 
         def query(word):
             shifts = is_adr(word).valid_shifts
@@ -62,7 +62,7 @@ class TestPathFromSdw:
             for word in (dyck_decorate(values), parity_decorate(values)):
                 path, calls = profiled_calls(codes, query, word)
                 assert diagonal_word(path).word == word
-                assert [call.code for call in calls] == [_undecorated_runs.__code__], word
+                assert [call.code for call in calls] == [_schedule_table.__code__], word
 
     def test_rejects_other_shifts(self, big_word):
         with pytest.raises(ScheduleNotOne):

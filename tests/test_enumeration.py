@@ -572,7 +572,7 @@ class TestScheduleOnePaths:
             next(schedule_one_paths(4, 9))
 
     def test_labels_must_fit_four_bits(self):
-        with pytest.raises(ValueError, match="schedule-one paths go up to n = 15, got n = 16"):
+        with pytest.raises(ValueError, match="brute-force walks go up to n = 15, got n = 16"):
             next(schedule_one_paths(16))
 
     def test_known_counts(self):

@@ -1,6 +1,7 @@
 """Every module of the package, of the test suite and of the tools uses
-each name it imports, and no module of the package calls a per-k view of
-the sums or reads another module's private names."""
+each name it imports, no module of the package calls a per-k view of the
+sums or reads another module's private names, and every public name of the
+package has a reader."""
 
 from __future__ import annotations
 
@@ -84,3 +85,54 @@ def test_package_reads_no_other_modules_private_names():
         if names:
             reads[path.name] = sorted(names)
     assert reads == {}
+
+
+# public names that nothing in src/pathlab or perfbench/ reads yet, each
+# with the reason it stays
+UNREAD_PUBLIC = {
+    "enumeration.qt_sums": "the path side of ROADMAP items 1, 18 and 19",
+}
+
+
+def _reads(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Every name read as a bare name or an attribute in the tree, outside
+    the node ``skip``."""
+    names, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_every_public_name_has_a_reader():
+    """Every public module-level function or class of the package is read
+    somewhere in the package outside its own definition, or named in
+    ``perfbench/*.py`` (parsed, not imported: a name read there, or a
+    ``"module.func"`` string such as the benchmark's metric names), or
+    listed in ``UNREAD_PUBLIC``, which holds no name that has a reader."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in ROOT.glob("src/pathlab/*.py")}
+    bench = set()
+    for path in ROOT.glob("perfbench/*.py"):
+        tree = ast.parse(path.read_text())
+        bench |= _reads(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                module, _, name = node.value.partition(".")
+                if module in trees:
+                    bench.add(name)
+    unread = [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in bench
+        and not any(node.name in _reads(other, node) for other in trees.values())
+    ]
+    assert sorted(unread) == sorted(UNREAD_PUBLIC)

@@ -56,7 +56,6 @@ class TestTPoly:
 
     def test_monomial(self):
         assert TPoly.monomial(3) == TPoly([0, 0, 0, 1])
-        assert TPoly.monomial(0, 5) == TPoly([5])
 
     def test_from_counts(self):
         assert TPoly.from_counts({}) == TPoly.zero()

@@ -20,15 +20,14 @@ from pathlab.schedule import (
     ShiftedDiagonalWord,
     _is_cyclic_run_by_rotation,
     _lmcr_start_by_windows,
-    _undecorated_runs,
+    _revmaj_by_reversal,
+    _schedule_table,
     decreasing_runs,
-    descents,
     diagonal_word,
     format_perm,
     is_cyclic_run,
     lmcr,
     lmcr_start,
-    maj,
     make_perm,
     ones_shifts,
     parse_perm,
@@ -72,8 +71,6 @@ class TestWordBasics:
         assert decreasing_runs(big_word) == ((7,), (8, 4, 2), (3,), (5,), (6, 1))
 
     def test_maj_and_revmaj(self, big_word):
-        assert descents((7, 8, 4, 2, 3, 5, 6, 1)) == (2, 3, 7)
-        assert maj(big_word) == 12
         assert revmaj(big_word) == 16
         # major index read from the right: 123 has both, 321 has none
         assert revmaj(make_perm((1, 2, 3))) == 3
@@ -89,7 +86,7 @@ class TestWordBasics:
         # every permutation with n <= 6, and the empty word
         for n in range(7):
             for values in itertools.permutations(range(1, n + 1)):
-                assert revmaj(values) == maj(values[::-1]), values
+                assert revmaj(values) == _revmaj_by_reversal(values), values
 
     def test_diagonal_reading_matches_the_definitional_sort(self):
         """diagonal_word, whose letters come from one sort of packed keys,
@@ -193,7 +190,7 @@ class TestScheduleNumbers:
         # every shift of schedule_numbers and u_statistic reads the word's
         # one ScheduleTable: one scan per word object, across all twelve
         # calls, and no decreasing_runs tuple
-        codes = {decreasing_runs.__code__, _undecorated_runs.__code__}
+        codes = {decreasing_runs.__code__, _schedule_table.__code__}
         word = DecoratedPermutation(big_word.values, big_word.decorated)  # no table yet
 
         def every_shift():
@@ -203,7 +200,7 @@ class TestScheduleNumbers:
                 u_statistic(sdw)
 
         _, calls = profiled_calls(codes, every_shift)
-        assert [call.code for call in calls] == [_undecorated_runs.__code__]
+        assert [call.code for call in calls] == [_schedule_table.__code__]
 
     def test_u_statistic_counts_the_first_shift_runs(self):
         # every decorated word with n <= 5, at every shift from 0 to n

@@ -273,7 +273,7 @@ def test_all_ones_searches_build_no_schedule_words():
     # schedule word for any decoration set
     (unique, seeds), calls = profiled_calls(
         {
-            schedule._undecorated_runs.__code__,
+            schedule._schedule_table.__code__,
             schedule.schedule_numbers.__code__,
             schedule.diagonal_word.__code__,
         },
