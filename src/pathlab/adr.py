@@ -20,9 +20,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import AbstractSet, Iterator, Sequence
+from typing import AbstractSet, Iterator, NamedTuple, Sequence
 
 from .enumeration import PathFamily
 from .poly import TPoly, t_analog, euler_t
@@ -41,8 +40,7 @@ class NotAnADR(ValueError):
     """The word does not admit an all-ones schedule at the required shift."""
 
 
-@dataclass(frozen=True)
-class ADRWitness:
+class ADRWitness(NamedTuple):
     word: DecoratedPermutation
     valid_shifts: frozenset[int]
 

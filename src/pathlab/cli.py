@@ -13,6 +13,7 @@ convention for bad arguments is also 2).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from functools import lru_cache
@@ -329,12 +330,23 @@ def main(argv: list[str] | None = None) -> int:
     # a command parses with its own parser; the full one handles the rest:
     # --help, --version, an empty argv and an unknown command
     command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    # objects made before the command, the imports above all, are frozen
+    # out of its collections, so the first one it triggers does not scan
+    # them; a caller's own freeze is left alone, since unfreezing is all or
+    # nothing
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
     try:
-        return args.fn(args)
-    except (CliError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CHECK_FAILED if isinstance(exc, CycleError) else USAGE_ERROR
+        args = build_parser(command).parse_args(argv)
+        try:
+            return args.fn(args)
+        except (CliError, ValueError, KeyError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return CHECK_FAILED if isinstance(exc, CycleError) else USAGE_ERROR
+    finally:
+        if freeze:
+            gc.unfreeze()
 
 
 if __name__ == "__main__":

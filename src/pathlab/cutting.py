@@ -23,10 +23,9 @@ comes first, and one running sum over it scores a whole cycle
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .paths import DecoratedLabeledPath, area_word
 from .schedule import diagonal_word, ones_shifts
@@ -45,8 +44,7 @@ class ShapeViolation(CycleError):
     with all-ones schedule word."""
 
 
-@dataclass(frozen=True)
-class CuttingCycle:
+class CuttingCycle(NamedTuple):
     """The admitted cut-and-paste images of a path: one class of the
     partition of a path family, the same set whichever member it is built
     from (the ``partition`` verify suite checks this)."""
@@ -259,8 +257,7 @@ def sched_one_members(members: Iterable[DecoratedLabeledPath]) -> frozenset[Deco
     )
 
 
-@dataclass(frozen=True)
-class Stretches:
+class Stretches(NamedTuple):
     """Step-word decomposition of a path with all-ones schedule word."""
 
     head: str  # decorated valleys below the main diagonal

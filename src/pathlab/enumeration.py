@@ -46,7 +46,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .paths import (
@@ -70,21 +69,19 @@ from .schedule import (
 KINDS = ("square", "dyck")
 
 
-@dataclass(frozen=True)
-class PathFamily:
+class PathFamily(NamedTuple("PathFamily", [("n", int), ("k", int), ("kind", str)])):
     """The standard paths of size n with k decorations, square or Dyck."""
 
-    n: int
-    k: int
-    kind: str = "square"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.n < 1:
+    def __new__(cls, n: int, k: int, kind: str = "square"):
+        if kind not in KINDS:
+            raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+        if n < 1:
             raise ValueError("n must be positive")
-        if not 0 <= self.k < self.n:
+        if not 0 <= k < n:
             raise ValueError("k must satisfy 0 <= k <= n - 1")
+        return super().__new__(cls, n, k, kind)
 
 
 def step_words(n: int, kind: str = "square") -> Iterator[str]:

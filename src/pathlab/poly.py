@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 
@@ -42,7 +41,6 @@ def _degree(d) -> int:
     return d
 
 
-@dataclass(frozen=True)
 class _IntPoly:
     """The core of both kinds: ``terms`` maps each exponent to its int
     coefficient, with no zero terms.  A kind gives ``_exponent``, which
@@ -50,21 +48,21 @@ class _IntPoly:
     polynomial and an exponent of another, in the order of their products.
     Input is checked once, where a polynomial is built from it; arithmetic
     builds its results from checked operands and checks nothing again.
-    Each kind is a frozen dataclass too, so no attribute can be set on it,
-    and takes equality (same kind, same terms) and hashing from the core."""
+    No attribute can be set on a polynomial; two are equal when they are of
+    the same kind with the same terms."""
 
-    terms: dict = field(default_factory=dict)
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
+    def __init__(self, terms: Mapping = {}):  # the default is only read
         """Keeps the nonzero terms, each exponent checked by the kind (a
         negative one raises ``ValueError``) and each coefficient an int (any
         other raises ``TypeError``)."""
-        terms = {}
-        for e, c in self.terms.items():
+        out = {}
+        for e, c in terms.items():
             e, c = self._exponent(e), operator.index(c)
             if c:
-                terms[e] = c
-        object.__setattr__(self, "terms", terms)
+                out[e] = c
+        object.__setattr__(self, "terms", out)
 
     @classmethod
     def _of(cls, terms: dict):
@@ -74,10 +72,27 @@ class _IntPoly:
         object.__setattr__(out, "terms", {e: c for e, c in terms.items() if c})
         return out
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self._of, (self.terms,)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(terms={self.terms!r})"
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
+
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def __hash__(self) -> int:  # the field is a dict
+    def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
@@ -104,10 +119,11 @@ class _IntPoly:
         return self._of(out)
 
 
-@dataclass(frozen=True, eq=False)
 class TPoly(_IntPoly):
     """Polynomial in t with int coefficients, ``terms`` keyed by degree.
     Built from its coefficients in ascending order, any iterable of ints."""
+
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable[int] = ()):
         super().__init__(dict(enumerate(coeffs)))
@@ -162,10 +178,11 @@ class TPoly(_IntPoly):
         return {"var": "t", "coeffs": list(self.coeffs)}
 
 
-@dataclass(frozen=True, eq=False)
 class QTPoly(_IntPoly):
     """Polynomial in q and t with int coefficients, ``terms`` keyed by
     exponent pairs (q_deg, t_deg).  Built from any such mapping."""
+
+    __slots__ = ()
 
     @staticmethod
     def _exponent(pair) -> tuple[int, int]:

@@ -10,7 +10,6 @@ factor counted by its schedule number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import sub
 from typing import Iterable, NamedTuple, Sequence
@@ -19,7 +18,6 @@ from .paths import DecoratedLabeledPath, NonStandardLabeling, area_word, word_sh
 from .poly import QTPoly, q_analog
 
 
-@dataclass(frozen=True)
 class DecoratedPermutation:
     """A permutation of 1..n with the set of its decorated letters.
 
@@ -27,10 +25,31 @@ class DecoratedPermutation:
     on first use and kept with the word, so every shift's schedule numbers,
     :func:`ones_shifts`, :func:`u_statistic` and :func:`letter_diagonals`
     read one scan of it.  Equality, hashing, repr and pickles see the two
-    fields only."""
+    fields only, and neither field can be set after the word is built."""
 
     values: tuple[int, ...]
-    decorated: frozenset[int] = field(default_factory=frozenset)
+    decorated: frozenset[int]
+
+    def __init__(self, values: tuple[int, ...], decorated: frozenset[int] = frozenset()):
+        fields = self.__dict__
+        fields["values"], fields["decorated"] = values, decorated
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.values == other.values and self.decorated == other.decorated
+
+    def __hash__(self) -> int:
+        return hash((self.values, self.decorated))
+
+    def __repr__(self) -> str:
+        return f"DecoratedPermutation(values={self.values!r}, decorated={self.decorated!r})"
 
     @property
     def n(self) -> int:
@@ -59,17 +78,18 @@ class DecoratedPermutation:
         return frozenset(s for s in range(len(table.starts) - 1) if table.row(s) == ones)
 
 
-@dataclass(frozen=True)
-class ShiftedDiagonalWord:
+class ShiftedDiagonalWord(
+    NamedTuple("ShiftedDiagonalWord", [("word", DecoratedPermutation), ("shift", int)])
+):
     """A decorated permutation laid out with run i on diagonal i - shift;
     a shift below 0 names no layout and raises ValueError."""
 
-    word: DecoratedPermutation
-    shift: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.shift < 0:
-            raise ValueError(f"shift must be at least 0, got {self.shift}")
+    def __new__(cls, word: DecoratedPermutation, shift: int):
+        if shift < 0:
+            raise ValueError(f"shift must be at least 0, got {shift}")
+        return super().__new__(cls, word, shift)
 
 
 def make_perm(

@@ -22,30 +22,30 @@ leave some cells empty.
 Every (check, n, shard) cell is independent and deterministic; a shard
 reuses no result another cell cached, so it does the same work on whichever
 worker runs it.  Cells are spread over worker processes and merged back into
-one report per size.
+one report per size.  Each worker is a :class:`multiprocessing.Process`
+with one pipe: the parent sends it a cell, largest n first, whenever it
+answers the last one, and ``None`` when no cell is left.
 """
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import math
+import multiprocessing
+import multiprocessing.connection
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import adr, bridge, cutting, enumeration, paths, poly, schedule
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     check_id: str
-    params: dict = field(default_factory=dict)
-    ok: bool = True
-    witness: str = ""
-    elapsed: float = 0.0
+    params: dict
+    ok: bool
+    witness: str
+    elapsed: float
     shards: int = 1
 
     def line(self) -> str:
@@ -433,7 +433,7 @@ CHECKS: dict[str, tuple[Callable[..., str | None], int]] = {
 SHARDED = frozenset(
     check_id
     for check_id, (check, _) in CHECKS.items()
-    if "shard" in inspect.signature(check).parameters
+    if "shard" in check.__code__.co_varnames[: check.__code__.co_argcount]
 )
 
 
@@ -456,8 +456,7 @@ def _merge(reports: Iterable[Report]) -> Iterator[Report]:
     for _, group in itertools.groupby(reports, key=lambda r: r.params["n"]):
         shards = list(group)
         failed = [r for r in shards if not r.ok]
-        yield replace(
-            shards[0],
+        yield shards[0]._replace(
             ok=not failed,
             witness=failed[0].witness if failed else "",
             elapsed=math.fsum(r.elapsed for r in shards),
@@ -465,14 +464,69 @@ def _merge(reports: Iterable[Report]) -> Iterator[Report]:
         )
 
 
+def _serve(conn) -> None:
+    """A worker: runs each cell that comes down ``conn`` and sends back its
+    report, or the exception the cell raised, until ``None`` comes."""
+    while (cell := conn.recv()) is not None:
+        try:
+            conn.send(_run_cell(cell))
+        except Exception as exc:
+            conn.send(exc)
+
+
+def _run_pool(cells: list, workers: int) -> dict:
+    """Each cell's report, from ``workers`` processes.  Cells go out in the
+    given order, each to whichever worker answers first; an exception a
+    cell raised is raised here.  Every worker is joined before this
+    returns or raises."""
+    conns, procs, done = [], [], {}
+    try:
+        for _ in range(workers):
+            conn, child = multiprocessing.Pipe()
+            proc = multiprocessing.Process(target=_serve, args=(child,))
+            proc.start()
+            child.close()
+            conns.append(conn)
+            procs.append(proc)
+        todo = iter(cells)
+        busy = {}  # conn -> the cell its worker runs
+        for conn, cell in zip(conns, todo):
+            conn.send(cell)
+            busy[conn] = cell
+        while busy:
+            for conn in multiprocessing.connection.wait(list(busy)):
+                try:
+                    report = conn.recv()
+                except EOFError:
+                    raise RuntimeError(f"the worker running {busy[conn]} exited") from None
+                if isinstance(report, Exception):
+                    raise report
+                done[busy.pop(conn)] = report
+                cell = next(todo, None)
+                if cell is not None:
+                    conn.send(cell)
+                    busy[conn] = cell
+        return done
+    finally:
+        for conn in conns:
+            try:
+                conn.send(None)
+            except OSError:  # the worker is gone
+                pass
+            conn.close()
+        for proc in procs:
+            proc.join()
+
+
 def run_suite(
     check_id: str, max_n: int | None = None, jobs: int = 1
 ) -> Iterator[Report]:
     """Run one named suite for n = 1..max_n as (check, n, shard) cells: one
     after another in this process when ``jobs`` is 1, else on at most
-    ``jobs`` worker processes and never more than one per shard.  Reports
-    come back one per size, in order of n (from the pool, once every cell is
-    done), and are the same for any ``jobs``."""
+    ``jobs`` worker processes and never more than one per cell.  A worker
+    gets the next cell, largest n first, as soon as it answers the last.
+    Reports come back one per size, in order of n (from the workers, once
+    every cell is done), and are the same for any ``jobs``."""
     if check_id not in CHECKS:
         raise KeyError(f"unknown check {check_id!r}; known: {sorted(CHECKS)}")
     if max_n is None:
@@ -487,6 +541,5 @@ def run_suite(
         return
     # the largest sizes go first, so that small cells fill the workers' tails
     order = sorted(cells, key=lambda cell: -cell[1])
-    with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
-        done = dict(zip(order, pool.map(_run_cell, order)))
+    done = _run_pool(order, min(jobs, len(cells)))
     yield from _merge(done[cell] for cell in cells)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import gc
 import io
 import json
 import re
@@ -436,6 +437,48 @@ class TestParser:
         assert [run(capsys, *argv) for argv in argvs] == fresh
         assert built == ["pathlab", "pathlab table"]
         assert [code for code, _, _ in fresh] == [0, 0, 2, 0]
+
+
+class TestCollector:
+    """main runs a command with what existed before it frozen out of the
+    collector, and leaves the collector as it found it on every exit."""
+
+    @pytest.fixture(params=["as started", "frozen", "disabled"])
+    def caller(self, request):
+        """The state the caller leaves the collector in before main."""
+        if request.param == "frozen":
+            gc.freeze()
+        elif request.param == "disabled":
+            gc.disable()
+        yield request.param
+        gc.enable()
+        gc.unfreeze()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("table", "--n", "3"), 0),
+            (("verify", "euler", "--max-n", "1"), 1),
+            (("table", "--n", "0"), 2),
+            (("--version",), SystemExit),
+        ],
+    )
+    def test_state_is_restored(self, capsys, monkeypatch, caller, argv, code):
+        # a failing check whose witness says whether the command ran frozen
+        def frozen(n):
+            return f"frozen={gc.get_freeze_count() > 0}"
+
+        monkeypatch.setitem(verify.CHECKS, "euler", (frozen, 7))
+        before = gc.get_freeze_count(), gc.isenabled()
+        if code is SystemExit:
+            exits(capsys, main, argv)
+        else:
+            got, out, _ = run(capsys, *argv)
+            assert got == code
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+        assert (before[0] > 0) == (caller == "frozen")
+        if code == 1:
+            assert out == "euler[n=1] FAIL witness: frozen=True\n"
 
 
 def test_readme_examples_exit_zero(capsys):

@@ -6,9 +6,28 @@ package has a reader."""
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_import_loads_no_unused_machinery():
+    """Importing every module of the package, as each ``pathlab`` command
+    does, loads neither a process pool executor nor ``dataclasses`` or
+    ``inspect`` (together about 20 ms of each command's start).  It does
+    load ``locale``, which argparse would otherwise import during a
+    command's first parser message."""
+    modules = sorted(path.stem for path in ROOT.glob("src/pathlab/*.py"))
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+        f"from pathlab import {', '.join(modules)}; "
+        "print(*sorted(m for m in ('concurrent.futures', 'dataclasses', 'inspect', "
+        "'locale') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (0, "locale\n"), out.stderr
 
 
 def test_no_unused_imports():

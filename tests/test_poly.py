@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -69,7 +72,12 @@ class TestTPoly:
         assert hash(TPoly([1, 2, 0])) == hash(TPoly([1, 2]))
         with pytest.raises(AttributeError):
             TPoly([1]).coeffs = (2,)
+        with pytest.raises(AttributeError):
+            del TPoly([1]).terms
         assert TPoly([1]) != QTPoly({(0, 0): 1})
+        p = TPoly([3, 0, -1])
+        assert pickle.loads(pickle.dumps(p)) == copy.copy(p) == p
+        assert repr(p) == "TPoly(terms={0: 3, 2: -1})"
 
 
 class TestQTPoly:

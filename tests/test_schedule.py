@@ -296,6 +296,8 @@ class TestScheduleTableCache:
         loaded = pickle.loads(pickle.dumps(used))
         assert loaded == fresh and "_table" not in vars(loaded)
         assert ones_shifts(loaded) == {2, 3}  # rebuilt on use
+        with pytest.raises(AttributeError):
+            used.values = fresh.values[::-1]
         for s in range(6):
             a, b = ShiftedDiagonalWord(used, s), ShiftedDiagonalWord(fresh, s)
             assert a == b and hash(a) == hash(b)

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import multiprocessing.util
 import operator
+import os
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -16,31 +17,18 @@ from pathlab.verify import CHECKS, SHARDED, run_suite
 from conftest import profiled_calls
 
 
-class InlinePool:
-    """A stand-in for verify's process pool that maps in this process and
-    records the size of each pool made."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, cells):
-        return map(fn, cells)
-
-
 @pytest.fixture
 def inline_pool(monkeypatch):
-    """Runs verify's pool inline; returns the list of pool sizes."""
-    monkeypatch.setattr(InlinePool, "sizes", [])
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
-    return InlinePool.sizes
+    """Runs verify's worker pool in this process; returns the number of
+    workers each pool asked for."""
+    sizes = []
+
+    def run_pool(cells, workers):
+        sizes.append(workers)
+        return {cell: verify._run_cell(cell) for cell in cells}
+
+    monkeypatch.setattr(verify, "_run_pool", run_pool)
+    return sizes
 
 
 @pytest.mark.parametrize("check_id", sorted(CHECKS))
@@ -496,7 +484,8 @@ def _on_positive_dinv(change):
 
 
 def _reversed_word(sdw):
-    return replace(sdw, word=replace(sdw.word, values=sdw.word.values[::-1]))
+    word = schedule.DecoratedPermutation(sdw.word.values[::-1], sdw.word.decorated)
+    return sdw._replace(word=word)
 
 
 def _without_top(scores):
@@ -729,3 +718,27 @@ def test_lowest_failing_shard_names_the_witness(monkeypatch, inline_pool):
     for jobs in (1, 3):
         assert [r.line() for r in run_suite("interval", jobs=jobs)] == expected
     assert inline_pool == [3]
+
+
+def test_pool_workers_run_after_fork_hooks(tmp_path):
+    """Every worker runs the hooks of ``multiprocessing.util``, which is how
+    a tracer installed in the parent follows the cells into the workers."""
+
+    def record(_):
+        (tmp_path / f"{os.getpid()}.pid").touch()
+
+    # the registry holds its first argument weakly, so record is live here
+    multiprocessing.util.register_after_fork(record, record)
+    reports = list(run_suite("sdw-area", 3, jobs=2))
+    assert all(r.ok for r in reports)
+    assert {int(p.stem) for p in tmp_path.glob("*.pid")} - {os.getpid()}
+
+
+def test_pool_raises_what_a_cell_raised(monkeypatch):
+    def broken(n, shard):
+        raise RuntimeError("no such cell")
+
+    monkeypatch.setitem(CHECKS, "interval", (broken, 3))
+    with pytest.raises(RuntimeError, match="^no such cell$"):
+        list(run_suite("interval", jobs=2))
+    assert multiprocessing.active_children() == []
