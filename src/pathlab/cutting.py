@@ -9,7 +9,10 @@ schedule word the members' dinv values ladder from 0 to cycle size minus one.
 
 Both facts come from one rotation.  With m north steps before the i-th cut,
 the image lists the original's north steps as m + 1, ..., n, 1, ..., m, and
-its area word is the original's rotated by m, plus the constant i - m.  Only
+its area word is the original's rotated by m, plus the constant i - m.  So
+the image's step word is one slice of the path's step word written twice,
+from the cut on, and its labels one slice of the labels written twice, from
+label m + 1 on; the decorations are renumbered by the same rotation.  Only
 the image's first north step can stop being a valley, so a cut is refused
 just when that step is decorated and starts on the main diagonal
 (:func:`psi`, :func:`cutting_cycle`).  The raise by i - m leaves attack pairs
@@ -57,10 +60,13 @@ def _positions(steps: str, step: str) -> list[int]:
     return [pos for pos, s in enumerate(steps) if s == step]
 
 
-def _cut(path: DecoratedLabeledPath, i: int, cut: int) -> DecoratedLabeledPath | None:
-    """The i-th cut of a valid path, which ends at word position ``cut``.
-    Returns the image, or None when a decoration lands off a contractible
-    valley.
+def _cut(
+    path: DecoratedLabeledPath, steps2: str, labels2: tuple[int, ...], i: int, cut: int
+) -> DecoratedLabeledPath | None:
+    """The i-th cut of a valid path, which ends at word position ``cut``,
+    read from the path's doubled step word ``steps2`` and doubled labels
+    ``labels2``.  Returns the image, or None when a decoration lands off a
+    contractible valley.
 
     With m = cut - i north steps before the cut, the image lists the
     original's north steps as m + 1, ..., n, 1, ..., m.  Every step but the
@@ -71,18 +77,19 @@ def _cut(path: DecoratedLabeledPath, i: int, cut: int) -> DecoratedLabeledPath |
     the image starts with a north step, that step is original step m + 1,
     and it starts on the main diagonal.  Both pieces end in an east step, so
     the image keeps the original's columns, labels, step counts and final
-    east step.
+    east step.  (The full cut, at m = n, starts with step n + 1, which no
+    decoration names.)
     """
     m = cut - i
-    steps, labels = path.steps, path.labels
-    if cut < len(steps) and steps[cut] == "N" and m + 1 in path.decorations:
+    decorations = path.decorations
+    if m + 1 in decorations and steps2[cut] == "N":
         return None
-    n = len(labels)
-    return DecoratedLabeledPath(
-        steps[cut:] + steps[:cut],
-        labels[m:] + labels[:m],
-        frozenset([(j - m - 1) % n + 1 for j in path.decorations]),
-    )
+    n = len(path.labels)
+    if decorations:
+        decorations = frozenset([(j - m - 1) % n + 1 for j in decorations])
+    # tuple.__new__ builds the path in C, past the named tuple's __new__
+    image = (steps2[cut : cut + 2 * n], labels2[m : m + n], decorations)
+    return tuple.__new__(DecoratedLabeledPath, image)
 
 
 def psi(path: DecoratedLabeledPath, i: int) -> DecoratedLabeledPath | None:
@@ -94,16 +101,22 @@ def psi(path: DecoratedLabeledPath, i: int) -> DecoratedLabeledPath | None:
     n = path.n
     if not 1 <= i <= n:
         raise ValueError(f"cut position must be in 1..{n}, got {i}")
-    return _cut(path, i, _positions(path.steps, "E")[i - 1] + 1)
+    cut = _positions(path.steps, "E")[i - 1] + 1
+    return _cut(path, path.steps * 2, path.labels * 2, i, cut)
 
 
 def _admitted_cuts(path: DecoratedLabeledPath) -> Iterator[tuple[int, int, DecoratedLabeledPath]]:
     """Each admitted cut of the path, in order of its east step: the east
     step's ordinal i, the m north steps before the cut, and the image."""
-    for i, pos in enumerate(_positions(path.steps, "E"), start=1):
-        image = _cut(path, i, pos + 1)
-        if image is not None:
-            yield i, pos + 1 - i, image
+    steps, labels = path.steps, path.labels
+    steps2, labels2 = steps * 2, labels * 2
+    i = 0
+    for cut, step in enumerate(steps, start=1):
+        if step == "E":
+            i += 1
+            image = _cut(path, steps2, labels2, i, cut)
+            if image is not None:
+                yield i, cut - i, image
 
 
 def cutting_cycle(path: DecoratedLabeledPath) -> CuttingCycle:

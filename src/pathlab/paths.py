@@ -10,11 +10,20 @@ Conventions used throughout: north steps are numbered 1..n in path order; the
 i-th north step occupies the left edge of a lattice square, an east step the
 top edge of the square below it; the diagonal of the square with lower-left
 corner (x, y) is y - x.
+
+A path's area word is read by most of its statistics, and by
+:func:`pathlab.schedule.diagonal_word` and :func:`pathlab.cutting.cycle_dinvs`.
+:func:`area_word` keeps the last 256 words it built in a memo keyed by the
+step word, so that those reads of one path, or of the members of one
+cutting cycle, share one build.  :func:`steps_area_word` builds the word
+afresh on every call, for the brute walks that meet each step word once.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from functools import lru_cache, partial
+from itertools import count
 from typing import NamedTuple, Sequence
 
 
@@ -65,9 +74,13 @@ class AttackPair(NamedTuple):
     kind: str  # "primary" or "secondary"
 
 
+# An AttackPair built by tuple.__new__ in C, past the named tuple's __new__
+_attack_pair = partial(tuple.__new__, AttackPair)
+
+
 def area_word(path: DecoratedLabeledPath) -> tuple[int, ...]:
     """Diagonal y - x of the starting point of each north step, in path order."""
-    return steps_area_word(path.steps)
+    return _area_words(path.steps)
 
 
 def steps_area_word(steps: str) -> tuple[int, ...]:
@@ -81,6 +94,18 @@ def steps_area_word(steps: str) -> tuple[int, ...]:
         else:
             x += 1
     return tuple(word)
+
+
+# `pathlab inspect` reads its path's area word nine times, and `pathlab
+# cycle` and the dinv-ladder suite read each member's word two or three
+# times across a cycle of at most n members, so the memo must hold a whole
+# cycle.  256 words hold any cycle up to n = 256, and take under 0.2 MB at
+# n = 20 however long a process runs.
+@lru_cache(maxsize=256)
+def _area_words(steps: str) -> tuple[int, ...]:
+    # a call by name, so that a tracer that rebinds steps_area_word sees
+    # each build, as a profiler does
+    return steps_area_word(steps)
 
 
 def word_shift(word: Sequence[int]) -> int:
@@ -101,8 +126,7 @@ def area(path: DecoratedLabeledPath) -> int:
 
 def word_area(word: Sequence[int]) -> int:
     """:func:`area` of the path with this area word."""
-    s = word_shift(word)
-    return sum(a + s for a in word)
+    return sum(word) + word_shift(word) * len(word)
 
 
 def contractible_valleys(path: DecoratedLabeledPath) -> frozenset[int]:
@@ -111,18 +135,16 @@ def contractible_valleys(path: DecoratedLabeledPath) -> frozenset[int]:
 
     Step i > 1 qualifies when it starts strictly below the previous north step
     (a_{i-1} > a_i) or level with it but carrying a larger label; step 1
-    qualifies when it starts strictly below the main diagonal.
+    qualifies when it starts strictly below the main diagonal, which is the
+    same rule against a step 0 on the main diagonal that carries step 1's
+    own label.
     """
-    a = area_word(path)
-    w = path.labels
-    out = set()
-    for i in range(1, len(w) + 1):
-        if i == 1:
-            if a[0] <= -1:
-                out.add(1)
-        elif a[i - 2] > a[i - 1] or (a[i - 2] == a[i - 1] and w[i - 2] < w[i - 1]):
-            out.add(i)
-    return frozenset(out)
+    a, w = area_word(path), path.labels
+    return frozenset([
+        i
+        for i, before, at, w_before, w_at in zip(count(1), (0,) + a, a, w[:1] + w, w)
+        if before > at or (before == at and w_before < w_at)
+    ])
 
 
 def attack_pairs(path: DecoratedLabeledPath) -> frozenset[AttackPair]:
@@ -132,20 +154,25 @@ def attack_pairs(path: DecoratedLabeledPath) -> frozenset[AttackPair]:
     and increasing labels; a secondary pair has step i one diagonal above step
     j and decreasing labels.  This listing is the oracle for :func:`dinv`,
     which counts the same pairs without building them.
+
+    Only steps on the same or adjacent diagonals can attack, so each
+    diagonal keeps the undecorated steps met on it so far, with their
+    labels, and step j is paired with those on its own diagonal and the
+    one above.
     """
-    a = area_word(path)
-    w = path.labels
-    dv = path.decorations
+    a, w, decorations = area_word(path), path.labels, path.decorations
+    earlier: dict[int, list[tuple[int, int]]] = {}  # diagonal -> (i, w_i)
     out = []
-    for i in range(1, len(w) + 1):
-        if i in dv:
-            continue
-        for j in range(i + 1, len(w) + 1):
-            if a[i - 1] == a[j - 1] and w[i - 1] < w[j - 1]:
-                out.append(AttackPair(i, j, "primary"))
-            elif a[i - 1] == a[j - 1] + 1 and w[i - 1] > w[j - 1]:
-                out.append(AttackPair(i, j, "secondary"))
-    return frozenset(out)
+    for j, d, wj in zip(count(1), a, w):
+        for i, wi in earlier.get(d, ()):
+            if wi < wj:
+                out.append((i, j, "primary"))
+        for i, wi in earlier.get(d + 1, ()):
+            if wi > wj:
+                out.append((i, j, "secondary"))
+        if j not in decorations:
+            earlier.setdefault(d, []).append((j, wj))
+    return frozenset(map(_attack_pair, out))
 
 
 def dinv(path: DecoratedLabeledPath) -> int:

@@ -212,9 +212,9 @@ class TestCycleInvariants:
         cuts = []
         cut = cutting._cut
 
-        def counting_cut(path, i, position):
+        def counting_cut(path, steps2, labels2, i, position):
             cuts.append(i)
-            return cut(path, i, position)
+            return cut(path, steps2, labels2, i, position)
 
         def no_canonical(path):
             raise AssertionError("cutting_cycle computed a canonical member")

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pathlab import paths
 from pathlab.enumeration import KINDS, PathFamily, generate, step_words
 from pathlab.paths import (
     AttackPair,
@@ -26,8 +27,10 @@ from pathlab.paths import (
     is_dyck,
     parse_path,
     shift,
+    steps_area_word,
     validate,
 )
+from pathlab.schedule import diagonal_word
 
 from conftest import profiled_calls, random_square_path
 
@@ -37,6 +40,40 @@ SMALL_CORPUS = tuple(
     for k in range(n)
     for p in generate(PathFamily(n, k, "square"))
 )
+
+
+def _attack_pairs_by_definition(p) -> frozenset[AttackPair]:
+    """Every ordered pair of north steps tried against the attack rules,
+    the oracle of :func:`attack_pairs`, which pairs steps diagonal by
+    diagonal."""
+    a, w, dv = area_word(p), p.labels, p.decorations
+    out = []
+    for i in range(1, len(w) + 1):
+        if i in dv:
+            continue
+        for j in range(i + 1, len(w) + 1):
+            if a[i - 1] == a[j - 1] and w[i - 1] < w[j - 1]:
+                out.append(AttackPair(i, j, "primary"))
+            elif a[i - 1] == a[j - 1] + 1 and w[i - 1] > w[j - 1]:
+                out.append(AttackPair(i, j, "secondary"))
+    return frozenset(out)
+
+
+def _paths_with_any_labels(max_n: int):
+    """Every square path with n <= max_n, labels from 1..n increasing up
+    each column (so repeated across columns) and every decoration set of
+    at most n - 1 of its contractible valleys."""
+    for n in range(1, max_n + 1):
+        for steps in step_words(n):
+            for labels in itertools.product(range(1, n + 1), repeat=n):
+                try:
+                    bare = validate(steps, labels)
+                except ColumnOrderViolation:
+                    continue
+                valleys = sorted(contractible_valleys(bare))
+                for k in range(min(len(valleys), n - 1) + 1):
+                    for dv in itertools.combinations(valleys, k):
+                        yield validate(steps, labels, dv)
 
 
 def dinv_by_listing(p) -> int:
@@ -146,20 +183,10 @@ class TestDinvCounting:
         # labels need only increase up a column, so one label can sit on
         # several steps of a diagonal, and each of them counts
         checked = repeated = 0
-        for n in range(1, 5):
-            for steps in step_words(n):
-                for labels in itertools.product(range(1, n + 1), repeat=n):
-                    try:
-                        bare = validate(steps, labels)
-                    except ColumnOrderViolation:
-                        continue
-                    valleys = sorted(contractible_valleys(bare))
-                    for k in range(min(len(valleys), n - 1) + 1):
-                        for dv in itertools.combinations(valleys, k):
-                            p = validate(steps, labels, dv)
-                            assert dinv(p) == dinv_by_listing(p), p
-                            checked += 1
-                            repeated += len(set(labels)) < n
+        for p in _paths_with_any_labels(4):
+            assert dinv(p) == dinv_by_listing(p), p
+            checked += 1
+            repeated += len(set(p.labels)) < p.n
         assert repeated > checked // 2
 
     def test_matches_listing_on_large_paths_with_repeated_labels(self):
@@ -182,6 +209,76 @@ class TestDinvCounting:
         assert len(values) == len(SMALL_CORPUS)
         assert counts[attack_pairs.__code__] == 0
         assert counts[area_word.__code__] == 0
+
+
+class TestAttackPairs:
+    def test_matches_definition_on_every_small_path(self):
+        # repeated labels and every decoration set included
+        checked = repeated = decorated = 0
+        for p in _paths_with_any_labels(4):
+            assert attack_pairs(p) == _attack_pairs_by_definition(p), p
+            checked += 1
+            repeated += len(set(p.labels)) < p.n
+            decorated += bool(p.decorations)
+        assert repeated > checked // 2 and decorated > checked // 4
+
+    def test_matches_definition_on_random_large_paths(self):
+        rng = random.Random(20242)
+        corpus = [random_square_path(rng, 10 + i % 11) for i in range(1000)]
+        corpus += [random_square_path(rng, 10 + i % 11, top=5) for i in range(1000)]
+        assert sum(1 for p in corpus if p.decorations) > 1000
+        for p in corpus:
+            assert attack_pairs(p) == _attack_pairs_by_definition(p), p
+
+    def test_pairs_are_attack_pair_records(self, small_path):
+        (pair,) = attack_pairs(small_path)
+        assert type(pair) is AttackPair and (pair.i, pair.j, pair.kind) == (1, 3, "primary")
+
+
+class TestAreaWordMemo:
+    def test_one_query_builds_the_area_word_once(self):
+        # inspect's statistics of one path share one area word
+        p = random_square_path(random.Random(4620), 20)
+        paths._area_words.cache_clear()
+
+        def query():
+            return area(p), shift(p), contractible_valleys(p), attack_pairs(p), diagonal_word(p)
+
+        _, calls = profiled_calls({steps_area_word.__code__}, query)
+        assert len(calls) == 1
+
+    def test_words_depend_on_the_step_word_alone(self):
+        # distinct paths that share a step word, so differ in labels or
+        # decorations, read equal words, the word of the bare step word
+        by_steps = {}
+        for p in SMALL_CORPUS:
+            by_steps.setdefault(p.steps, []).append(p)
+        assert len(by_steps) < len(SMALL_CORPUS) // 10
+        for steps, group in by_steps.items():
+            assert {area_word(p) for p in group} == {steps_area_word(steps)}
+
+    def test_memo_builds_through_the_module_name(self, monkeypatch):
+        # perfbench's tracer counts steps_area_word by rebinding the name;
+        # a memo holding the function itself would hide its builds
+        built = []
+
+        def counting(steps):
+            built.append(steps)
+            return steps_area_word(steps)
+
+        monkeypatch.setattr(paths, "steps_area_word", counting)
+        paths._area_words.cache_clear()
+        p = parse_path("ENNENE:1,2,3:")
+        assert area_word(p) == area_word(p) == (-1, 0, 0)
+        assert built == [p.steps]
+
+    def test_memo_is_bounded(self):
+        maxsize = paths._area_words.cache_info().maxsize
+        assert isinstance(maxsize, int) and 0 < maxsize <= 1024
+        rng = random.Random(4621)
+        for _ in range(maxsize + 10):
+            area_word(random_square_path(rng, 25))
+        assert paths._area_words.cache_info().currsize == maxsize
 
 
 class TestTupleSemantics:
